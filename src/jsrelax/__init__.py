@@ -35,6 +35,7 @@ from .relax import (
     ALGORITHM_MR,
     AVERAGING_KINDS,
     STATUS_CONVERGED,
+    STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
     STATUS_REJECTED,
     IterationRecord,
@@ -43,6 +44,7 @@ from .relax import (
     bounds,
     gamma_lr,
     gamma_mr,
+    iterate,
     lr_step,
     mr_step,
     run,
@@ -85,6 +87,7 @@ __all__ = [
     "ALGORITHM_MR",
     "AVERAGING_KINDS",
     "STATUS_CONVERGED",
+    "STATUS_DEGENERATE",
     "STATUS_MAX_ITERS",
     "STATUS_REJECTED",
     "IterationRecord",
@@ -93,6 +96,7 @@ __all__ = [
     "bounds",
     "gamma_lr",
     "gamma_mr",
+    "iterate",
     "lr_step",
     "mr_step",
     "run",

@@ -1,7 +1,8 @@
 """Command line surface: run the iteration, brute-force bounds, irreducibility check.
 
 Exit codes: 0 success/converged, 1 usage or I/O error, 2 iteration cap
-reached before convergence, 3 precondition (irreducibility) rejected.
+reached before convergence, 3 precondition (irreducibility) rejected, 4 a
+forced run stopped because every matrix maps some grid direction to 0.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .norms import euclidean
 from .oracle import EnumerationBudgetError, product_bounds, trace_estimate
 from .relax import (
     STATUS_CONVERGED,
+    STATUS_DEGENERATE,
     STATUS_REJECTED,
     RelaxConfig,
     run,
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_REJECTED = 3
+EXIT_DEGENERATE = 4
 
 _SVG_SIZE = 512
 
@@ -119,6 +122,10 @@ def _cmd_run(args) -> int:
     if result.status == STATUS_REJECTED:
         print("family is reducible; rerun with --force to iterate anyway", file=sys.stderr)
         return EXIT_REJECTED
+    if result.status == STATUS_DEGENERATE:
+        print("every matrix maps a grid direction to 0; no relaxation step is defined",
+              file=sys.stderr)
+        return EXIT_DEGENERATE
     if args.trace:
         with open(args.trace, "w", newline="\n") as sink:
             write_trace(result, sink)

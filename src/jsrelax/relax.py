@@ -12,18 +12,25 @@ extremal norm of the family:
 
 Every step yields certified bounds rho_minus <= rho <= rho_plus, so the
 midpoint of the final bracket carries an a-posteriori error bound.
+
+A solve builds the image plan of the family once (norms._ImagePlan); each
+step then maps the grid once and derives the bracket, gamma and the next
+profile from that single map.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .matrices import MatrixSet, UnsupportedDimensionError, is_irreducible
-from .norms import (
+from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on this module
     TWO_PI,
     AngularNorm,
+    _blend_linear,
+    _blend_max,
+    _ImagePlan,
     _node_image_max,
     _rebuild,
     combine_linear,
@@ -39,6 +46,7 @@ __all__ = [
     "ALGORITHM_MR",
     "AVERAGING_KINDS",
     "STATUS_CONVERGED",
+    "STATUS_DEGENERATE",
     "STATUS_MAX_ITERS",
     "STATUS_REJECTED",
     "RelaxConfig",
@@ -47,6 +55,7 @@ __all__ = [
     "bounds",
     "gamma_lr",
     "gamma_mr",
+    "iterate",
     "lr_step",
     "mr_step",
     "run",
@@ -59,6 +68,10 @@ AVERAGING_KINDS = ("arithmetic", "geometric", "harmonic")
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
 STATUS_REJECTED = "not_irreducible_rejected"
+# every matrix maps some grid direction to 0 (possible for reducible families
+# only), so the next profile is undefined: lr has gamma = 0, or the image
+# profile that mr and the direct variant need vanishes at a node
+STATUS_DEGENERATE = "degenerate_image"
 
 # Every iterate must keep the reference vector at norm 1; the lr update
 # preserves this identity by construction, so drift past this bound means an
@@ -169,7 +182,11 @@ def bounds(nm: AngularNorm, s: MatrixSet) -> tuple[float, float]:
     By homogeneity the continuous extrema run over directions only; the grid
     samples them, so the returned pair is the grid-restricted bracket.
     """
-    m = _node_image_max(nm, s)
+    return _bracket(nm, _node_image_max(nm, s))
+
+
+def _bracket(nm: AngularNorm, m) -> tuple[float, float]:
+    """bounds given the node image maxima m."""
     ratio = m / nm.values[nm.node_count // 2:]
     return float(ratio.min()), float(ratio.max())
 
@@ -203,67 +220,125 @@ def gamma_mr(rho_minus: float, rho_plus: float, kind: str = "arithmetic") -> flo
     return min(max(g, t), s)
 
 
-def _require_normalized(nm: AngularNorm, e, where: str) -> None:
-    v = evaluate(nm, e)
+class _DegenerateImage(ValueError):
+    """Every matrix maps a grid direction to 0, so the step is undefined."""
+
+
+def _require_normalized(nm: AngularNorm, plan: _ImagePlan, where: str) -> None:
+    v = plan.norm_at_e(nm)
     if abs(v - 1.0) > _NORMALIZATION_TOL:
         raise RuntimeError(f"norm of reference vector drifted to {v!r} at {where}")
+
+
+def _step(
+    nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int, algorithm: str
+) -> tuple[AngularNorm, IterationRecord]:
+    """One step of either scheme from a single node image map.
+
+    lr keeps the iterate normalized at e by construction; mr renormalizes
+    after the pointwise maximum.  Raises _DegenerateImage when the next
+    profile is undefined.
+    """
+    where = f"{algorithm} step {n}"
+    _require_normalized(nm, plan, f"{where} entry")
+    m = plan.node_image_max(nm)
+    lo, hi = _bracket(nm, m)
+    if algorithm == ALGORITHM_LR:
+        g = plan.image_at_e(nm)
+        if g == 0.0:
+            raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
+        lam = cfg.lambda_at(n)
+        if cfg.unsafe_direct:
+            # degenerate lam = 0 variant: pure image profile, no convergence guarantee
+            if lo == 0.0:
+                raise _DegenerateImage("every matrix maps a grid direction to 0")
+            nxt = _rebuild(m / g)
+        else:
+            nxt = _blend_linear(nm, m, lam, g)
+    else:
+        if lo == 0.0:
+            raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
+        lam = None
+        g = gamma_mr(lo, hi, cfg.averaging)
+        raised = _blend_max(nm, m, g)
+        nxt = AngularNorm(raised.values / plan.norm_at_e(raised))
+    _require_normalized(nxt, plan, f"{where} exit")
+    return nxt, IterationRecord(n, lo, hi, g, lam)
 
 
 def lr_step(
     nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
     """One linear-relaxation step; the iterate stays normalized at e by construction."""
-    _require_normalized(nm, cfg.e, f"lr step {n} entry")
-    lo, hi = bounds(nm, s)
-    g = gamma_lr(nm, s, cfg.e)
-    lam = cfg.lambda_at(n)
-    if cfg.unsafe_direct:
-        # degenerate lam = 0 variant: pure image profile, no convergence guarantee
-        m = _node_image_max(nm, s)
-        nxt = _rebuild(m / g)
-    else:
-        nxt = combine_linear(nm, s, lam, g)
-    _require_normalized(nxt, cfg.e, f"lr step {n} exit")
-    return nxt, IterationRecord(n, lo, hi, g, lam)
+    return _step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n, ALGORITHM_LR)
 
 
 def mr_step(
     nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
     """One max-relaxation step; renormalizes at e after the pointwise maximum."""
-    _require_normalized(nm, cfg.e, f"mr step {n} entry")
-    lo, hi = bounds(nm, s)
-    g = gamma_mr(lo, hi, cfg.averaging)
-    nxt = normalize(combine_max(nm, s, g), cfg.e)
-    _require_normalized(nxt, cfg.e, f"mr step {n} exit")
-    return nxt, IterationRecord(n, lo, hi, g, None)
+    return _step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n, ALGORITHM_MR)
+
+
+def _initial(cfg: RelaxConfig) -> AngularNorm:
+    init = cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count)
+    return normalize(init, cfg.e)
+
+
+def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
+    return 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol
+
+
+def iterate(
+    s: MatrixSet, cfg: RelaxConfig | None = None
+) -> Iterator[tuple[AngularNorm, IterationRecord]]:
+    """Yield the norm and the trace record after each step of the configured scheme.
+
+    Starts from the normalized initial norm and builds the image plan of the
+    family once.  Stops after the first step whose bracket half-width is
+    within tol, after max_iters steps, or, yielding nothing for it, at a step
+    whose image profile degenerates.  Does not test irreducibility; run does.
+    """
+    if cfg is None:
+        cfg = RelaxConfig()
+    nm = _initial(cfg)
+    plan = _ImagePlan(s, cfg.node_count, cfg.e)
+    for n in range(cfg.max_iters):
+        try:
+            nm, rec = _step(nm, plan, cfg, n, cfg.algorithm)
+        except _DegenerateImage:
+            return
+        yield nm, rec
+        if _converged(rec, cfg):
+            return
 
 
 def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) -> RelaxResult:
     """Iterate the configured scheme until the bracket half-width reaches tol.
 
     Reducible families are rejected with a distinct status unless force is
-    set; forced runs keep valid brackets but may stall at the iteration cap
-    (and can fail outright if every image of some direction vanishes).
+    set; forced runs keep valid brackets but may stall at the iteration cap,
+    and end with STATUS_DEGENERATE and the records so far if every image of
+    some direction vanishes.
     """
     if cfg is None:
         cfg = RelaxConfig()
     if s.dim != 2:
         raise UnsupportedDimensionError(f"run supports dim 2 only, got {s.dim}")
-    init = cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count)
-    nm = normalize(init, cfg.e)
+    nan = float("nan")
     if not force and not is_irreducible(s):
-        nan = float("nan")
-        return RelaxResult(nan, nan, nan, nm, (), STATUS_REJECTED, cfg)
-    step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
+        return RelaxResult(nan, nan, nan, _initial(cfg), (), STATUS_REJECTED, cfg)
     records: list[IterationRecord] = []
-    status = STATUS_MAX_ITERS
-    for n in range(cfg.max_iters):
-        nm, rec = step(nm, s, cfg, n)
+    for nm, rec in iterate(s, cfg):
         records.append(rec)
-        if 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol:
-            status = STATUS_CONVERGED
-            break
+    if records and _converged(records[-1], cfg):
+        status = STATUS_CONVERGED
+    elif len(records) == cfg.max_iters:
+        status = STATUS_MAX_ITERS
+    else:
+        status = STATUS_DEGENERATE
+    if not records:
+        return RelaxResult(nan, nan, nan, _initial(cfg), (), status, cfg)
     last = records[-1]
     mid = 0.5 * (last.rho_minus + last.rho_plus)
     return RelaxResult(last.rho_minus, last.rho_plus, mid, nm, tuple(records), status, cfg)

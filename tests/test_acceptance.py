@@ -18,11 +18,8 @@ from jsrelax import (
     MatrixSet,
     RelaxConfig,
     STATUS_CONVERGED,
-    euclidean,
     evaluate,
-    lr_step,
-    mr_step,
-    normalize,
+    iterate,
     product_bounds,
     run,
 )
@@ -35,17 +32,6 @@ from conftest import random_irreducible_pair, rotation
 def report(criterion: str, ok: bool, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"{criterion}: {detail}"
-
-
-def drive(fam, cfg):
-    """Replay of run()'s loop yielding every intermediate norm and record."""
-    step = lr_step if cfg.algorithm == "lr" else mr_step
-    nm = normalize(euclidean(cfg.node_count), cfg.e)
-    for n in range(cfg.max_iters):
-        nm, rec = step(nm, fam, cfg, n)
-        yield nm, rec
-        if 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol:
-            return
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +129,7 @@ def test_criterion_5_monotonicity_suite():
         for algorithm in ("lr", "mr"):
             cfg = RelaxConfig(algorithm=algorithm, max_iters=150)
             previous = None
-            for nm, rec in drive(fam, cfg):
+            for nm, rec in iterate(fam, cfg):
                 norm_ok = norm_ok and abs(evaluate(nm, cfg.e) - 1.0) <= 1e-12
                 worst_gamma = max(
                     worst_gamma, rec.rho_minus - rec.gamma, rec.gamma - rec.rho_plus
@@ -171,7 +157,7 @@ def test_criterion_6_normalization(example1, example2, reference_runs):
         for algorithm in ("lr", "mr"):
             cfg = RelaxConfig(algorithm=algorithm)
             replay = []
-            for nm, rec in drive(fam, cfg):
+            for nm, rec in iterate(fam, cfg):
                 worst = max(worst, abs(evaluate(nm, cfg.e) - 1.0))
                 replay.append(rec)
             # the stepwise replay is exactly the accepted run
@@ -186,7 +172,7 @@ def test_criterion_7_scaling_equivariance():
         fam = random_irreducible_pair(rng)
         tripled = MatrixSet(tuple(3.0 * m.entries for m in fam))
         cfg = RelaxConfig(max_iters=40)
-        for (n1, r1), (n3, r3) in zip(drive(fam, cfg), drive(tripled, cfg)):
+        for (n1, r1), (n3, r3) in zip(iterate(fam, cfg), iterate(tripled, cfg)):
             worst_rho = max(
                 worst_rho,
                 abs(r3.rho_minus - 3.0 * r1.rho_minus) / (3.0 * r1.rho_minus),

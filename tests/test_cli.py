@@ -12,6 +12,7 @@ EX2 = {"matrices": [
     [["4/5", "3/5"], ["-3/5", "4/5"]],
 ]}
 REDUCIBLE = {"matrices": [[[2, 0], [0, 3]], [[1, 0], [0, 5]]]}
+NILPOTENT = {"matrices": [[[0, 1], [0, 0]]]}
 
 
 @pytest.fixture
@@ -57,6 +58,15 @@ class TestRunCommand:
         code = cli_main(["run", "--force", "--max-iters", "15", "--nodes", "64",
                          problem_file(REDUCIBLE)])
         assert code == 2
+
+    @pytest.mark.parametrize("algorithm", ["lr", "mr"])
+    def test_forced_degenerate_image(self, problem_file, tmp_path, capsys, algorithm):
+        trace = tmp_path / "trace.csv"
+        code = cli_main(["run", "--force", "--algorithm", algorithm, "--nodes", "64",
+                         "--trace", str(trace), problem_file(NILPOTENT)])
+        assert code == 4
+        assert "maps a grid direction to 0" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_unsafe_direct_accepted(self, problem_file):
         code = cli_main(["run", "--unsafe-direct", "--max-iters", "50", "--nodes", "512",

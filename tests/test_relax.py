@@ -9,6 +9,7 @@ from jsrelax import (
     MatrixSet,
     RelaxConfig,
     STATUS_CONVERGED,
+    STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
     STATUS_REJECTED,
     UnsupportedDimensionError,
@@ -19,6 +20,7 @@ from jsrelax import (
     gamma_lr,
     gamma_mr,
     is_irreducible,
+    iterate,
     lr_step,
     mr_step,
     normalize,
@@ -27,21 +29,6 @@ from jsrelax import (
 )
 
 from conftest import random_irreducible_pair, rotation
-
-
-def drive(fam, cfg, steps=None):
-    """Step-by-step replay of run()'s loop, yielding (norm, record) pairs."""
-    step = lr_step if cfg.algorithm == "lr" else mr_step
-    nm = normalize(
-        cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count),
-        cfg.e,
-    )
-    cap = cfg.max_iters if steps is None else steps
-    for n in range(cap):
-        nm, rec = step(nm, fam, cfg, n)
-        yield nm, rec
-        if 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol:
-            return
 
 
 class TestConfig:
@@ -310,6 +297,35 @@ class TestRun:
         assert res.status == STATUS_CONVERGED
         assert abs(res.rho_mid - 1.0) <= 2e-3
 
+    @pytest.mark.parametrize("algorithm", ["lr", "mr"])
+    @pytest.mark.parametrize("mats", [
+        ([[0.0, 1.0], [0.0, 0.0]],),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0, -2.0], [0.0, 0.0]]),
+    ], ids=["one-nilpotent", "two-nilpotent"])
+    def test_forced_common_kernel_ends_degenerate(self, mats, algorithm):
+        # every member maps e = (1, 0) to 0: lr has gamma = 0, mr has rho_minus = 0
+        cfg = RelaxConfig(algorithm=algorithm, node_count=64)
+        res = run(MatrixSet(mats), cfg, force=True)
+        assert res.status == STATUS_DEGENERATE
+        assert res.trace == ()
+        assert math.isnan(res.rho_lo) and math.isnan(res.rho_hi) and math.isnan(res.rho_mid)
+        assert np.array_equal(res.norm.values, euclidean(64).values)
+        assert list(iterate(MatrixSet(mats), cfg)) == []
+
+    def test_unsafe_direct_degenerate_off_reference(self):
+        # e = (0, 1) has a nonzero image, but the direction (1, 0) maps to 0,
+        # so the pure image profile of the direct variant is not a norm
+        fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
+        cfg = RelaxConfig(node_count=64, e=(0.0, 1.0), unsafe_direct=True)
+        assert run(fam, cfg, force=True).status == STATUS_DEGENERATE
+
+    def test_steps_still_raise_on_degenerate_input(self):
+        fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
+        with pytest.raises(ValueError):
+            lr_step(euclidean(64), fam, RelaxConfig(node_count=64), 0)
+        with pytest.raises(ValueError):
+            mr_step(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
+
     def test_triple_family_vs_oracle(self):
         from jsrelax import product_bounds
 
@@ -370,7 +386,7 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("algorithm", ["lr", "mr"])
     def test_normalization_every_step(self, example1, algorithm):
         cfg = RelaxConfig(algorithm=algorithm)
-        for nm, _ in drive(example1, cfg):
+        for nm, _ in iterate(example1, cfg):
             assert abs(evaluate(nm, cfg.e) - 1.0) <= 1e-12
 
     def test_scaling_equivariance_stepwise(self):
@@ -378,7 +394,7 @@ class TestTraceInvariants:
         fam = random_irreducible_pair(rng)
         tripled = MatrixSet(tuple(3.0 * m.entries for m in fam))
         cfg = RelaxConfig(max_iters=30)
-        for (n1, r1), (n3, r3) in zip(drive(fam, cfg, 30), drive(tripled, cfg, 30)):
+        for (n1, r1), (n3, r3) in zip(iterate(fam, cfg), iterate(tripled, cfg)):
             assert r3.rho_minus == pytest.approx(3.0 * r1.rho_minus, rel=1e-12)
             assert r3.rho_plus == pytest.approx(3.0 * r1.rho_plus, rel=1e-12)
             assert float(np.abs(n3.values / n1.values - 1.0).max()) <= 1e-12
@@ -387,7 +403,7 @@ class TestTraceInvariants:
         cfg = RelaxConfig()
         final = run(example1, cfg).norm
         previous = eccentricity(normalize(euclidean(cfg.node_count), cfg.e), final)
-        for nm, _ in drive(example1, cfg):
+        for nm, _ in iterate(example1, cfg):
             current = eccentricity(nm, final)
             assert current <= previous + 1e-4
             previous = current
