@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .io import ProblemFile, ProblemFormatError, parse_problem, write_norm, write_trace
 from .matrices import UnsupportedDimensionError, is_irreducible, spectral_radius
-from .norms import euclidean
 from .oracle import EnumerationBudgetError, product_bounds, trace_estimate
 from .relax import (
     STATUS_CONVERGED,
@@ -49,8 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="jsrelax",
-        description="Joint spectral radius of a 2x2 matrix family via norm relaxation. "
-        "The JSR_RELAX_THREADS environment variable caps oracle parallelism (0 = auto).",
+        description="Joint spectral radius of a 2x2 matrix family via norm relaxation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,8 +76,6 @@ def _build_parser() -> _Parser:
     orc = sub.add_parser("oracle", help="brute-force product bounds and trace estimates")
     orc.add_argument("problem")
     orc.add_argument("--max-depth", type=int, default=8)
-    orc.add_argument("--nodes", type=int, default=3000,
-                     help="grid size of the norm behind the upper bound")
 
     chk = sub.add_parser("check", help="irreducibility report (exit 3 when reducible)")
     chk.add_argument("problem")
@@ -145,14 +141,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = _load_problem(args.problem)
-    nm = euclidean(args.nodes)
     if problem.label:
         print(f"# label: {problem.label}")
-    print(f"# upper bound norm: angular-profile[{nm.node_count} nodes]")
+    print("# upper bound norm: euclidean")
     print("# trace_estimate is a diagnostic, not a bound")
     print("depth,lower,upper,trace_estimate")
     for depth in range(1, args.max_depth + 1):
-        b = product_bounds(problem.matrices, depth, nm)
+        b = product_bounds(problem.matrices, depth)
         t = trace_estimate(problem.matrices, depth)
         print(f"{depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
     return EXIT_OK

@@ -10,8 +10,11 @@ extremal norm of the family:
       image profile scaled by 1/gamma_n, renormalized at e, with gamma_n an
       average of the current bracket ends.
 
-Every step yields certified bounds rho_minus <= rho <= rho_plus, so the
-midpoint of the final bracket carries an a-posteriori error bound.
+Every step yields a grid bracket [rho_minus, rho_plus]: the bounds the
+profile's N grid directions give.  It approaches rho at about O(N^-2) but
+is not a proven bracket; at tol=1e-9 and N=3000, example 1's rho_plus lies
+5.6e-7 below a proven lower bound.  oracle.product_bounds gives the proven
+check.
 
 A solve builds the image plan of the family once (norms._ImagePlan); each
 step then maps the grid once and derives the bracket, gamma and the next

@@ -108,13 +108,9 @@ class TestOracleCommand:
         uppers = [float(r[2]) for r in rows]
         assert max(lowers) <= min(uppers) + 1e-9
 
-    def test_threads_env_does_not_change_output(self, problem_file, capsys, monkeypatch):
-        path = problem_file(EX1)
-        cli_main(["oracle", "--max-depth", "6", path])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("JSR_RELAX_THREADS", "3")
-        cli_main(["oracle", "--max-depth", "6", path])
-        assert capsys.readouterr().out == serial
+    def test_nodes_flag_is_a_usage_error(self, problem_file, capsys):
+        assert cli_main(["oracle", "--nodes", "512", problem_file(EX1)]) == 1
+        assert "--nodes" in capsys.readouterr().err
 
 
 class TestCheckCommand:

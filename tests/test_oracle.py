@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,26 @@ from jsrelax import (
     EnumerationBudgetError,
     Matrix,
     MatrixSet,
-    euclidean,
     product_bounds,
     spectral_radius,
     trace_estimate,
 )
-from jsrelax.oracle import _spectral_radii
+from jsrelax.oracle import _spectral_norms, _spectral_radii
 
 from conftest import random_irreducible_pair
+
+
+def lapack_products(mats, depth):
+    """All depth-n products by plain matmul, unscaled."""
+    mats = np.asarray(mats, dtype=float)
+    prods = mats
+    for _ in range(depth - 1):
+        prods = (mats[:, None] @ prods[None]).reshape(-1, 2, 2)
+    return prods
+
+
+def seeded_triple() -> MatrixSet:
+    return MatrixSet(tuple(np.random.default_rng(41).uniform(-2.0, 2.0, size=(3, 2, 2))))
 
 
 class TestProductBounds:
@@ -34,7 +47,7 @@ class TestProductBounds:
         rng = np.random.default_rng(11)
         for _ in range(5):
             fam = random_irreducible_pair(rng)
-            bnds = [product_bounds(fam, n, euclidean(512)) for n in range(1, 6)]
+            bnds = [product_bounds(fam, n) for n in range(1, 6)]
             for a in bnds:
                 for b in bnds:
                     assert a.lower <= b.upper + 1e-9
@@ -57,10 +70,50 @@ class TestProductBounds:
     def test_scaling(self, example1):
         scaled = MatrixSet(tuple(2.5 * m.entries for m in example1))
         for n in (1, 2, 4, 6):
-            b1 = product_bounds(example1, n, euclidean(512))
-            b2 = product_bounds(scaled, n, euclidean(512))
+            b1 = product_bounds(example1, n)
+            b2 = product_bounds(scaled, n)
             assert b2.lower == pytest.approx(2.5 * b1.lower, rel=1e-12)
             assert b2.upper == pytest.approx(2.5 * b1.upper, rel=1e-12)
+
+    def test_upper_is_exact_spectral_norm(self, example1):
+        exact = 1.489222848592541
+        assert abs(product_bounds(example1, 3).upper - exact) <= 4 * math.ulp(exact)
+
+    def test_upper_bounds_every_product_norm(self, example1, example2):
+        for fam, depths in ((example1, range(1, 13)), (example2, range(1, 13)),
+                            (seeded_triple(), range(1, 7))):
+            mats = [m.entries for m in fam]
+            for d in depths:
+                norms = np.linalg.norm(lapack_products(mats, d), 2, axis=(1, 2))
+                exact = float(norms.max()) ** (1.0 / d)
+                b = product_bounds(fam, d)
+                assert b.upper >= exact * (1.0 - 1e-14)
+                assert b.upper <= exact * (1.0 + 1e-14)
+                assert b.norm_used == "euclidean"
+
+    @pytest.mark.parametrize("k", [-1000, -3, 5, 1000])
+    def test_power_of_two_scaling_is_bitwise(self, example1, example2, k):
+        for fam in (example1, example2):
+            scaled = MatrixSet(tuple(math.ldexp(1.0, k) * m.entries for m in fam))
+            for d in (1, 3, 8):
+                b1, b2 = product_bounds(fam, d), product_bounds(scaled, d)
+                assert b2.lower == math.ldexp(b1.lower, k)
+                assert b2.upper == math.ldexp(b1.upper, k)
+                assert trace_estimate(scaled, d) == math.ldexp(trace_estimate(fam, d), k)
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_extreme_scales_stay_finite(self, example1, factor):
+        scaled = MatrixSet(tuple(factor * m.entries for m in example1))
+        for d in (1, 2, 3, 8):
+            base = product_bounds(example1, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                b = product_bounds(scaled, d)
+                t = trace_estimate(scaled, d)
+            for got, want in ((b.lower, base.lower), (b.upper, base.upper),
+                              (t, trace_estimate(example1, d))):
+                assert math.isfinite(got) and got > 0.0
+                assert got == pytest.approx(factor * want, rel=1e-14)
 
     def test_budget_refusal_names_requirement(self, example1):
         with pytest.raises(EnumerationBudgetError) as err:
@@ -72,21 +125,6 @@ class TestProductBounds:
         with pytest.raises(EnumerationBudgetError):
             product_bounds(example1, 5, cap=16)
         assert product_bounds(example1, 4, cap=16).depth == 4
-
-    def test_worker_override_is_deterministic(self, example2):
-        serial = product_bounds(example2, 7, workers=1)
-        threaded = product_bounds(example2, 7, workers=4)
-        assert (serial.lower, serial.upper) == (threaded.lower, threaded.upper)
-
-    def test_env_var_validation(self, example1, monkeypatch):
-        monkeypatch.setenv("JSR_RELAX_THREADS", "soup")
-        with pytest.raises(ValueError):
-            product_bounds(example1, 2)
-        monkeypatch.setenv("JSR_RELAX_THREADS", "2")
-        assert product_bounds(example1, 2).depth == 2
-
-    def test_norm_descriptor(self, example1):
-        assert "512" in product_bounds(example1, 1, euclidean(512)).norm_used
 
 
 class TestTraceEstimate:
@@ -115,3 +153,11 @@ class TestBatchSpectralRadii:
             assert vectorized[k] == pytest.approx(
                 spectral_radius(Matrix(batch[k])), rel=1e-14, abs=1e-300
             )
+
+
+class TestBatchSpectralNorms:
+    def test_matches_lapack(self):
+        rng = np.random.default_rng(13)
+        batch = rng.normal(size=(200, 2, 2))
+        expected = np.linalg.norm(batch, 2, axis=(1, 2))
+        np.testing.assert_allclose(_spectral_norms(batch), expected, rtol=1e-14, atol=0.0)

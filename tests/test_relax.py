@@ -338,7 +338,7 @@ class TestRun:
         res = run(fam, RelaxConfig(node_count=600, max_iters=400))
         assert res.status == STATUS_CONVERGED
         for depth in (1, 3, 5, 7):
-            b = product_bounds(fam, depth, euclidean(600))
+            b = product_bounds(fam, depth)
             slack = 20.0 * (2.0 * math.pi / 600) ** 2 * res.rho_hi
             assert b.lower <= res.rho_hi + slack
             assert res.rho_lo <= b.upper + slack
@@ -357,7 +357,7 @@ class TestRun:
             done += 1
             from jsrelax import product_bounds
 
-            b = product_bounds(fam, 6, euclidean(nodes))
+            b = product_bounds(fam, 6)
             slack = 20.0 * (2.0 * math.pi / nodes) ** 2 * max(res.rho_hi, b.lower)
             assert b.lower <= res.rho_hi + slack
             assert res.rho_lo <= b.upper + slack
