@@ -27,6 +27,7 @@ from .oracle import (
     DEFAULT_PRODUCT_CAP,
     EnumerationBudgetError,
     ProductBounds,
+    depth_sweep,
     product_bounds,
     trace_estimate,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "DEFAULT_PRODUCT_CAP",
     "EnumerationBudgetError",
     "ProductBounds",
+    "depth_sweep",
     "product_bounds",
     "trace_estimate",
     "ALGORITHM_LR",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .io import ProblemFile, ProblemFormatError, parse_problem, write_norm, write_trace
 from .matrices import UnsupportedDimensionError, is_irreducible, spectral_radius
-from .oracle import EnumerationBudgetError, product_bounds, trace_estimate
+from .oracle import EnumerationBudgetError, depth_sweep
 from .relax import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
@@ -146,10 +146,8 @@ def _cmd_oracle(args) -> int:
     print("# upper bound norm: euclidean")
     print("# trace_estimate is a diagnostic, not a bound")
     print("depth,lower,upper,trace_estimate")
-    for depth in range(1, args.max_depth + 1):
-        b = product_bounds(problem.matrices, depth)
-        t = trace_estimate(problem.matrices, depth)
-        print(f"{depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
+    for b, t in depth_sweep(problem.matrices, args.max_depth):
+        print(f"{b.depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
     return EXIT_OK
 
 

@@ -208,10 +208,10 @@ def read_trace(text: str) -> tuple[dict[str, str], tuple[IterationRecord, ...]]:
 
 def write_norm(nm: AngularNorm, sink: TextIO) -> None:
     """Write the radial profile as 'phi,h' CSV, angles ascending from -pi."""
-    angles = nm.node_angles()
-    lines = [_NORM_HEADER]
-    lines.extend(f"{_fmt(phi)},{_fmt(h)}" for phi, h in zip(angles, nm.values))
-    sink.write("\n".join(lines) + "\n")
+    # one %-format over the interleaved (phi, h) pairs formats every number;
+    # "%.17g" and format(x, ".17g") give the same digits
+    pairs = np.column_stack([nm.node_angles(), nm.values]).ravel().tolist()
+    sink.write(f"{_NORM_HEADER}\n" + ("%.17g,%.17g\n" * nm.node_count) % tuple(pairs))
 
 
 def read_norm(text: str) -> AngularNorm:

@@ -93,14 +93,24 @@ def spectral_radius(a: Matrix) -> float:
         return abs(float(a.entries[0, 0]))
     if a.dim != 2:
         raise UnsupportedDimensionError(f"spectral_radius supports dim <= 2, got {a.dim}")
-    e = a.entries
+    e, exp = _unit_scaled(a.entries)
     tr = float(e[0, 0] + e[1, 1])
     det = float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
-        return 0.5 * (abs(tr) + math.sqrt(disc))
+        return math.ldexp(0.5 * (abs(tr) + math.sqrt(disc)), exp)
     # complex conjugate pair; det > 0 is forced by a negative discriminant
-    return math.sqrt(det)
+    return math.ldexp(math.sqrt(det), exp)
+
+
+def _unit_scaled(e: np.ndarray) -> tuple[np.ndarray, int]:
+    """e divided by 2^exp, the power of two just above its largest entry, and exp.
+
+    The division is exact, so tr^2 and det of the result neither overflow nor
+    underflow, and 2^k * A gives bitwise the same result as A.
+    """
+    exp = math.frexp(max(map(abs, e.ravel().tolist())))[1]
+    return np.ldexp(e, -exp), exp
 
 
 def apply(a: Matrix, x) -> np.ndarray:
@@ -166,9 +176,11 @@ def is_irreducible(s: MatrixSet) -> bool:
     """
     if s.dim != 2:
         raise UnsupportedDimensionError(f"is_irreducible supports dim 2 only, got {s.dim}")
+    # eigendirections and invariant lines are scale-free: test each member
+    # divided by a power of two, so tr^2, det and A v stay in range
     candidates: list[np.ndarray] | None = None
     for m in s:
-        dirs = _eigendirections(m.entries)
+        dirs = _eigendirections(_unit_scaled(m.entries)[0])
         if dirs is None:
             continue  # scalar member constrains nothing
         if not dirs:
@@ -178,7 +190,8 @@ def is_irreducible(s: MatrixSet) -> bool:
     if candidates is None:
         # every member is scalar, so every line is invariant
         return False
+    members = [_unit_scaled(m.entries)[0] for m in s]
     for v in candidates:
-        if all(_line_invariant(m.entries, v) for m in s.matrices):
+        if all(_line_invariant(e, v) for e in members):
             return False
     return True

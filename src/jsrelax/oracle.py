@@ -12,6 +12,7 @@ neither a lower nor an upper bound, so it is reported as a diagnostic only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "DEFAULT_PRODUCT_CAP",
     "EnumerationBudgetError",
     "ProductBounds",
+    "depth_sweep",
     "product_bounds",
     "trace_estimate",
 ]
@@ -52,26 +54,40 @@ class ProductBounds:
     norm_used: str
 
 
-def _products(s: MatrixSet, depth: int, cap: int) -> tuple[np.ndarray, int]:
-    """All r^depth ordered products of the family divided by 2^e, and e.
+def _products(s: MatrixSet, depth: int, cap: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield, for n = 1..depth, all r^n ordered products of the family divided
+    by 2^e, and e.  Each depth is built from the one before.
 
     2^e is the power of two just above the largest entry; it divides exactly,
-    so the products of 2^k * A equal those of A.
+    so the products of 2^k * A equal those of A.  A depth whose product count
+    exceeds cap raises EnumerationBudgetError before it is built.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    required = s.count ** depth
-    if required > cap:
-        raise EnumerationBudgetError(s.count, depth, required, cap)
     mats = np.stack(s.arrays())
     e = math.frexp(float(np.abs(mats).max()))[1]
     mats = np.ldexp(mats, -e)
     prods = mats
-    m = s.dim
-    for _ in range(depth - 1):
-        # prepend each family member: new chains are A_i times the old chains
-        prods = np.einsum("aij,kjl->akil", mats, prods).reshape(-1, m, m)
-    return prods, e
+    for n in range(1, depth + 1):
+        _check_budget(s.count, n, cap)
+        if n > 1:
+            # prepend each family member: new chains are A_i times the old chains
+            prods = np.einsum("aij,kjl->akil", mats, prods).reshape(-1, s.dim, s.dim)
+        yield prods, e
+
+
+def _check_budget(count: int, depth: int, cap: int) -> None:
+    required = count ** depth
+    if required > cap:
+        raise EnumerationBudgetError(count, depth, required, cap)
+
+
+def _deepest(s: MatrixSet, depth: int, cap: int) -> tuple[np.ndarray, int]:
+    """The depth-n batch of _products; refused before any product is built."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_budget(s.count, depth, cap)
+    for batch in _products(s, depth, cap):
+        pass
+    return batch
 
 
 def _spectral_radii(prods: np.ndarray) -> np.ndarray:
@@ -102,21 +118,46 @@ def _root(values: np.ndarray, depth: int, e: int) -> float:
     return float(np.ldexp(float(values.max()) ** (1.0 / depth), e))
 
 
+def _bounds(prods: np.ndarray, depth: int, e: int) -> ProductBounds:
+    lower = _root(_spectral_radii(prods), depth, e)
+    upper = _root(_spectral_norms(prods), depth, e)
+    return ProductBounds(depth, lower, upper, "euclidean")
+
+
+def _trace(prods: np.ndarray, depth: int, e: int) -> float:
+    return _root(np.abs(np.trace(prods, axis1=1, axis2=2)), depth, e)
+
+
+def _require_dim2(s: MatrixSet) -> None:
+    if s.dim != 2:
+        raise UnsupportedDimensionError(f"product_bounds supports dim 2 only, got {s.dim}")
+
+
 def product_bounds(s: MatrixSet, depth: int, cap: int = DEFAULT_PRODUCT_CAP) -> ProductBounds:
     """Exhaustive depth-n bracket of the joint spectral radius.
 
     lower = (max spectral radius over products)^(1/n);
     upper = (max spectral norm over products)^(1/n), exact up to rounding.
     """
-    if s.dim != 2:
-        raise UnsupportedDimensionError(f"product_bounds supports dim 2 only, got {s.dim}")
-    prods, e = _products(s, depth, cap)
-    lower = _root(_spectral_radii(prods), depth, e)
-    upper = _root(_spectral_norms(prods), depth, e)
-    return ProductBounds(depth, lower, upper, "euclidean")
+    _require_dim2(s)
+    prods, e = _deepest(s, depth, cap)
+    return _bounds(prods, depth, e)
 
 
 def trace_estimate(s: MatrixSet, depth: int, cap: int = DEFAULT_PRODUCT_CAP) -> float:
     """max over depth-n products of |tr|^(1/n); diagnostic, not a bound."""
-    prods, e = _products(s, depth, cap)
-    return _root(np.abs(np.trace(prods, axis1=1, axis2=2)), depth, e)
+    prods, e = _deepest(s, depth, cap)
+    return _trace(prods, depth, e)
+
+
+def depth_sweep(
+    s: MatrixSet, max_depth: int, cap: int = DEFAULT_PRODUCT_CAP
+) -> Iterator[tuple[ProductBounds, float]]:
+    """Yield product_bounds and trace_estimate for depths 1..max_depth, with
+    equal results, building each depth once from the one before.
+
+    A depth above cap raises EnumerationBudgetError after the rows before it.
+    """
+    _require_dim2(s)
+    for depth, (prods, e) in enumerate(_products(s, max_depth, cap), 1):
+        yield _bounds(prods, depth, e), _trace(prods, depth, e)

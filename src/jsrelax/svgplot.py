@@ -34,8 +34,10 @@ def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
     def fmt(v: float) -> str:
         return format(v, ".6f")
 
-    coords = [f"{fmt(center + scale * x)} {fmt(center - scale * y)}" for x, y in pts]
-    path = "M " + coords[0] + " L " + " L ".join(coords[1:]) + " Z"
+    # the same IEEE multiply and add per coordinate as a scalar loop, then one
+    # %-format over all of them
+    xy = np.column_stack([center + scale * pts[:, 0], center - scale * pts[:, 1]])
+    path = "M " + " L ".join(["%.6f %.6f"] * len(xy)) % tuple(xy.ravel().tolist()) + " Z"
     stroke = max(1.0, size_px / 512.0)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

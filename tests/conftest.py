@@ -37,3 +37,20 @@ def random_irreducible_pair(rng) -> MatrixSet:
             continue
         if is_irreducible(fam):
             return fam
+
+
+@pytest.fixture
+def einsum_levels(monkeypatch):
+    """Product counts of the depth levels the oracle builds, one per einsum."""
+    from jsrelax import oracle
+
+    built = []
+    einsum = np.einsum
+
+    def counting_einsum(spec, mats, prods):
+        out = einsum(spec, mats, prods)
+        built.append(out.shape[0] * out.shape[1])
+        return out
+
+    monkeypatch.setattr(oracle.np, "einsum", counting_einsum)
+    return built

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from jsrelax.cli import cli_main
@@ -107,6 +108,20 @@ class TestOracleCommand:
         lowers = [float(r[1]) for r in rows]
         uppers = [float(r[2]) for r in rows]
         assert max(lowers) <= min(uppers) + 1e-9
+
+    def test_each_depth_is_built_once(self, problem_file, capsys, einsum_levels):
+        assert cli_main(["oracle", "--max-depth", "16", problem_file(EX1)]) == 0
+        assert einsum_levels == [2 ** d for d in range(2, 17)]
+
+    def test_depth_above_cap_prints_rows_before_it(self, problem_file, capsys):
+        # 1025 members: depth 1 is within the default cap of 2^20, depth 2 is not
+        mats = np.random.default_rng(5).integers(-3, 4, size=(1025, 2, 2)).tolist()
+        code = cli_main(["oracle", "--max-depth", "3", problem_file({"matrices": mats})])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = [ln for ln in captured.out.splitlines() if ln and ln[0].isdigit()]
+        assert [r.split(",")[0] for r in rows] == ["1"]
+        assert "depth 2" in captured.err
 
     def test_nodes_flag_is_a_usage_error(self, problem_file, capsys):
         assert cli_main(["oracle", "--nodes", "512", problem_file(EX1)]) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,3 +149,30 @@ class TestIrreducibility:
             conj = MatrixSet((t @ a @ tinv, t @ b @ tinv))
             assert is_irreducible(fam) == is_irreducible(conj)
             checked += 1
+
+
+class TestScaleProof:
+    EX1 = ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]])
+    EX2 = ([[15 / 17, -16 / 17], [4 / 17, 15 / 17]], [[4 / 5, 3 / 5], [-3 / 5, 4 / 5]])
+    # reducible: e1 is an eigenvector of both members
+    SHEARS = ([[1.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("k", [-1000, -3, 5, 1000])
+    def test_power_of_two_scaling_is_bitwise(self, k):
+        for mats in (self.EX1, self.EX2, self.SHEARS):
+            fam = MatrixSet(mats)
+            scaled = MatrixSet(tuple(math.ldexp(1.0, k) * m.entries for m in fam))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert is_irreducible(scaled) == is_irreducible(fam)
+                for m, ms in zip(fam, scaled):
+                    assert spectral_radius(ms) == math.ldexp(spectral_radius(m), k)
+
+    @pytest.mark.parametrize("factor", [1e160, 1e300, 1e-300])
+    def test_decimal_extremes(self, factor):
+        fam = MatrixSet(tuple(factor * np.array(m) for m in self.SHEARS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_irreducible(fam) is False
+            radius = spectral_radius(fam.matrices[1])
+            assert radius == pytest.approx(2.0 * factor, rel=1e-15, abs=0.0)

@@ -8,6 +8,8 @@ from jsrelax import (
     EnumerationBudgetError,
     Matrix,
     MatrixSet,
+    UnsupportedDimensionError,
+    depth_sweep,
     product_bounds,
     spectral_radius,
     trace_estimate,
@@ -142,6 +144,49 @@ class TestTraceEstimate:
     def test_budget_refusal(self, example1):
         with pytest.raises(EnumerationBudgetError):
             trace_estimate(example1, 40)
+
+
+class TestDepthSweep:
+    def test_rows_equal_product_bounds_and_trace_estimate(self, example1, example2):
+        for fam, max_depth in ((example1, 12), (example2, 12), (seeded_triple(), 7)):
+            rows = list(depth_sweep(fam, max_depth))
+            assert [b.depth for b, _ in rows] == list(range(1, max_depth + 1))
+            for d, (b, t) in enumerate(rows, 1):
+                assert b == product_bounds(fam, d)
+                assert t == trace_estimate(fam, d)
+
+    def test_depth_above_cap_stops_after_the_rows_before_it(self, example1):
+        rows = []
+        with pytest.raises(EnumerationBudgetError) as err:
+            for row in depth_sweep(example1, 6, cap=16):
+                rows.append(row)
+        assert len(rows) == 4 and err.value.depth == 5
+
+    def test_rejects_dim_three_before_any_row(self):
+        fam = MatrixSet((np.eye(3),))
+        with pytest.raises(UnsupportedDimensionError):
+            next(depth_sweep(fam, 3))
+
+
+class TestWorkCount:
+    """Each depth is built by one einsum from the depth before it."""
+
+    def test_sweep_builds_each_depth_once(self, example1, einsum_levels):
+        for _ in depth_sweep(example1, 16):
+            pass
+        assert einsum_levels == [2 ** d for d in range(2, 17)]
+
+    def test_single_depth_does_no_extra_work(self, example1, einsum_levels):
+        product_bounds(example1, 10)
+        trace_estimate(example1, 10)
+        assert einsum_levels == 2 * [2 ** d for d in range(2, 11)]
+
+    def test_refusal_builds_nothing(self, example1, einsum_levels):
+        with pytest.raises(EnumerationBudgetError):
+            product_bounds(example1, 5, cap=16)
+        with pytest.raises(EnumerationBudgetError):
+            trace_estimate(example1, 5, cap=16)
+        assert einsum_levels == []
 
 
 class TestBatchSpectralRadii:
