@@ -6,10 +6,11 @@ phi_j = -pi + 2*pi*j/N, interpolated linearly in angle between nodes, and
 kept centrally symmetric (h_j = h_{j+N/2}, bit-exact) because a norm
 satisfies |-x| = |x|.
 
-All heavy evaluation goes through elementwise array arithmetic rather than
-BLAS so that batched node sweeps and single-vector calls agree bitwise;
-several exactness guarantees (normalization at a grid-aligned reference
-vector, scaling equivariance) rely on this.
+Node sweeps go through elementwise array arithmetic rather than BLAS, and
+single vectors through Python floats with the same IEEE operations in the
+same order, so the two agree bitwise; several exactness guarantees
+(normalization at a grid-aligned reference vector, scaling equivariance)
+rely on this.
 """
 
 from __future__ import annotations
@@ -97,13 +98,22 @@ class AngularNorm:
             raise ValueError(f"node count must be even and >= {MIN_NODES}, got {n}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("profile values must be finite")
-        half = n // 2
-        folded = 0.5 * (vals[:half] + vals[half:])
-        if not np.all(folded > 0.0):
-            raise ValueError("profile values must be positive")
-        vals = np.concatenate([folded, folded])
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        a, b = vals[:n // 2], vals[n // 2:]
+        with np.errstate(over="ignore"):
+            total = a + b
+        # the antipodal mean, halving first where a + b overflows
+        folded = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
+        object.__setattr__(self, "values", _symmetric(folded))
+
+    @classmethod
+    def _from_half(cls, upper: np.ndarray) -> "AngularNorm":
+        """The profile whose two halves are both upper, with the same checks.
+
+        Skips the fold, which is exact for equal halves.
+        """
+        nm = object.__new__(cls)
+        object.__setattr__(nm, "values", _symmetric(upper))
+        return nm
 
     @property
     def node_count(self) -> int:
@@ -112,6 +122,17 @@ class AngularNorm:
     def node_angles(self) -> np.ndarray:
         """Grid angles phi_j, ascending from -pi (read-only)."""
         return _grid(self.node_count).angles
+
+
+def _symmetric(upper: np.ndarray) -> np.ndarray:
+    """Read-only node values upper, upper after the profile value checks."""
+    if not np.all(np.isfinite(upper)):
+        raise ValueError("profile values must be finite")
+    if not np.all(upper > 0.0):
+        raise ValueError("profile values must be positive")
+    vals = np.concatenate([upper, upper])
+    vals.flags.writeable = False
+    return vals
 
 
 def euclidean(n: int) -> AngularNorm:
@@ -134,11 +155,44 @@ def _sector(x0, x1, n: int) -> tuple[np.ndarray, np.ndarray]:
     return j.astype(np.intp) % n, f
 
 
-def _eval_xy(values: np.ndarray, x0, x1) -> np.ndarray:
-    """Profile norm of the vectors (x0, x1); arrays of any common shape."""
-    idx, f = _sector(x0, x1, values.size)
-    interp = (1.0 - f) * values[idx] + f * values[(idx + 1) % values.size]
-    return np.hypot(x0, x1) * interp
+def _images(mats, x0, x1):
+    """The images A (x0, x1) of the vectors, one pair of arrays per matrix."""
+    return ((a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1) for a in mats)
+
+
+class _Points:
+    """Interpolation terms of a few fixed vectors, evaluated in Python floats.
+
+    Each vector y keeps (i0, i1, w0 = 1 - f, f, rad = |y|_2) for its grid
+    sector, and max_norm() returns max over the vectors of
+    rad * (w0 * h[i0] + f * h[i1]): the IEEE operations of _Stencil.apply,
+    in the same order, without copying the profile.  The indices are taken
+    modulo N/2, so a symmetric profile's full values and its upper half give
+    the same result.
+    """
+
+    def __init__(self, y0, y1, n: int):
+        i0, f = _sector(y0, y1, n)
+        half = n // 2
+        self.terms = tuple(zip(
+            (i0 % half).tolist(), ((i0 + 1) % half).tolist(),
+            (1.0 - f).tolist(), f.tolist(), np.hypot(y0, y1).tolist(),
+        ))
+
+    @classmethod
+    def of_family(cls, mats, x0: float, x1: float, n: int) -> "_Points":
+        """Terms of the images A (x0, x1), one per family member."""
+        y0, y1 = (np.array(c) for c in zip(*_images(mats, x0, x1)))
+        return cls(y0, y1, n)
+
+    def max_norm(self, values: np.ndarray) -> float:
+        """Largest profile norm among the vectors; NaN if any norm is NaN, as np.max."""
+        best = -math.inf
+        for i0, i1, w0, f, rad in self.terms:
+            v = rad * (w0 * values.item(i0) + f * values.item(i1))
+            if v > best or v != v:
+                best = v
+        return best
 
 
 # Entries per block of a stencil apply: bounds its scratch buffers and keeps
@@ -147,22 +201,22 @@ _BLOCK = 16384
 
 
 class _Stencil:
-    """Interpolation stencil of fixed vectors y_kj, reusable for any profile.
+    """Interpolation stencil of the images y_kj = A_k x_j, reusable for any profile.
 
     Row k, column j stores the grid sector i0, the weights w0 = 1 - f and f,
     and the length rad = |y_kj|_2, so that apply() evaluates
-    max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add:
-    the floating-point operations of _eval_xy, without its angle work.
+    max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add,
+    without angle work.
     Memory is 32 bytes per entry plus two block buffers; apply() writes into
     the buffers, so one stencil serves one thread.
     """
 
-    def __init__(self, n: int, images, shape: tuple[int, int]):
-        rows, cols = shape
+    def __init__(self, mats, x0, x1, n: int):
+        shape = rows, cols = len(mats), np.size(x0)
         self.i0 = np.empty(shape, dtype=np.intp)
         self.f = np.empty(shape)
         self.rad = np.empty(shape)
-        for k, (y0, y1) in enumerate(images):
+        for k, (y0, y1) in enumerate(_images(mats, x0, x1)):
             self.i0[k], self.f[k] = _sector(y0, y1, n)
             self.rad[k] = np.hypot(y0, y1)
         self.w0 = 1.0 - self.f
@@ -174,12 +228,6 @@ class _Stencil:
             for r0 in range(0, rows, height)
         ]
         self._buf = np.empty((2, min(rows, height) * width))
-
-    @classmethod
-    def of_family(cls, mats, x0, x1, n: int) -> "_Stencil":
-        """Stencil of the images A (x0, x1), one row per family member."""
-        images = ((a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1) for a in mats)
-        return cls(n, images, (len(mats), np.size(x0)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """max over the rows of the profile norms of the stored vectors."""
@@ -206,7 +254,7 @@ class _Stencil:
 
 def _image_max_xy(values: np.ndarray, mats, x0, x1) -> np.ndarray:
     """max over the family of the profile norm of A (x0, x1)."""
-    return _Stencil.of_family(mats, x0, x1, values.size).apply(values)
+    return _Stencil(mats, x0, x1, values.size).apply(values)
 
 
 def _upper_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,22 +270,22 @@ def _node_image_max(nm: AngularNorm, s: MatrixSet) -> np.ndarray:
 
 
 class _ImagePlan:
-    """The stencils of one relaxation solve: the family, its grid and e.
+    """The fixed vectors of one relaxation solve: the family, its grid and e.
 
-    Holds the image of every upper-half node under every matrix, the images
-    A_i e and e itself.  Built once per solve; each step then reads the node
-    image maxima, gamma_lr and the norm of e off it with no angle work.
-    Applying the one-point stencils equals max_image and evaluate bitwise.
+    Holds the stencil of every upper-half node under every matrix, and the
+    terms of the images A_i e and of e itself.  Built once per solve; each
+    step then reads the node image maxima, gamma_lr and the norm of e off it
+    with no angle work.  image_at_e and norm_at_e evaluate the terms that
+    max_image and evaluate build, so they agree bitwise.
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
         _require_planar(s)
         e0, e1 = _checked_vector(e)
-        x0, x1 = np.array([e0]), np.array([e1])
         mats = s.arrays()
-        self.nodes = _Stencil.of_family(mats, *_upper_nodes(n), n)
-        self.at_e = _Stencil.of_family(mats, x0, x1, n)
-        self.e = _Stencil(n, [(x0, x1)], (1, 1))
+        self.nodes = _Stencil(mats, *_upper_nodes(n), n)
+        self.images_of_e = _Points.of_family(mats, e0, e1, n)
+        self.e = _Points(np.array([e0]), np.array([e1]), n)
 
     def node_image_max(self, nm: AngularNorm) -> np.ndarray:
         """max_i |A_i u_j| at the upper-half nodes u_j."""
@@ -245,11 +293,11 @@ class _ImagePlan:
 
     def image_at_e(self, nm: AngularNorm) -> float:
         """max_i |A_i e|, bitwise equal to max_image(nm, s, e)."""
-        return float(self.at_e.apply(nm.values)[0])
+        return self.images_of_e.max_norm(nm.values)
 
     def norm_at_e(self, nm: AngularNorm) -> float:
         """|e|, bitwise equal to evaluate(nm, e)."""
-        return float(self.e.apply(nm.values)[0])
+        return self.e.max_norm(nm.values)
 
 
 def _require_planar(s: MatrixSet) -> None:
@@ -269,20 +317,14 @@ def evaluate(nm: AngularNorm, x) -> float:
     x0, x1 = _checked_vector(x)
     if x0 == 0.0 and x1 == 0.0:
         return 0.0
-    return float(_eval_xy(nm.values, np.array([x0]), np.array([x1]))[0])
+    return _Points(np.array([x0]), np.array([x1]), nm.node_count).max_norm(nm.values)
 
 
 def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
     """Largest norm among the images A x over the family."""
     _require_planar(s)
     x0, x1 = _checked_vector(x)
-    out = _image_max_xy(nm.values, s.arrays(), np.array([x0]), np.array([x1]))
-    return float(out[0])
-
-
-def _rebuild(half_values: np.ndarray) -> AngularNorm:
-    # the symmetric profile is its upper half repeated
-    return AngularNorm(np.concatenate([half_values, half_values]))
+    return _Points.of_family(s.arrays(), x0, x1, nm.node_count).max_norm(nm.values)
 
 
 def combine_linear(nm: AngularNorm, s: MatrixSet, lam: float, gamma: float) -> AngularNorm:
@@ -292,11 +334,11 @@ def combine_linear(nm: AngularNorm, s: MatrixSet, lam: float, gamma: float) -> A
     Requires lam strictly inside (0, 1) and gamma > 0.
     """
     _require_planar(s)
-    return _blend_linear(nm, _node_image_max(nm, s), lam, gamma)
+    return AngularNorm._from_half(_blend_linear(nm, _node_image_max(nm, s), lam, gamma))
 
 
-def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float) -> AngularNorm:
-    """combine_linear given the node image maxima m."""
+def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float) -> np.ndarray:
+    """Upper half of combine_linear given the node image maxima m."""
     lam = float(lam)
     gamma = float(gamma)
     if not 0.0 < lam < 1.0:
@@ -304,22 +346,22 @@ def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float) -> A
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     upper = nm.values[nm.node_count // 2:]
-    return _rebuild(lam * upper + (1.0 - lam) * (m / gamma))
+    return lam * upper + (1.0 - lam) * (m / gamma)
 
 
 def combine_max(nm: AngularNorm, s: MatrixSet, gamma: float) -> AngularNorm:
     """Pointwise maximum of the profile and its scaled image profile."""
     _require_planar(s)
-    return _blend_max(nm, _node_image_max(nm, s), gamma)
+    return AngularNorm._from_half(_blend_max(nm, _node_image_max(nm, s), gamma))
 
 
-def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float) -> AngularNorm:
-    """combine_max given the node image maxima m."""
+def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float) -> np.ndarray:
+    """Upper half of combine_max given the node image maxima m."""
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     upper = nm.values[nm.node_count // 2:]
-    return _rebuild(np.maximum(upper, m / gamma))
+    return np.maximum(upper, m / gamma)
 
 
 def normalize(nm: AngularNorm, e) -> AngularNorm:

@@ -18,7 +18,9 @@ check.
 
 A solve builds the image plan of the family once (norms._ImagePlan); each
 step then maps the grid once and derives the bracket, gamma and the next
-profile from that single map.
+profile from that single map.  gamma and the norm of e come from scalar
+terms in the plan, and each step builds one validated profile, from the
+next upper half.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on
     _blend_max,
     _ImagePlan,
     _node_image_max,
-    _rebuild,
     combine_linear,
     combine_max,
     euclidean,
@@ -255,16 +256,17 @@ def _step(
             # degenerate lam = 0 variant: pure image profile, no convergence guarantee
             if lo == 0.0:
                 raise _DegenerateImage("every matrix maps a grid direction to 0")
-            nxt = _rebuild(m / g)
+            nxt = AngularNorm._from_half(m / g)
         else:
-            nxt = _blend_linear(nm, m, lam, g)
+            nxt = AngularNorm._from_half(_blend_linear(nm, m, lam, g))
     else:
         if lo == 0.0:
             raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
         lam = None
         g = gamma_mr(lo, hi, cfg.averaging)
         raised = _blend_max(nm, m, g)
-        nxt = AngularNorm(raised.values / plan.norm_at_e(raised))
+        # |e| under the raised profile, read off its upper half
+        nxt = AngularNorm._from_half(raised / plan.e.max_norm(raised))
     _require_normalized(nxt, plan, f"{where} exit")
     return nxt, IterationRecord(n, lo, hi, g, lam)
 

@@ -1,9 +1,10 @@
 """The precomputed image plan against the per-matrix image loop it replaced.
 
-The reference below evaluates every family member with _eval_xy and takes
-the running maximum, as the image map did before it was split into a plan
-built once per solve and a gather-multiply-add per step.  The plan performs
-the same floating-point operations, so runs must agree bit for bit.
+The reference below evaluates every family member with _eval_xy, the array
+evaluator that evaluate used before the plan's scalar terms, and takes the
+running maximum, as the image map did before it was split into a plan built
+once per solve and a gather-multiply-add per step.  The plan performs the
+same floating-point operations, so runs must agree bit for bit.
 """
 
 import numpy as np
@@ -19,7 +20,14 @@ from jsrelax import (
     run,
 )
 from jsrelax import norms, relax
-from jsrelax.norms import _eval_xy, _grid, _node_image_max
+from jsrelax.norms import _grid, _node_image_max, _sector
+
+
+def _eval_xy(values: np.ndarray, x0, x1) -> np.ndarray:
+    """Profile norm of the vectors (x0, x1); arrays of any common shape."""
+    idx, f = _sector(x0, x1, values.size)
+    interp = (1.0 - f) * values[idx] + f * values[(idx + 1) % values.size]
+    return np.hypot(x0, x1) * interp
 
 
 def reference_image_max(values, mats, x0, x1):
@@ -119,22 +127,30 @@ def test_node_image_max_matches_reference_across_blocks(r, n):
 class TestWorkCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"plans": 0, "stencils": 0, "node_maps": 0, "applies": 0}
+        tally = {"plans": 0, "stencils": 0, "points": 0, "plan_points": 0, "node_maps": 0,
+                 "applies": 0}
 
         class CountingPlan(norms._ImagePlan):
             def __init__(self, *args):
                 tally["plans"] += 1
+                before = tally["points"]
                 super().__init__(*args)
+                tally["plan_points"] += tally["points"] - before
 
             def node_image_max(self, nm):
                 tally["node_maps"] += 1
                 return super().node_image_max(nm)
 
         stencil_init, stencil_apply = norms._Stencil.__init__, norms._Stencil.apply
+        points_init = norms._Points.__init__
 
         def counting_init(self, *args):
             tally["stencils"] += 1
             stencil_init(self, *args)
+
+        def counting_points_init(self, *args):
+            tally["points"] += 1
+            points_init(self, *args)
 
         def counting_apply(self, values):
             out = stencil_apply(self, values)
@@ -144,6 +160,7 @@ class TestWorkCount:
         monkeypatch.setattr(relax, "_ImagePlan", CountingPlan)
         monkeypatch.setattr(norms._Stencil, "__init__", counting_init)
         monkeypatch.setattr(norms._Stencil, "apply", counting_apply)
+        monkeypatch.setattr(norms._Points, "__init__", counting_points_init)
         return tally
 
     @pytest.mark.parametrize("algorithm", ["lr", "mr"])
@@ -153,7 +170,8 @@ class TestWorkCount:
         steps = len(res.trace)
         assert steps > 1
         assert counts["plans"] == 1
-        assert counts["stencils"] == 3  # node grid, A_i e and e, all inside the plan
+        assert counts["stencils"] == 1  # the node grid, inside the plan
+        assert counts["plan_points"] == 2  # the terms of A_i e and of e
         assert counts["node_maps"] == steps
         assert counts["applies"] == steps  # nothing else maps the node grid
 

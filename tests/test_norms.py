@@ -66,6 +66,24 @@ class TestConstruction:
         again = AngularNorm(nm.values)
         assert bool(np.all(again.values == nm.values))
 
+    def test_fold_of_huge_halves_stays_finite(self):
+        # a + b overflows here; a RuntimeWarning fails the test suite
+        big = np.finfo(float).max
+        a = np.array([big, big, 1e308, 1.5e308])
+        b = np.array([big, 1e308, 1.5e308, 2.0])
+        nm = AngularNorm(np.concatenate([a, b]))
+        expected = [big, 0.5 * big + 0.5 * 1e308, 0.5 * 1e308 + 0.5 * 1.5e308, 0.5 * (1.5e308 + 2.0)]
+        assert nm.values.tolist() == expected * 2
+        assert AngularNorm(np.full(8, 1e308)).values.tolist() == [1e308] * 8
+
+    def test_fold_is_the_antipodal_mean_bitwise(self):
+        rng = np.random.default_rng(2024)
+        a, b = 10.0 ** rng.uniform(-300.0, 300.0, size=(2, 4096))
+        b[::3] = a[::3]
+        b[1::3] = a[1::3] * rng.uniform(0.5, 2.0, size=b[1::3].size)
+        nm = AngularNorm(np.concatenate([a, b]))
+        assert nm.values[:4096].tobytes() == (0.5 * (a + b)).tobytes()
+
 
 class TestEvaluate:
     def test_euclidean_three_four_five(self):
