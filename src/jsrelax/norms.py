@@ -277,15 +277,30 @@ class _ImagePlan:
     step then reads the node image maxima, gamma_lr and the norm of e off it
     with no angle work.  image_at_e and norm_at_e evaluate the terms that
     max_image and evaluate build, so they agree bitwise.
+
+    Raises ValueError, before any step and without a warning, if e or one of
+    these images has no finite Euclidean length.
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
         _require_planar(s)
         e0, e1 = _checked_vector(e)
         mats = s.arrays()
-        self.nodes = _Stencil(mats, *_upper_nodes(n), n)
-        self.images_of_e = _Points.of_family(mats, e0, e1, n)
-        self.e = _Points(np.array([e0]), np.array([e1]), n)
+        # an image that overflows gets an infinite or NaN length, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.nodes = _Stencil(mats, *_upper_nodes(n), n)
+            self.images_of_e = _Points.of_family(mats, e0, e1, n)
+            self.e = _Points(np.array([e0]), np.array([e1]), n)
+        if not math.isfinite(self.nodes.rad.max()):  # max keeps a NaN
+            raise ValueError(
+                "the family maps a grid node to a vector of non-finite length; "
+                "rescale the family"
+            )
+        if not all(math.isfinite(rad) for *_, rad in self.e.terms + self.images_of_e.terms):
+            raise ValueError(
+                f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
+                "length; rescale e"
+            )
 
     def node_image_max(self, nm: AngularNorm) -> np.ndarray:
         """max_i |A_i u_j| at the upper-half nodes u_j."""

@@ -40,17 +40,17 @@ def random_irreducible_pair(rng) -> MatrixSet:
 
 
 @pytest.fixture
-def einsum_levels(monkeypatch):
-    """Product counts of the depth levels the oracle builds, one per einsum."""
+def product_levels(monkeypatch):
+    """Product counts of the depth levels the oracle builds, one per level build."""
     from jsrelax import oracle
 
     built = []
-    einsum = np.einsum
+    extend = oracle._extend
 
-    def counting_einsum(spec, mats, prods):
-        out = einsum(spec, mats, prods)
-        built.append(out.shape[0] * out.shape[1])
+    def counting_extend(mats, prods):
+        out = extend(mats, prods)
+        built.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(oracle.np, "einsum", counting_einsum)
+    monkeypatch.setattr(oracle, "_extend", counting_extend)
     return built

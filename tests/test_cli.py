@@ -83,6 +83,15 @@ class TestRunCommand:
         assert code == 1
         assert "grid" in capsys.readouterr().err
 
+    def test_overflowing_reference_images_are_an_error(self, problem_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        fam = {"matrices": [[[2, -2], [1, 1]], [[1, 0], [0.5, 1]]]}
+        code = cli_main(["run", "--force", "--nodes", "64", "--e", "1e308,1e308",
+                         "--trace", str(trace), problem_file(fam)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: e = (1e+308, 1e+308)")
+        assert not trace.exists()
+
     def test_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 1
 
@@ -109,9 +118,9 @@ class TestOracleCommand:
         uppers = [float(r[2]) for r in rows]
         assert max(lowers) <= min(uppers) + 1e-9
 
-    def test_each_depth_is_built_once(self, problem_file, capsys, einsum_levels):
+    def test_each_depth_is_built_once(self, problem_file, capsys, product_levels):
         assert cli_main(["oracle", "--max-depth", "16", problem_file(EX1)]) == 0
-        assert einsum_levels == [2 ** d for d in range(2, 17)]
+        assert product_levels == [2 ** d for d in range(2, 17)]
 
     def test_depth_above_cap_prints_rows_before_it(self, problem_file, capsys):
         # 1025 members: depth 1 is within the default cap of 2^20, depth 2 is not

@@ -169,24 +169,24 @@ class TestDepthSweep:
 
 
 class TestWorkCount:
-    """Each depth is built by one einsum from the depth before it."""
+    """Each depth is built by one level build from the depth before it."""
 
-    def test_sweep_builds_each_depth_once(self, example1, einsum_levels):
+    def test_sweep_builds_each_depth_once(self, example1, product_levels):
         for _ in depth_sweep(example1, 16):
             pass
-        assert einsum_levels == [2 ** d for d in range(2, 17)]
+        assert product_levels == [2 ** d for d in range(2, 17)]
 
-    def test_single_depth_does_no_extra_work(self, example1, einsum_levels):
+    def test_single_depth_does_no_extra_work(self, example1, product_levels):
         product_bounds(example1, 10)
         trace_estimate(example1, 10)
-        assert einsum_levels == 2 * [2 ** d for d in range(2, 11)]
+        assert product_levels == 2 * [2 ** d for d in range(2, 11)]
 
-    def test_refusal_builds_nothing(self, example1, einsum_levels):
+    def test_refusal_builds_nothing(self, example1, product_levels):
         with pytest.raises(EnumerationBudgetError):
             product_bounds(example1, 5, cap=16)
         with pytest.raises(EnumerationBudgetError):
             trace_estimate(example1, 5, cap=16)
-        assert einsum_levels == []
+        assert product_levels == []
 
 
 class TestBatchSpectralRadii:

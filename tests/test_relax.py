@@ -259,6 +259,22 @@ class TestRun:
         with pytest.raises(UnsupportedDimensionError):
             run(MatrixSet((np.eye(3),)), RelaxConfig())
 
+    def test_overflowing_images_of_e_are_refused_up_front(self):
+        # A_1 e = (0, 2e308) overflows; this once warned five times, then
+        # failed with "gamma must be positive, got nan" (warnings fail tier-1)
+        fam = MatrixSet(([[2.0, -2.0], [1.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]))
+        cfg = RelaxConfig(node_count=64, e=(1e308, 1e308))
+        with pytest.raises(ValueError, match=r"images A_i e has a non-finite length"):
+            run(fam, cfg, force=True)
+        with pytest.raises(ValueError, match=r"images A_i e"):
+            next(iterate(fam, cfg))
+
+    def test_overflowing_node_images_are_refused_up_front(self):
+        big = 1.5e308  # maps the node at 45 degrees to length 3e308
+        fam = MatrixSet(([[big, big], [big, -big]], [[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="grid node"):
+            run(fam, RelaxConfig(node_count=64), force=True)
+
     def test_trace_indices_contiguous(self, example1):
         res = run(example1, RelaxConfig())
         assert [r.n for r in res.trace] == list(range(len(res.trace)))

@@ -1,0 +1,122 @@
+"""Time the product oracle by depth on examples 1 and 2 and write the result as JSON.
+
+For each depth n it records the time depth_sweep takes to yield row n (build
+level n from level n-1, then the bounds and the trace estimate) and the time
+of the level build alone, each as the minimum and the median over the
+repeats, with the product count r^n.  Run from the repository root:
+
+    python tools/bench_oracle.py --out BENCH.json
+    python tools/bench_oracle.py --max-depth 8 --repeats 1 --out /tmp/smoke.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from jsrelax import DEFAULT_PRODUCT_CAP, MatrixSet, depth_sweep  # noqa: E402
+from jsrelax import oracle  # noqa: E402
+
+FAMILIES = {
+    "ex1": ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]]),
+    "ex2": (
+        [[15 / 17, -16 / 17], [4 / 17, 15 / 17]],
+        [[4 / 5, 3 / 5], [-3 / 5, 4 / 5]],
+    ),
+}
+
+
+def sweep_row_times(s: MatrixSet, max_depth: int) -> list[float]:
+    """Seconds from one depth_sweep row to the next, for depths 1..max_depth."""
+    times = []
+    start = time.perf_counter()
+    for _ in depth_sweep(s, max_depth):
+        now = time.perf_counter()
+        times.append(now - start)
+        start = now
+    return times
+
+
+def level_times(s: MatrixSet, max_depth: int, repeats: int) -> list[list[float]]:
+    """Seconds of each level build, repeats times, for depths 2..max_depth."""
+    mats, _ = next(oracle._products(s, 1, DEFAULT_PRODUCT_CAP))  # the prescaled family
+    prods = mats
+    times = []
+    for _ in range(2, max_depth + 1):
+        runs = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            built = oracle._extend(mats, prods)
+            runs.append(time.perf_counter() - start)
+        times.append(runs)
+        prods = built
+    return times
+
+
+def summary(runs: list[float]) -> dict[str, float]:
+    return {"min_ms": 1e3 * min(runs), "median_ms": 1e3 * statistics.median(runs)}
+
+
+def bench(max_depth: int, repeats: int) -> dict:
+    families = {}
+    for name, mats in FAMILIES.items():
+        s = MatrixSet(mats)
+        sweeps = [sweep_row_times(s, max_depth) for _ in range(repeats)]
+        builds = level_times(s, max_depth, repeats)
+        rows = []
+        for depth in range(1, max_depth + 1):
+            row = {"depth": depth, "products": s.count ** depth,
+                   "sweep_row": summary([sweep[depth - 1] for sweep in sweeps])}
+            if depth > 1:
+                row["level_build"] = summary(builds[depth - 2])
+            rows.append(row)
+        families[name] = {
+            "sweep_total_ms": summary([sum(sweep) for sweep in sweeps]),
+            "depths": rows,
+        }
+    return {
+        "benchmark": "oracle by depth",
+        "max_depth": max_depth,
+        "repeats": repeats,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "families": families,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-depth", type=int, default=20)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.max_depth < 2 or args.repeats < 1:
+        parser.error("need --max-depth >= 2 and --repeats >= 1")
+    result = bench(args.max_depth, args.repeats)
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    for name, fam in result["families"].items():
+        deepest = fam["depths"][-1]
+        print(f"{name}: depth {deepest['depth']} row {deepest['sweep_row']['min_ms']:.2f} ms, "
+              f"level build {deepest['level_build']['min_ms']:.2f} ms, "
+              f"sweep {fam['sweep_total_ms']['min_ms']:.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
