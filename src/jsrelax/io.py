@@ -1,7 +1,11 @@
 """Problem files, trace CSV, and norm CSV.
 
 All writers emit deterministic bytes: 17-significant-digit decimals (enough
-to round-trip doubles exactly), LF line endings, no timestamps.
+to round-trip doubles exactly), LF line endings, no timestamps.  The trace,
+at most a few thousand numbers, is formatted one number at a time with
+format(x, ".17g"); the norm CSV, two numbers per grid node, goes through the
+decimal kernel in `_decimal`, which writes the same bytes as "%.17g" for
+whole arrays at once.
 """
 
 from __future__ import annotations
@@ -207,11 +211,24 @@ def read_trace(text: str) -> tuple[dict[str, str], tuple[IterationRecord, ...]]:
 
 
 def write_norm(nm: AngularNorm, sink: TextIO) -> None:
-    """Write the radial profile as 'phi,h' CSV, angles ascending from -pi."""
-    # one %-format over the interleaved (phi, h) pairs formats every number;
-    # "%.17g" and format(x, ".17g") give the same digits
-    pairs = np.column_stack([nm.node_angles(), nm.values]).ravel().tolist()
-    sink.write(f"{_NORM_HEADER}\n" + ("%.17g,%.17g\n" * nm.node_count) % tuple(pairs))
+    """Write the radial profile as 'phi,h' CSV, angles ascending from -pi.
+
+    The numbers are format(x, ".17g") of each angle and value, written by the
+    decimal kernel in blocks of at most _decimal.BLOCK rows.
+    """
+    # imported here, not with the package: building its tables costs about
+    # 1 MB of RSS, which a process that writes no norm or SVG need not pay
+    from . import _decimal
+
+    angles = nm.node_angles()
+    half = nm.node_count // 2
+    upper = nm.values[half:]  # bit-equal to the lower half, so formatted once for both
+    halves = ([], [])
+    for rows in _decimal.blocks(half):
+        h = _decimal.cells(upper[rows], "%.17g", b"\n")
+        for part, phi in zip(halves, (angles[:half], angles[half:])):
+            part.append(_decimal.text(_decimal.cells(phi[rows], "%.17g", b","), h))
+    sink.write("".join([f"{_NORM_HEADER}\n", *halves[0], *halves[1]]))
 
 
 def read_norm(text: str) -> AngularNorm:

@@ -169,20 +169,27 @@ class _Points:
     in the same order, without copying the profile.  The indices are taken
     modulo N/2, so a symmetric profile's full values and its upper half give
     the same result.
+
+    A vector that overflowed gets an infinite or NaN length, without a
+    warning; finite says whether every length is finite.
     """
 
     def __init__(self, y0, y1, n: int):
-        i0, f = _sector(y0, y1, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            i0, f = _sector(y0, y1, n)
+            rad = np.hypot(y0, y1)
         half = n // 2
+        self.finite = bool(np.isfinite(rad).all())
         self.terms = tuple(zip(
             (i0 % half).tolist(), ((i0 + 1) % half).tolist(),
-            (1.0 - f).tolist(), f.tolist(), np.hypot(y0, y1).tolist(),
+            (1.0 - f).tolist(), f.tolist(), rad.tolist(),
         ))
 
     @classmethod
     def of_family(cls, mats, x0: float, x1: float, n: int) -> "_Points":
         """Terms of the images A (x0, x1), one per family member."""
-        y0, y1 = (np.array(c) for c in zip(*_images(mats, x0, x1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y0, y1 = (np.array(c) for c in zip(*_images(mats, x0, x1)))
         return cls(y0, y1, n)
 
     def max_norm(self, values: np.ndarray) -> float:
@@ -286,17 +293,17 @@ class _ImagePlan:
         _require_planar(s)
         e0, e1 = _checked_vector(e)
         mats = s.arrays()
-        # an image that overflows gets an infinite or NaN length, refused below
+        # a node image that overflows gets an infinite or NaN length, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             self.nodes = _Stencil(mats, *_upper_nodes(n), n)
-            self.images_of_e = _Points.of_family(mats, e0, e1, n)
-            self.e = _Points(np.array([e0]), np.array([e1]), n)
+        self.images_of_e = _Points.of_family(mats, e0, e1, n)
+        self.e = _Points(np.array([e0]), np.array([e1]), n)
         if not math.isfinite(self.nodes.rad.max()):  # max keeps a NaN
             raise ValueError(
                 "the family maps a grid node to a vector of non-finite length; "
                 "rescale the family"
             )
-        if not all(math.isfinite(rad) for *_, rad in self.e.terms + self.images_of_e.terms):
+        if not (self.e.finite and self.images_of_e.finite):
             raise ValueError(
                 f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
                 "length; rescale e"
@@ -328,18 +335,33 @@ def _checked_vector(x) -> tuple[float, float]:
 
 
 def evaluate(nm: AngularNorm, x) -> float:
-    """Norm of the planar vector x (0 at the origin)."""
+    """Norm of the planar vector x (0 at the origin).
+
+    Raises ValueError if x has no finite Euclidean length.
+    """
     x0, x1 = _checked_vector(x)
     if x0 == 0.0 and x1 == 0.0:
         return 0.0
-    return _Points(np.array([x0]), np.array([x1]), nm.node_count).max_norm(nm.values)
+    pts = _Points(np.array([x0]), np.array([x1]), nm.node_count)
+    if not pts.finite:
+        raise ValueError(f"x = ({x0!r}, {x1!r}) has a non-finite length; rescale x")
+    return pts.max_norm(nm.values)
 
 
 def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
-    """Largest norm among the images A x over the family."""
+    """Largest norm among the images A x over the family.
+
+    Raises ValueError if one of the images has no finite Euclidean length.
+    """
     _require_planar(s)
     x0, x1 = _checked_vector(x)
-    return _Points.of_family(s.arrays(), x0, x1, nm.node_count).max_norm(nm.values)
+    pts = _Points.of_family(s.arrays(), x0, x1, nm.node_count)
+    if not pts.finite:
+        raise ValueError(
+            f"one of the images A_i x of x = ({x0!r}, {x1!r}) has a non-finite length; "
+            "rescale x"
+        )
+    return pts.max_norm(nm.values)
 
 
 def combine_linear(nm: AngularNorm, s: MatrixSet, lam: float, gamma: float) -> AngularNorm:

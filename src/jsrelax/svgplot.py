@@ -1,4 +1,8 @@
-"""SVG rendering of norm unit spheres."""
+"""SVG rendering of norm unit spheres.
+
+The path's coordinates are format(v, ".6f") of each point, written by the
+decimal kernel in `_decimal` for whole arrays at once.
+"""
 
 from __future__ import annotations
 
@@ -34,17 +38,28 @@ def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
     def fmt(v: float) -> str:
         return format(v, ".6f")
 
-    # the same IEEE multiply and add per coordinate as a scalar loop, then one
-    # %-format over all of them
-    xy = np.column_stack([center + scale * pts[:, 0], center - scale * pts[:, 1]])
-    path = "M " + " L ".join(["%.6f %.6f"] * len(xy)) % tuple(xy.ravel().tolist()) + " Z"
+    # imported here, not with the package: building its tables costs about
+    # 1 MB of RSS, which a process that writes no norm or SVG need not pay
+    from . import _decimal
+
+    # the same IEEE multiply and add per coordinate as a scalar loop; each
+    # point is written as "x y L ", and the last " L " becomes " Z"
+    x = center + scale * pts[:, 0]
+    y = center - scale * pts[:, 1]
+    path = [
+        _decimal.text(_decimal.cells(x[rows], "%.6f", b" "), _decimal.cells(y[rows], "%.6f", b" L "))
+        for rows in _decimal.blocks(len(x))
+    ]
+    path[-1] = path[-1][:-3] + " Z"
     stroke = max(1.0, size_px / 512.0)
-    return (
+    return "".join([
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size_px}" height="{size_px}" viewBox="0 0 {size_px} {size_px}">\n'
         f'<circle cx="{fmt(center)}" cy="{fmt(center)}" r="{fmt(scale)}" '
         f'fill="none" stroke="#999999" stroke-width="{fmt(stroke)}"/>\n'
-        f'<path d="{path}" fill="none" stroke="#000000" stroke-width="{fmt(stroke)}"/>\n'
-        "</svg>\n"
-    )
+        '<path d="M ',
+        *path,
+        f'" fill="none" stroke="#000000" stroke-width="{fmt(stroke)}"/>\n'
+        "</svg>\n",
+    ])

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +44,26 @@ class TestRunCommand:
         lo, hi = map(float, re.search(r"rho bracket: \[([^,]+), ([^\]]+)\]", out).groups())
         assert lo <= 1.389 <= hi or abs(0.5 * (lo + hi) - 1.389) < 2e-3
         assert trace.exists() and norm.exists() and svg.exists()
+
+    @pytest.mark.parametrize("algorithm", ["lr", "mr"])
+    def test_run_writes_nothing_past_redirected_streams(self, problem_file, tmp_path, capfd,
+                                                        algorithm):
+        # a caller that redirects sys.stdout and sys.stderr gets all the output:
+        # none reaches file descriptors 1 and 2, and no warning is emitted
+        outputs = [str(tmp_path / name) for name in ("trace.csv", "norm.csv", "sphere.svg")]
+        text = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+                code = cli_main([
+                    "run", problem_file(EX2), "--algorithm", algorithm, "--nodes", "30000",
+                    "--tol", "1e-6", "--trace", outputs[0], "--norm-out", outputs[1],
+                    "--svg", outputs[2],
+                ])
+        assert code == 0
+        assert capfd.readouterr() == ("", "")
+        assert [str(w.message) for w in caught] == []
+        assert text.getvalue().splitlines()[-2].startswith("rho bracket: [")
 
     def test_mr_algorithm(self, problem_file, capsys):
         code = cli_main(["run", "--algorithm", "mr", "--averaging", "geom",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(euclidean(8), (float("nan"), 1.0))
 
+    def test_overflowing_length_is_refused_without_a_warning(self):
+        # hypot overflowed here with a RuntimeWarning, and the norm was inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite length"):
+                evaluate(euclidean(8), (1.5e308, 1.5e308))
+
     def test_homogeneity(self):
         nm = infinity_profile(512)
         rng = np.random.default_rng(3)
@@ -166,6 +174,15 @@ class TestMaxImage:
 
         with pytest.raises(UnsupportedDimensionError):
             max_image(euclidean(8), MatrixSet((np.eye(3),)), (1.0, 0.0))
+
+    def test_overflowing_image_is_refused_without_a_warning(self):
+        # the image (2e308 - 2e308, 2e308) overflowed here with RuntimeWarnings,
+        # and the max was NaN
+        fam = MatrixSet(([[2.0, -2.0], [1.0, 1.0]],))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite length"):
+                max_image(euclidean(8), fam, (1e308, 1e308))
 
 
 class TestCombineLinear:

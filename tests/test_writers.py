@@ -1,11 +1,13 @@
-"""The batched norm CSV and SVG path writers against the per-number loops they
+"""The norm CSV and SVG path writers against the per-number loops they
 replaced.
 
 The references below format one number per call, as write_norm and
-render_unit_sphere did before each became one %-format over the whole batch.
-"%.17g" and "%.6f" give the digits of format(x, ".17g") and format(x, ".6f"),
-and the SVG coordinates are the same IEEE multiply and add per point, so the
-outputs must agree byte for byte.
+render_unit_sphere did before they formatted whole arrays, first with one
+%-format and now with the decimal kernel.  The kernel writes the digits of
+format(x, ".17g") and format(x, ".6f"), and the SVG coordinates are the same
+IEEE multiply and add per point, so the outputs must agree byte for byte.
+At size_px = 2**40 the coordinates are beyond the kernel's range and go
+through its per-number fallback.
 """
 
 import io
@@ -69,6 +71,8 @@ CONVERGED = [
     for algorithm in ("lr", "mr")
     for n in (8, 64, 3000, 30000)
 ]
+LARGE = ["ex1-lr-300000", "ex2-mr-300000"]
+SIZES = [64, 512, 1000, 2 ** 40]
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +99,7 @@ RANDOM = [(1, 8), (2, 64), (3, 3000)]
 
 
 class TestNormCsv:
-    @pytest.mark.parametrize("case", CONVERGED)
+    @pytest.mark.parametrize("case", CONVERGED + LARGE)
     def test_converged_norm_bytes(self, converged, case):
         nm = converged(case)
         assert mismatch(written_norm(nm), reference_write_norm(nm)) is None
@@ -107,13 +111,13 @@ class TestNormCsv:
 
 
 class TestSvgPath:
-    @pytest.mark.parametrize("size", [64, 512, 1000])
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("case", CONVERGED)
     def test_converged_path_bytes(self, converged, case, size):
         nm = converged(case)
         assert mismatch(svg_path(render_unit_sphere(nm, size)), reference_svg_path(nm, size)) is None
 
-    @pytest.mark.parametrize("size", [64, 512, 1000])
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("seed,n", RANDOM)
     def test_random_profile_path_bytes(self, seed, n, size):
         nm = random_profile(seed, n)

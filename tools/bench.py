@@ -1,17 +1,24 @@
-"""Time the product oracle by depth on examples 1 and 2 and write the result as JSON.
+"""Time the product oracle by depth and the output writers on examples 1 and 2; write JSON.
 
-For each depth n it records the time depth_sweep takes to yield row n (build
-level n from level n-1, then the bounds and the trace estimate) and the time
-of the level build alone, each as the minimum and the median over the
-repeats, with the product count r^n.  Run from the repository root:
+Oracle: for each depth n it records the time depth_sweep takes to yield row n
+(build level n from level n-1, then the bounds and the trace estimate) and the
+time of the level build alone, with the product count r^n.
 
-    python tools/bench_oracle.py --out BENCH.json
-    python tools/bench_oracle.py --max-depth 8 --repeats 1 --out /tmp/smoke.json
+Writers: for each node count N it solves the example with `run` (lr,
+tol=1e-6, as `jsrelax run --tol 1e-6` does) and times write_norm and
+write_trace into memory and render_unit_sphere at 512 px.
+
+Each time is the minimum and the median over the repeats.  Run from the
+repository root:
+
+    python tools/bench.py --out BENCH.json
+    python tools/bench.py --max-depth 8 --nodes 3000 --repeats 1 --out /tmp/smoke.json
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -25,7 +32,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jsrelax import DEFAULT_PRODUCT_CAP, MatrixSet, depth_sweep  # noqa: E402
+from jsrelax import (  # noqa: E402
+    DEFAULT_PRODUCT_CAP,
+    MatrixSet,
+    RelaxConfig,
+    depth_sweep,
+    render_unit_sphere,
+    run,
+    write_norm,
+    write_trace,
+)
 from jsrelax import oracle  # noqa: E402
 
 FAMILIES = {
@@ -68,7 +84,26 @@ def summary(runs: list[float]) -> dict[str, float]:
     return {"min_ms": 1e3 * min(runs), "median_ms": 1e3 * statistics.median(runs)}
 
 
-def bench(max_depth: int, repeats: int) -> dict:
+def writer_times(s: MatrixSet, nodes: int, repeats: int) -> dict:
+    """min and median ms of each writer on the converged norm of s at this node count."""
+    result = run(s, RelaxConfig(node_count=nodes, tol=1e-6))
+    calls = {
+        "write_norm": lambda: write_norm(result.norm, io.StringIO()),
+        "render_unit_sphere": lambda: render_unit_sphere(result.norm, 512),
+        "write_trace": lambda: write_trace(result, io.StringIO()),
+    }
+    times = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - start)
+    row = {"nodes": nodes, "status": result.status, "iterations": len(result.trace)}
+    row.update((name, summary(runs)) for name, runs in times.items())
+    return row
+
+
+def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
     families = {}
     for name, mats in FAMILIES.items():
         s = MatrixSet(mats)
@@ -85,8 +120,12 @@ def bench(max_depth: int, repeats: int) -> dict:
             "sweep_total_ms": summary([sum(sweep) for sweep in sweeps]),
             "depths": rows,
         }
+    writers = {
+        name: [writer_times(MatrixSet(mats), n, repeats) for n in nodes]
+        for name, mats in FAMILIES.items()
+    }
     return {
-        "benchmark": "oracle by depth",
+        "benchmark": "oracle by depth; writers by node count",
         "max_depth": max_depth,
         "repeats": repeats,
         "host": {
@@ -96,6 +135,7 @@ def bench(max_depth: int, repeats: int) -> dict:
             "numpy": np.__version__,
         },
         "families": families,
+        "writers": writers,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -103,18 +143,25 @@ def bench(max_depth: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-depth", type=int, default=20)
+    parser.add_argument("--nodes", type=int, nargs="+", default=[3000, 30000, 300000],
+                        help="node counts of the writer timings")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.max_depth < 2 or args.repeats < 1:
-        parser.error("need --max-depth >= 2 and --repeats >= 1")
-    result = bench(args.max_depth, args.repeats)
+    if args.max_depth < 2 or args.repeats < 1 or min(args.nodes) < 8:
+        parser.error("need --max-depth >= 2, --repeats >= 1 and --nodes >= 8")
+    result = bench(args.max_depth, args.nodes, args.repeats)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for name, fam in result["families"].items():
         deepest = fam["depths"][-1]
         print(f"{name}: depth {deepest['depth']} row {deepest['sweep_row']['min_ms']:.2f} ms, "
               f"level build {deepest['level_build']['min_ms']:.2f} ms, "
               f"sweep {fam['sweep_total_ms']['min_ms']:.1f} ms")
+    for name, rows in result["writers"].items():
+        for row in rows:
+            print(f"{name} N={row['nodes']}: "
+                  + ", ".join(f"{w} {row[w]['min_ms']:.2f} ms"
+                              for w in ("write_norm", "render_unit_sphere", "write_trace")))
     return 0
 
 
