@@ -4,13 +4,15 @@ A norm on the plane is determined by its restriction h(phi) = |(cos phi,
 sin phi)| to the unit circle.  Profiles are sampled at the uniform nodes
 phi_j = -pi + 2*pi*j/N, interpolated linearly in angle between nodes, and
 kept centrally symmetric (h_j = h_{j+N/2}, bit-exact) because a norm
-satisfies |-x| = |x|.
+satisfies |-x| = |x|.  So the upper half (phi in [0, pi)) holds every node
+value, and the stencils below index it alone.
 
 Node sweeps go through elementwise array arithmetic rather than BLAS, and
 single vectors through Python floats with the same IEEE operations in the
 same order, so the two agree bitwise; several exactness guarantees
 (normalization at a grid-aligned reference vector, scaling equivariance)
-rely on this.
+rely on this.  A relaxation solve builds one _ImagePlan, whose stencil and
+buffers every step reuses; each step allocates only its next profile.
 """
 
 from __future__ import annotations
@@ -102,17 +104,18 @@ class AngularNorm:
         with np.errstate(over="ignore"):
             total = a + b
         # the antipodal mean, halving first where a + b overflows
-        folded = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
-        object.__setattr__(self, "values", _symmetric(folded))
+        vals[n // 2:] = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
+        object.__setattr__(self, "values", _symmetric(vals))
 
     @classmethod
-    def _from_half(cls, upper: np.ndarray) -> "AngularNorm":
-        """The profile whose two halves are both upper, with the same checks.
+    def _adopt(cls, vals: np.ndarray) -> "AngularNorm":
+        """The profile of a fresh array whose upper half holds the node values.
 
-        Skips the fold, which is exact for equal halves.
+        Checks and mirrors that half as construction does, skipping the fold,
+        which is exact for equal halves.  vals becomes the profile's storage.
         """
         nm = object.__new__(cls)
-        object.__setattr__(nm, "values", _symmetric(upper))
+        object.__setattr__(nm, "values", _symmetric(vals))
         return nm
 
     @property
@@ -124,13 +127,21 @@ class AngularNorm:
         return _grid(self.node_count).angles
 
 
-def _symmetric(upper: np.ndarray) -> np.ndarray:
-    """Read-only node values upper, upper after the profile value checks."""
-    if not np.all(np.isfinite(upper)):
+def _symmetric(vals: np.ndarray) -> np.ndarray:
+    """vals, read-only, with its upper half checked and copied into its lower half.
+
+    Non-finite values are refused before non-positive ones.  One min and one
+    max decide both: a NaN propagates into each, and the values are all
+    finite exactly when both extremes are.
+    """
+    half = vals.size // 2
+    upper = vals[half:]
+    lo, hi = float(np.minimum.reduce(upper)), float(np.maximum.reduce(upper))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("profile values must be finite")
-    if not np.all(upper > 0.0):
+    if not lo > 0.0:
         raise ValueError("profile values must be positive")
-    vals = np.concatenate([upper, upper])
+    vals[:half] = upper
     vals.flags.writeable = False
     return vals
 
@@ -140,19 +151,23 @@ def euclidean(n: int) -> AngularNorm:
     return AngularNorm(np.ones(int(n)))
 
 
-def _sector(x0, x1, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sector(x0, x1, n: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid sector index and in-sector weight f of the vectors (x0, x1).
 
     A vector at node position t lies between nodes idx and idx + 1 (mod n),
     at fraction f of the way; positions within _NODE_SNAP of a node snap to it.
+    idx is returned modulo period, n by default; a period of N/2 indexes
+    either half of a symmetric profile.
     """
-    t = (np.arctan2(x1, x0) + math.pi) * (n / TWO_PI)
+    t = np.arctan2(x1, x0)
+    t += math.pi
+    t *= n / TWO_PI  # t >= +0.0, so adding 0.0 below changes no bit
     j = np.floor(t)
-    f = t - j
+    f = np.subtract(t, j, out=t)
     hi = f >= 1.0 - _NODE_SNAP
-    j = np.where(hi, j + 1.0, j)
-    f = np.where(hi | (f <= _NODE_SNAP), 0.0, f)
-    return j.astype(np.intp) % n, f
+    j += hi
+    np.putmask(f, hi | (f <= _NODE_SNAP), 0.0)
+    return j.astype(np.intp) % (n if period is None else period), f
 
 
 def _images(mats, x0, x1):
@@ -175,13 +190,13 @@ class _Points:
     """
 
     def __init__(self, y0, y1, n: int):
-        with np.errstate(over="ignore", invalid="ignore"):
-            i0, f = _sector(y0, y1, n)
-            rad = np.hypot(y0, y1)
         half = n // 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            i0, f = _sector(y0, y1, n, half)
+            rad = np.hypot(y0, y1)
         self.finite = bool(np.isfinite(rad).all())
         self.terms = tuple(zip(
-            (i0 % half).tolist(), ((i0 + 1) % half).tolist(),
+            i0.tolist(), ((i0 + 1) % half).tolist(),
             (1.0 - f).tolist(), f.tolist(), rad.tolist(),
         ))
 
@@ -202,65 +217,113 @@ class _Points:
         return best
 
 
-# Entries per block of a stencil apply: bounds its scratch buffers and keeps
-# the working set in cache whatever the family size and grid.
+# Entries per block of a stencil apply, and of a stencil build.  They keep
+# the working set in cache whatever the family and grid, and every temporary
+# at most 16K doubles, within glibc's mmap threshold, so that freeing one does
+# not hand it back to the system and make the next allocation page-fault.
 _BLOCK = 16384
+_BUILD_BLOCK = 4096
+
+
+def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
+    """Blocks of at most size entries covering a C-ordered (rows, cols) array.
+
+    A block is whole rows when a row fits, else a segment of one row, so every
+    block is contiguous.  The row blocks of the same columns come in order.
+    """
+    width = min(cols, size)
+    height = max(1, size // width)
+    return [
+        (slice(r0, min(r0 + height, rows)), slice(c0, min(c0 + width, cols)))
+        for c0 in range(0, cols, width)
+        for r0 in range(0, rows, height)
+    ]
 
 
 class _Stencil:
     """Interpolation stencil of the images y_kj = A_k x_j, reusable for any profile.
 
-    Row k, column j stores the grid sector i0, the weights w0 = 1 - f and f,
-    and the length rad = |y_kj|_2, so that apply() evaluates
-    max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add,
-    without angle work.
-    Memory is 32 bytes per entry plus two block buffers; apply() writes into
-    the buffers, so one stencil serves one thread.
+    Row k, column j stores the grid sector i0 modulo N/2, the weights
+    w0 = 1 - f and f, and the length rad = |y_kj|_2, so that apply() evaluates
+    max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add
+    and no angle work.  A symmetric profile repeats its upper half, so
+    h[i0] and h[i0 + 1] are values[i0] and values[1:][i0]: apply() reads
+    values[:N/2 + 1] and needs no shifted copy of the profile.  The build maps
+    all rows at once, block by block, with the same _sector and hypot per
+    entry as a map of one row at a time.
+
+    Memory is 32 bytes per entry, an output buffer of one value per column
+    and two block buffers.  apply() works in those buffers and returns the
+    output buffer, which its next call overwrites; so one stencil serves one
+    thread.
     """
 
     def __init__(self, mats, x0, x1, n: int):
-        shape = rows, cols = len(mats), np.size(x0)
-        self.i0 = np.empty(shape, dtype=np.intp)
-        self.f = np.empty(shape)
-        self.rad = np.empty(shape)
-        for k, (y0, y1) in enumerate(_images(mats, x0, x1)):
-            self.i0[k], self.f[k] = _sector(y0, y1, n)
-            self.rad[k] = np.hypot(y0, y1)
-        self.w0 = 1.0 - self.f
-        width = min(cols, _BLOCK)
-        height = max(1, _BLOCK // width)
-        self._blocks = [
-            (slice(r0, r0 + height), slice(c0, c0 + width))
-            for c0 in range(0, cols, width)
-            for r0 in range(0, rows, height)
-        ]
-        self._buf = np.empty((2, min(rows, height) * width))
+        half = n // 2
+        rows, cols = len(mats), np.size(x0)
+        entry = np.array(mats, dtype=float).reshape(rows, 4, 1)  # entry[:, k]: a column
+        self.i0 = np.empty((rows, cols), dtype=np.intp)
+        self.w0 = np.empty((rows, cols))
+        self.f = np.empty((rows, cols))
+        self.rad = np.empty((rows, cols))
+        for r, c in _tiles(rows, cols, _BUILD_BLOCK):
+            y0 = entry[r, 0] * x0[c] + entry[r, 1] * x1[c]
+            y1 = entry[r, 2] * x0[c] + entry[r, 3] * x1[c]
+            self.i0[r, c], f = _sector(y0, y1, n, half)
+            self.f[r, c] = f
+            np.subtract(1.0, f, out=self.w0[r, c])
+            np.hypot(y0, y1, out=self.rad[r, c])
+        self.best = np.empty(cols)
+        tiles = _tiles(rows, cols, _BLOCK)
+        r, c = tiles[0]
+        buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
+        # per block: its stencil views, two scratch views and its output view;
+        # a one-row block gets 1-d views and needs no reduction over rows
+        self._blocks = []
+        for r, c in tiles:
+            first = r.start == 0
+            if r.stop - r.start == 1:
+                r = r.start
+            i0 = self.i0[r, c]
+            a, b = buf[:, :i0.size].reshape((2,) + i0.shape)
+            self._blocks.append(
+                (i0, self.w0[r, c], self.f[r, c], self.rad[r, c], a, b, self.best[c], first)
+            )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """max over the rows of the profile norms of the stored vectors."""
-        ahead = np.concatenate([values[1:], values[:1]])  # ahead[i] = h[i + 1 mod n]
-        best = np.empty(self.i0.shape[1])
-        for rows, cols in self._blocks:
-            i0 = self.i0[rows, cols]
-            a = self._buf[0, :i0.size].reshape(i0.shape)
-            b = self._buf[1, :i0.size].reshape(i0.shape)
-            np.take(values, i0, out=a, mode="clip")
-            np.take(ahead, i0, out=b, mode="clip")
-            np.multiply(self.w0[rows, cols], a, out=a)
-            np.multiply(self.f[rows, cols], b, out=b)
+        """max over the rows of the profile norms of the stored vectors.
+
+        values is a symmetric profile.  Returns the output buffer, which the
+        next call overwrites.
+        """
+        ahead = values[1:]  # ahead[i] = h[i + 1]
+        for i0, w0, f, rad, a, b, best, first in self._blocks:
+            values.take(i0, out=a, mode="clip")
+            ahead.take(i0, out=b, mode="clip")
+            np.multiply(w0, a, out=a)
+            np.multiply(f, b, out=b)
             np.add(a, b, out=a)
-            np.multiply(self.rad[rows, cols], a, out=a)
-            if rows.start == 0:
-                np.max(a, axis=0, out=best[cols])
+            if a.ndim == 1:
+                if first:
+                    np.multiply(rad, a, out=best)
+                else:
+                    np.multiply(rad, a, out=a)
+                    np.maximum(best, a, out=best)
             else:
-                column = self._buf[1, :i0.shape[1]]
-                np.max(a, axis=0, out=column)
-                np.maximum(best[cols], column, out=best[cols])
-        return best
+                np.multiply(rad, a, out=a)
+                if first:
+                    np.maximum.reduce(a, axis=0, out=best)
+                else:
+                    np.maximum.reduce(a, axis=0, out=b[0])
+                    np.maximum(best, b[0], out=best)
+        return self.best
 
 
 def _image_max_xy(values: np.ndarray, mats, x0, x1) -> np.ndarray:
-    """max over the family of the profile norm of A (x0, x1)."""
+    """max over the family of the profile norm of A (x0, x1), for a symmetric profile.
+
+    The stencil lives for this call only, so its output buffer is returned.
+    """
     return _Stencil(mats, x0, x1, values.size).apply(values)
 
 
@@ -277,13 +340,18 @@ def _node_image_max(nm: AngularNorm, s: MatrixSet) -> np.ndarray:
 
 
 class _ImagePlan:
-    """The fixed vectors of one relaxation solve: the family, its grid and e.
+    """The fixed vectors of one relaxation solve, and the solve's workspace.
 
     Holds the stencil of every upper-half node under every matrix, and the
     terms of the images A_i e and of e itself.  Built once per solve; each
     step then reads the node image maxima, gamma_lr and the norm of e off it
     with no angle work.  image_at_e and norm_at_e evaluate the terms that
     max_image and evaluate build, so they agree bitwise.
+
+    The workspace is the stencil's node-maximum output and block buffers, and
+    the bracket-ratio buffer `ratio`.  node_image_max returns the output
+    array itself, and its next call overwrites it; so one plan serves one
+    thread, and a caller that keeps the maxima past the next call copies them.
 
     Raises ValueError, before any step and without a warning, if e or one of
     these images has no finite Euclidean length.
@@ -298,6 +366,7 @@ class _ImagePlan:
             self.nodes = _Stencil(mats, *_upper_nodes(n), n)
         self.images_of_e = _Points.of_family(mats, e0, e1, n)
         self.e = _Points(np.array([e0]), np.array([e1]), n)
+        self.ratio = np.empty(n // 2)
         if not math.isfinite(self.nodes.rad.max()):  # max keeps a NaN
             raise ValueError(
                 "the family maps a grid node to a vector of non-finite length; "
@@ -310,7 +379,7 @@ class _ImagePlan:
             )
 
     def node_image_max(self, nm: AngularNorm) -> np.ndarray:
-        """max_i |A_i u_j| at the upper-half nodes u_j."""
+        """max_i |A_i u_j| at the upper-half nodes u_j, in the plan's output buffer."""
         return self.nodes.apply(nm.values)
 
     def image_at_e(self, nm: AngularNorm) -> float:
@@ -342,10 +411,15 @@ def evaluate(nm: AngularNorm, x) -> float:
     x0, x1 = _checked_vector(x)
     if x0 == 0.0 and x1 == 0.0:
         return 0.0
-    pts = _Points(np.array([x0]), np.array([x1]), nm.node_count)
+    return _vector_points(x0, x1, nm.node_count).max_norm(nm.values)
+
+
+def _vector_points(x0: float, x1: float, n: int) -> _Points:
+    """Terms of the vector (x0, x1); raises ValueError if its length is not finite."""
+    pts = _Points(np.array([x0]), np.array([x1]), n)
     if not pts.finite:
         raise ValueError(f"x = ({x0!r}, {x1!r}) has a non-finite length; rescale x")
-    return pts.max_norm(nm.values)
+    return pts
 
 
 def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
@@ -371,34 +445,44 @@ def combine_linear(nm: AngularNorm, s: MatrixSet, lam: float, gamma: float) -> A
     Requires lam strictly inside (0, 1) and gamma > 0.
     """
     _require_planar(s)
-    return AngularNorm._from_half(_blend_linear(nm, _node_image_max(nm, s), lam, gamma))
+    vals = np.empty(nm.node_count)
+    _blend_linear(nm, _node_image_max(nm, s), lam, gamma, vals[nm.node_count // 2:])
+    return AngularNorm._adopt(vals)
 
 
-def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float) -> np.ndarray:
-    """Upper half of combine_linear given the node image maxima m."""
+def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out) -> None:
+    """Write the upper half of combine_linear given the node image maxima m into out.
+
+    m is overwritten.
+    """
     lam = float(lam)
     gamma = float(gamma)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie strictly inside (0, 1), got {lam}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    upper = nm.values[nm.node_count // 2:]
-    return lam * upper + (1.0 - lam) * (m / gamma)
+    # lam * upper + (1 - lam) * (m / gamma), operation by operation
+    np.multiply(lam, nm.values[nm.node_count // 2:], out=out)
+    np.divide(m, gamma, out=m)
+    np.multiply(1.0 - lam, m, out=m)
+    np.add(out, m, out=out)
 
 
 def combine_max(nm: AngularNorm, s: MatrixSet, gamma: float) -> AngularNorm:
     """Pointwise maximum of the profile and its scaled image profile."""
     _require_planar(s)
-    return AngularNorm._from_half(_blend_max(nm, _node_image_max(nm, s), gamma))
+    vals = np.empty(nm.node_count)
+    _blend_max(nm, _node_image_max(nm, s), gamma, vals[nm.node_count // 2:])
+    return AngularNorm._adopt(vals)
 
 
-def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float) -> np.ndarray:
-    """Upper half of combine_max given the node image maxima m."""
+def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float, out) -> None:
+    """Write the upper half of combine_max given the node image maxima m into out."""
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    upper = nm.values[nm.node_count // 2:]
-    return np.maximum(upper, m / gamma)
+    np.divide(m, gamma, out=out)
+    np.maximum(nm.values[nm.node_count // 2:], out, out=out)
 
 
 def normalize(nm: AngularNorm, e) -> AngularNorm:
@@ -407,6 +491,13 @@ def normalize(nm: AngularNorm, e) -> AngularNorm:
     if e0 == 0.0 and e1 == 0.0:
         raise ValueError("reference vector must be nonzero")
     return AngularNorm(nm.values / evaluate(nm, (e0, e1)))
+
+
+def _normalized_euclidean(n: int, e) -> AngularNorm:
+    """normalize(euclidean(n), e) for a nonzero e, bitwise, from one evaluation of e."""
+    vals = np.ones(n)
+    np.divide(vals, _vector_points(*_checked_vector(e), n).max_norm(vals), out=vals)
+    return AngularNorm._adopt(vals)
 
 
 def eccentricity(n1: AngularNorm, n2: AngularNorm) -> float:

@@ -19,8 +19,10 @@ check.
 A solve builds the image plan of the family once (norms._ImagePlan); each
 step then maps the grid once and derives the bracket, gamma and the next
 profile from that single map.  gamma and the norm of e come from scalar
-terms in the plan, and each step builds one validated profile, from the
-next upper half.
+terms in the plan.  The plan is also the solve's workspace: a step maps the
+grid into the plan's buffers, and the only array it allocates is the next
+profile, whose upper half it computes in place and checks with one min and
+one max.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .matrices import MatrixSet, UnsupportedDimensionError, is_irreducible
 from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on this module
@@ -37,9 +41,9 @@ from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on
     _blend_max,
     _ImagePlan,
     _node_image_max,
+    _normalized_euclidean,
     combine_linear,
     combine_max,
-    euclidean,
     evaluate,
     max_image,
     normalize,
@@ -186,13 +190,14 @@ def bounds(nm: AngularNorm, s: MatrixSet) -> tuple[float, float]:
     By homogeneity the continuous extrema run over directions only; the grid
     samples them, so the returned pair is the grid-restricted bracket.
     """
-    return _bracket(nm, _node_image_max(nm, s))
+    m = _node_image_max(nm, s)
+    return _bracket(nm, m, m)
 
 
-def _bracket(nm: AngularNorm, m) -> tuple[float, float]:
-    """bounds given the node image maxima m."""
-    ratio = m / nm.values[nm.node_count // 2:]
-    return float(ratio.min()), float(ratio.max())
+def _bracket(nm: AngularNorm, m: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+    """bounds given the node image maxima m; the ratios go into out."""
+    ratio = np.divide(m, nm.values[nm.node_count // 2:], out=out)
+    return float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
 
 
 def gamma_lr(nm: AngularNorm, s: MatrixSet, e) -> float:
@@ -228,10 +233,14 @@ class _DegenerateImage(ValueError):
     """Every matrix maps a grid direction to 0, so the step is undefined."""
 
 
-def _require_normalized(nm: AngularNorm, plan: _ImagePlan, where: str) -> None:
+def _require_normalized(
+    nm: AngularNorm, plan: _ImagePlan, algorithm: str, n: int, at: str
+) -> None:
     v = plan.norm_at_e(nm)
     if abs(v - 1.0) > _NORMALIZATION_TOL:
-        raise RuntimeError(f"norm of reference vector drifted to {v!r} at {where}")
+        raise RuntimeError(
+            f"norm of reference vector drifted to {v!r} at {algorithm} step {n} {at}"
+        )
 
 
 def _step(
@@ -240,13 +249,15 @@ def _step(
     """One step of either scheme from a single node image map.
 
     lr keeps the iterate normalized at e by construction; mr renormalizes
-    after the pointwise maximum.  Raises _DegenerateImage when the next
-    profile is undefined.
+    after the pointwise maximum.  Works in the plan's buffers and allocates
+    only the next profile.  Raises _DegenerateImage when the next profile is
+    undefined.
     """
-    where = f"{algorithm} step {n}"
-    _require_normalized(nm, plan, f"{where} entry")
+    _require_normalized(nm, plan, algorithm, n, "entry")
     m = plan.node_image_max(nm)
-    lo, hi = _bracket(nm, m)
+    lo, hi = _bracket(nm, m, plan.ratio)
+    vals = np.empty(nm.node_count)
+    upper = vals[nm.node_count // 2:]
     if algorithm == ALGORITHM_LR:
         g = plan.image_at_e(nm)
         if g == 0.0:
@@ -256,18 +267,19 @@ def _step(
             # degenerate lam = 0 variant: pure image profile, no convergence guarantee
             if lo == 0.0:
                 raise _DegenerateImage("every matrix maps a grid direction to 0")
-            nxt = AngularNorm._from_half(m / g)
+            np.divide(m, g, out=upper)
         else:
-            nxt = AngularNorm._from_half(_blend_linear(nm, m, lam, g))
+            _blend_linear(nm, m, lam, g, upper)
     else:
         if lo == 0.0:
             raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
         lam = None
         g = gamma_mr(lo, hi, cfg.averaging)
-        raised = _blend_max(nm, m, g)
+        _blend_max(nm, m, g, upper)
         # |e| under the raised profile, read off its upper half
-        nxt = AngularNorm._from_half(raised / plan.e.max_norm(raised))
-    _require_normalized(nxt, plan, f"{where} exit")
+        np.divide(upper, plan.e.max_norm(upper), out=upper)
+    nxt = AngularNorm._adopt(vals)
+    _require_normalized(nxt, plan, algorithm, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, lam)
 
 
@@ -286,8 +298,9 @@ def mr_step(
 
 
 def _initial(cfg: RelaxConfig) -> AngularNorm:
-    init = cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count)
-    return normalize(init, cfg.e)
+    if cfg.initial_norm is None:
+        return _normalized_euclidean(cfg.node_count, cfg.e)
+    return normalize(cfg.initial_norm, cfg.e)
 
 
 def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:

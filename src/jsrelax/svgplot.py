@@ -19,9 +19,14 @@ def unit_sphere_points(nm: AngularNorm) -> np.ndarray:
     Antipodal points negate exactly (the grid halves negate exactly and the
     profile halves are bit-equal).
     """
+    return np.column_stack(_coordinates(nm))
+
+
+def _coordinates(nm: AngularNorm) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y coordinates of unit_sphere_points(nm)."""
     g = _grid(nm.node_count)
     r = 1.0 / nm.values
-    return np.column_stack([g.ux * r, g.uy * r])
+    return g.ux * r, g.uy * r
 
 
 def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
@@ -30,8 +35,10 @@ def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
     size_px = int(size_px)
     if size_px < 64:
         raise ValueError(f"size must be at least 64 px, got {size_px}")
-    pts = unit_sphere_points(nm)
-    reach = max(1.0, float(np.hypot(pts[:, 0], pts[:, 1]).max()))
+    px, py = _coordinates(nm)
+    # the lower half of the points is the exact negation of the upper half
+    half = nm.node_count // 2
+    reach = max(1.0, float(np.hypot(px[half:], py[half:]).max()))
     center = 0.5 * size_px
     scale = (center - 0.05 * size_px) / reach
 
@@ -44,8 +51,8 @@ def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
 
     # the same IEEE multiply and add per coordinate as a scalar loop; each
     # point is written as "x y L ", and the last " L " becomes " Z"
-    x = center + scale * pts[:, 0]
-    y = center - scale * pts[:, 1]
+    x = center + scale * px
+    y = center - scale * py
     path = [
         _decimal.text(_decimal.cells(x[rows], "%.6f", b" "), _decimal.cells(y[rows], "%.6f", b" L "))
         for rows in _decimal.blocks(len(x))

@@ -17,6 +17,7 @@ from jsrelax import (
     RelaxConfig,
     euclidean,
     gamma_mr,
+    iterate,
     run,
 )
 from jsrelax import norms, relax
@@ -74,6 +75,16 @@ def reference_run(s: MatrixSet, cfg: RelaxConfig):
 EX1 = (((1.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (-1.0, 1.0)))
 EX2 = (((15 / 17, -16 / 17), (4 / 17, 15 / 17)), ((4 / 5, 3 / 5), (-3 / 5, 4 / 5)))
 R32 = tuple(np.random.default_rng(2008).uniform(-2.0, 2.0, size=(32, 2, 2)))
+R1 = (((0.6, -0.9), (0.8, 0.5)),)  # complex eigenvalues: irreducible alone
+R3, R5, R33 = (tuple(np.random.default_rng(r).uniform(-2.0, 2.0, size=(r, 2, 2)))
+               for r in (3, 5, 33))
+WIDTH = norms._BLOCK  # entries per block of a stencil apply
+
+
+def node(n: int, k: int, scale: float = 2.5) -> tuple[float, float]:
+    """A reference vector along upper-half node k of the N-node grid."""
+    g = _grid(n)
+    return scale * g.ux[n // 2 + k], scale * g.uy[n // 2 + k]
 
 
 def bumpy(n: int) -> AngularNorm:
@@ -97,6 +108,18 @@ CASES = [
     ("ex1", EX1, "lr", 64, {"lambda_schedule": (0.1, 0.5, 0.9)}),
     ("ex2", EX2, "mr", 3000, {"averaging": "geometric"}),
     ("ex1", EX1, "mr", 64, {"averaging": "harmonic"}),
+    # the block edges of the stencil build and apply: one to 33 rows; N/2
+    # below, equal to, above and not a multiple of the block width
+    ("r1", R1, "lr", 64, {}),
+    ("r1", R1, "mr", 2 * WIDTH + 2, {"averaging": "harmonic", "max_iters": 6}),
+    ("r3", R3, "lr", 2 * WIDTH - 768, {"max_iters": 6, "e": node(2 * WIDTH - 768, 300)}),
+    ("r5", R5, "mr", 2 * WIDTH, {"max_iters": 6, "averaging": "geometric"}),
+    ("r5", R5, "lr", 2 * WIDTH, {"max_iters": 6, "unsafe_direct": True}),
+    ("r3", R3, "mr", 2 * WIDTH + 7002, {"max_iters": 6, "e": node(2 * WIDTH + 7002, 7)}),
+    ("r5", R5, "lr", 4 * WIDTH, {"max_iters": 4, "lambda_schedule": (0.2, 0.7)}),
+    ("r33", R33, "lr", 3000, {"unsafe_direct": True, "max_iters": 6}),
+    ("r33", R33, "mr", 3002, {"tol": 1e-4, "max_iters": 12, "e": node(3002, 1000, 0.5)}),
+    ("r33", R33, "mr", 998, {"averaging": "harmonic", "max_iters": 12}),
 ]
 
 
@@ -113,10 +136,14 @@ def test_run_matches_reference_bitwise(name, mats, algorithm, n, extra):
     assert res.norm.values.tobytes() == nm.values.tobytes()
 
 
-@pytest.mark.parametrize("r, n", [(3, 40000), (40, 3000), (1, 8)])
+@pytest.mark.parametrize("r, n", [
+    (3, 40000), (40, 3000), (1, 8), (1, 2 * WIDTH), (5, 2 * WIDTH - 2), (3, 2 * WIDTH + 2),
+    (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10), (3, 2 * norms._BUILD_BLOCK),
+])
 def test_node_image_max_matches_reference_across_blocks(r, n):
     # 40000 nodes split each row into column blocks; 40 matrices at 3000 nodes
-    # span several row blocks
+    # span several row blocks, with a shorter last one; N/2 is also below,
+    # at, above and not a multiple of the apply and the build block widths
     s = MatrixSet(tuple(np.random.default_rng(r).uniform(-2.0, 2.0, size=(r, 2, 2))))
     nm = bumpy(n)
     g = _grid(n)
@@ -153,9 +180,9 @@ class TestWorkCount:
             points_init(self, *args)
 
         def counting_apply(self, values):
-            out = stencil_apply(self, values)
-            tally["applies"] += out.size == values.size // 2
-            return out
+            # only the plan's stencil exists (stencils == 1), so every call maps the node grid
+            tally["applies"] += 1
+            return stencil_apply(self, values)
 
         monkeypatch.setattr(relax, "_ImagePlan", CountingPlan)
         monkeypatch.setattr(norms._Stencil, "__init__", counting_init)
@@ -189,3 +216,115 @@ def test_plan_one_point_stencils_match_evaluate_and_max_image():
         plan = norms._ImagePlan(s, 3000, e)
         assert plan.norm_at_e(nm) == norms.evaluate(nm, e)
         assert plan.image_at_e(nm) == norms.max_image(nm, s, e)
+
+
+def test_iterate_yields_are_not_overwritten_by_later_steps():
+    # every step reuses the plan's buffers; the profiles and records it
+    # yields must not share them
+    for algorithm in ("lr", "mr"):
+        cfg = RelaxConfig(algorithm=algorithm, node_count=512, tol=1e-6, max_iters=30)
+        seen = [(nm, rec, nm.values.tobytes()) for nm, rec in iterate(MatrixSet(R32), cfg)]
+        assert len(seen) > 2
+        for nm, _, raw in seen:
+            assert nm.values.tobytes() == raw
+            assert not nm.values.flags.writeable
+        res = run(MatrixSet(R32), cfg)
+        assert res.trace == tuple(rec for _, rec, _ in seen)
+        assert res.norm.values.tobytes() == seen[-1][2]
+
+
+def test_step_allocates_only_the_next_profile():
+    cfg = RelaxConfig(node_count=256)
+    plan = norms._ImagePlan(MatrixSet(R5), 256, cfg.e)
+    nm = relax._initial(cfg)
+    buffers = (plan.ratio, plan.nodes.best)
+    for n in range(4):
+        m = plan.node_image_max(nm)
+        assert m is plan.nodes.best  # the plan's output, overwritten by the next call
+        prev = nm.values.tobytes()
+        nxt, _ = relax._step(nm, plan, cfg, n, "lr")
+        assert nm.values.tobytes() == prev
+        assert not any(np.shares_memory(nxt.values, b) for b in buffers)
+        nm = nxt
+
+
+def test_initial_euclidean_matches_normalize_bitwise():
+    for n, e in ((8, (1.0, 0.0)), (3000, (0.0, -3.0)), (3002, node(3002, 11, 1e-300)),
+                 (64, (1e300, 0.0)), (2 * WIDTH + 2, node(2 * WIDTH + 2, 5))):
+        cfg = RelaxConfig(node_count=n, e=e)
+        expected = norms.normalize(euclidean(n), e)
+        assert relax._initial(cfg).values.tobytes() == expected.values.tobytes()
+
+
+NAN, INF = float("nan"), float("inf")
+FINITE = "profile values must be finite"
+POSITIVE = "profile values must be positive"
+# bad upper-half entries at mixed positions: finite is refused before positive
+BAD = [
+    ({3: NAN}, FINITE), ({0: INF}, FINITE), ({7: -INF}, FINITE), ({5: -1.0}, POSITIVE),
+    ({1: 0.0, 6: -1.0}, POSITIVE), ({2: -0.0, 4: -2.0}, POSITIVE),
+    ({0: -1.0, 7: NAN}, FINITE), ({1: NAN, 6: -1.0}, FINITE), ({2: 0.0, 5: INF, 7: -1.0}, FINITE),
+    ({4: -0.0, 0: -INF}, FINITE), ({7: -5.0, 3: -0.0, 0: INF}, FINITE),
+]
+# with no negative or non-finite entry the step stops at the degenerate
+# bracket first, so these reach the profile check through construction only
+BAD_CONSTRUCTION_ONLY = [({2: 0.0}, POSITIVE), ({6: -0.0}, POSITIVE), ({1: 0.0, 5: INF}, FINITE)]
+
+
+@pytest.mark.parametrize("bad, message", BAD + BAD_CONSTRUCTION_ONLY)
+def test_construction_refuses_finite_before_positive(bad, message):
+    values = np.ones(16)
+    for j, v in bad.items():
+        values[j] = values[j + 8] = v
+    with pytest.raises(ValueError, match=message):
+        AngularNorm(values)
+
+
+@pytest.mark.parametrize("bad, message", BAD)
+def test_step_refuses_finite_before_positive(bad, message):
+    class CraftedPlan(norms._ImagePlan):
+        def node_image_max(self, nm):
+            m = np.ones(8)
+            for j, v in bad.items():
+                m[j] = v
+            return m
+
+        def image_at_e(self, nm):
+            return 1.0
+
+    # the direct variant makes the next upper half m / 1.0 = m exactly
+    cfg = RelaxConfig(node_count=16, unsafe_direct=True)
+    plan = CraftedPlan(MatrixSet(EX1), 16, cfg.e)
+    with pytest.raises(ValueError, match=message):
+        relax._step(relax._initial(cfg), plan, cfg, 0, "lr")
+
+
+def where_sector(x0, x1, n):
+    """_sector as first written, one new array per operation."""
+    t = (np.arctan2(x1, x0) + np.pi) * (n / norms.TWO_PI)
+    j = np.floor(t)
+    f = t - j
+    hi = f >= 1.0 - norms._NODE_SNAP
+    j = np.where(hi, j + 1.0, j)
+    f = np.where(hi | (f <= norms._NODE_SNAP), 0.0, f)
+    return j.astype(np.intp) % n, f
+
+
+@pytest.mark.parametrize("n", [8, 64, 3000, 40002])
+def test_sector_matches_where_form_bitwise(n):
+    # exact, scaled and antipodal node directions, vectors just off a node on
+    # either side, the axes with signed zeros, and random vectors
+    g = _grid(n)
+    rng = np.random.default_rng(n)
+    eps = 1e-13
+    x0 = np.concatenate([g.ux, 3.0 * g.ux, -g.ux, g.ux + eps, g.ux - eps,
+                         [0.0, -0.0, 1.0, -1.0, 0.0, -0.0], rng.normal(size=5000)])
+    x1 = np.concatenate([g.uy, 3.0 * g.uy, -g.uy, g.uy, g.uy,
+                         [1.0, -1.0, 0.0, -0.0, -1.0, 1.0], rng.normal(size=5000)])
+    i0, f = _sector(x0, x1, n)
+    ref_i0, ref_f = where_sector(x0, x1, n)
+    assert i0.tobytes() == ref_i0.tobytes()
+    assert f.tobytes() == ref_f.tobytes()
+    half_i0, half_f = _sector(x0, x1, n, n // 2)
+    assert half_i0.tobytes() == (ref_i0 % (n // 2)).tobytes()
+    assert half_f.tobytes() == ref_f.tobytes()

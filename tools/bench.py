@@ -1,4 +1,4 @@
-"""Time the product oracle by depth and the output writers on examples 1 and 2; write JSON.
+"""Time the product oracle, the output writers and the relaxation solve; write JSON.
 
 Oracle: for each depth n it records the time depth_sweep takes to yield row n
 (build level n from level n-1, then the bounds and the trace estimate) and the
@@ -7,6 +7,13 @@ time of the level build alone, with the product count r^n.
 Writers: for each node count N it solves the example with `run` (lr,
 tol=1e-6, as `jsrelax run --tol 1e-6` does) and times write_norm and
 write_trace into memory and render_unit_sphere at 512 px.
+
+Relax: for seeded random families of r = 2, 8 and 32 matrices and each node
+count N it times the image plan build and one lr and one mr step on that
+plan, from the normalized Euclidean start (r = 32 only up to N = 30000: its
+plan holds 32 bytes per entry, 150 MB at N = 300000).  It also times `run`
+on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to 30000.  Its
+repeats go round robin over all of these calls.
 
 Each time is the minimum and the median over the repeats.  Run from the
 repository root:
@@ -42,7 +49,7 @@ from jsrelax import (  # noqa: E402
     write_norm,
     write_trace,
 )
-from jsrelax import oracle  # noqa: E402
+from jsrelax import norms, oracle, relax  # noqa: E402
 
 FAMILIES = {
     "ex1": ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]]),
@@ -103,6 +110,63 @@ def writer_times(s: MatrixSet, nodes: int, repeats: int) -> dict:
     return row
 
 
+# matrices per seeded relax family, and the largest node count each is timed at
+RELAX_FAMILIES = ((2, 300000), (8, 300000), (32, 30000))
+RUN_TOL = 1e-9
+RUN_MAX_NODES = 30000
+
+
+def round_robin(calls: list[tuple[dict, str, object]], repeats: int) -> None:
+    """Time every call once per round, for repeats rounds; put its summary in row[key].
+
+    The repeats of one call are spread over the whole section, so a host
+    that switches speed for seconds at a time shows each call its fast state.
+    Each timed call follows an untimed one, so it finds its data in cache as
+    the steps of a solve do.
+    """
+    times = [[] for _ in calls]
+    for _ in range(repeats):
+        for (_, _, call), runs in zip(calls, times):
+            call()
+            start = time.perf_counter()
+            call()
+            runs.append(time.perf_counter() - start)
+    for (row, key, _), runs in zip(calls, times):
+        row[key] = summary(runs)
+
+
+def relax_times(nodes: list[int], repeats: int) -> dict:
+    """min and median ms of the plan build and of one step per family and node count,
+    and of run() on the examples."""
+    steps, calls = [], []
+    e = RelaxConfig().e
+    for r, max_nodes in RELAX_FAMILIES:
+        s = MatrixSet(tuple(np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))))
+        for n in (n for n in nodes if n <= max_nodes):
+            row = {"r": r, "nodes": n}
+            steps.append(row)
+            plan = norms._ImagePlan(s, n, e)  # kept for the section: 70 MB at the default N
+            calls.append((row, "plan_build", lambda s=s, n=n: norms._ImagePlan(s, n, e)))
+            for algorithm in ("lr", "mr"):
+                cfg = RelaxConfig(algorithm=algorithm, node_count=n)
+                nm = relax._initial(cfg)
+                calls.append((row, f"{algorithm}_step", lambda nm=nm, plan=plan, cfg=cfg:
+                              relax._step(nm, plan, cfg, 0, cfg.algorithm)))
+    runs = []
+    for name, mats in FAMILIES.items():
+        for algorithm in ("lr", "mr"):
+            for n in (n for n in nodes if n <= RUN_MAX_NODES):
+                s = MatrixSet(mats)
+                cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=RUN_TOL)
+                result = run(s, cfg)
+                row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": RUN_TOL,
+                       "status": result.status, "iterations": len(result.trace)}
+                runs.append(row)
+                calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
+    round_robin(calls, repeats)
+    return {"steps": steps, "runs": runs}
+
+
 def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
     families = {}
     for name, mats in FAMILIES.items():
@@ -125,7 +189,7 @@ def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
         for name, mats in FAMILIES.items()
     }
     return {
-        "benchmark": "oracle by depth; writers by node count",
+        "benchmark": "oracle by depth; writers, relax plan and steps by node count",
         "max_depth": max_depth,
         "repeats": repeats,
         "host": {
@@ -136,6 +200,7 @@ def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
         },
         "families": families,
         "writers": writers,
+        "relax": relax_times(nodes, repeats),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -144,7 +209,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-depth", type=int, default=20)
     parser.add_argument("--nodes", type=int, nargs="+", default=[3000, 30000, 300000],
-                        help="node counts of the writer timings")
+                        help="node counts of the writer and relax timings")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -162,6 +227,12 @@ def main(argv=None) -> int:
             print(f"{name} N={row['nodes']}: "
                   + ", ".join(f"{w} {row[w]['min_ms']:.2f} ms"
                               for w in ("write_norm", "render_unit_sphere", "write_trace")))
+    for row in result["relax"]["steps"]:
+        print(f"r={row['r']} N={row['nodes']}: plan build {row['plan_build']['min_ms']:.2f} ms, "
+              f"lr step {row['lr_step']['min_ms']:.3f} ms, mr step {row['mr_step']['min_ms']:.3f} ms")
+    for row in result["relax"]["runs"]:
+        print(f"{row['family']} {row['algorithm']} N={row['nodes']} tol={row['tol']:g}: "
+              f"run {row['run']['min_ms']:.1f} ms, {row['iterations']} iterations, {row['status']}")
     return 0
 
 
