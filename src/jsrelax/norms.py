@@ -151,13 +151,12 @@ def euclidean(n: int) -> AngularNorm:
     return AngularNorm(np.ones(int(n)))
 
 
-def _sector(x0, x1, n: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Grid sector index and in-sector weight f of the vectors (x0, x1).
+def _sector(x0, x1, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid sector index, modulo N/2, and in-sector weight f of the vectors (x0, x1).
 
     A vector at node position t lies between nodes idx and idx + 1 (mod n),
     at fraction f of the way; positions within _NODE_SNAP of a node snap to it.
-    idx is returned modulo period, n by default; a period of N/2 indexes
-    either half of a symmetric profile.
+    idx is returned modulo N/2, which indexes either half of a symmetric profile.
     """
     t = np.arctan2(x1, x0)
     t += math.pi
@@ -167,12 +166,17 @@ def _sector(x0, x1, n: int, period: int | None = None) -> tuple[np.ndarray, np.n
     hi = f >= 1.0 - _NODE_SNAP
     j += hi
     np.putmask(f, hi | (f <= _NODE_SNAP), 0.0)
-    return j.astype(np.intp) % (n if period is None else period), f
+    return j.astype(np.intp) % (n // 2), f
 
 
-def _images(mats, x0, x1):
-    """The images A (x0, x1) of the vectors, one pair of arrays per matrix."""
-    return ((a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1) for a in mats)
+def _entries(mats) -> np.ndarray:
+    """The matrices' entries a00, a01, a10, a11 as entry[:, 0..3], each of shape (rows, 1)."""
+    return np.array(mats, dtype=float).reshape(len(mats), 4, 1)
+
+
+def _images(entry: np.ndarray, x0, x1) -> tuple[np.ndarray, np.ndarray]:
+    """The images A (x0, x1) of the vectors, one row per matrix of _entries (or a row slice)."""
+    return entry[:, 0] * x0 + entry[:, 1] * x1, entry[:, 2] * x0 + entry[:, 3] * x1
 
 
 class _Points:
@@ -192,7 +196,7 @@ class _Points:
     def __init__(self, y0, y1, n: int):
         half = n // 2
         with np.errstate(over="ignore", invalid="ignore"):
-            i0, f = _sector(y0, y1, n, half)
+            i0, f = _sector(y0, y1, n)
             rad = np.hypot(y0, y1)
         self.finite = bool(np.isfinite(rad).all())
         self.terms = tuple(zip(
@@ -204,8 +208,8 @@ class _Points:
     def of_family(cls, mats, x0: float, x1: float, n: int) -> "_Points":
         """Terms of the images A (x0, x1), one per family member."""
         with np.errstate(over="ignore", invalid="ignore"):
-            y0, y1 = (np.array(c) for c in zip(*_images(mats, x0, x1)))
-        return cls(y0, y1, n)
+            y0, y1 = _images(_entries(mats), np.array([x0]), np.array([x1]))
+        return cls(y0.ravel(), y1.ravel(), n)
 
     def max_norm(self, values: np.ndarray) -> float:
         """Largest profile norm among the vectors; NaN if any norm is NaN, as np.max."""
@@ -217,12 +221,11 @@ class _Points:
         return best
 
 
-# Entries per block of a stencil apply, and of a stencil build.  They keep
-# the working set in cache whatever the family and grid, and every temporary
-# at most 16K doubles, within glibc's mmap threshold, so that freeing one does
-# not hand it back to the system and make the next allocation page-fault.
+# Entries per block of a stencil build and apply.  It keeps the working set
+# in cache whatever the family and grid, and every temporary at most 16K
+# doubles, within glibc's mmap threshold, so that freeing one does not hand
+# it back to the system and make the next allocation page-fault.
 _BLOCK = 16384
-_BUILD_BLOCK = 4096
 
 
 def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
@@ -259,22 +262,20 @@ class _Stencil:
     """
 
     def __init__(self, mats, x0, x1, n: int):
-        half = n // 2
         rows, cols = len(mats), np.size(x0)
-        entry = np.array(mats, dtype=float).reshape(rows, 4, 1)  # entry[:, k]: a column
+        entry = _entries(mats)
         self.i0 = np.empty((rows, cols), dtype=np.intp)
         self.w0 = np.empty((rows, cols))
         self.f = np.empty((rows, cols))
         self.rad = np.empty((rows, cols))
-        for r, c in _tiles(rows, cols, _BUILD_BLOCK):
-            y0 = entry[r, 0] * x0[c] + entry[r, 1] * x1[c]
-            y1 = entry[r, 2] * x0[c] + entry[r, 3] * x1[c]
-            self.i0[r, c], f = _sector(y0, y1, n, half)
+        tiles = _tiles(rows, cols, _BLOCK)
+        for r, c in tiles:
+            y0, y1 = _images(entry[r], x0[c], x1[c])
+            self.i0[r, c], f = _sector(y0, y1, n)
             self.f[r, c] = f
             np.subtract(1.0, f, out=self.w0[r, c])
             np.hypot(y0, y1, out=self.rad[r, c])
         self.best = np.empty(cols)
-        tiles = _tiles(rows, cols, _BLOCK)
         r, c = tiles[0]
         buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
         # per block: its stencil views, two scratch views and its output view;
@@ -490,14 +491,8 @@ def normalize(nm: AngularNorm, e) -> AngularNorm:
     e0, e1 = _checked_vector(e)
     if e0 == 0.0 and e1 == 0.0:
         raise ValueError("reference vector must be nonzero")
-    return AngularNorm(nm.values / evaluate(nm, (e0, e1)))
-
-
-def _normalized_euclidean(n: int, e) -> AngularNorm:
-    """normalize(euclidean(n), e) for a nonzero e, bitwise, from one evaluation of e."""
-    vals = np.ones(n)
-    np.divide(vals, _vector_points(*_checked_vector(e), n).max_norm(vals), out=vals)
-    return AngularNorm._adopt(vals)
+    # a symmetric profile over a scalar keeps its halves equal: no fold needed
+    return AngularNorm._adopt(nm.values / evaluate(nm, (e0, e1)))
 
 
 def eccentricity(n1: AngularNorm, n2: AngularNorm) -> float:

@@ -41,9 +41,9 @@ from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on
     _blend_max,
     _ImagePlan,
     _node_image_max,
-    _normalized_euclidean,
     combine_linear,
     combine_max,
+    euclidean,
     evaluate,
     max_image,
     normalize,
@@ -298,9 +298,8 @@ def mr_step(
 
 
 def _initial(cfg: RelaxConfig) -> AngularNorm:
-    if cfg.initial_norm is None:
-        return _normalized_euclidean(cfg.node_count, cfg.e)
-    return normalize(cfg.initial_norm, cfg.e)
+    init = cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count)
+    return normalize(init, cfg.e)
 
 
 def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:

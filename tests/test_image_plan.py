@@ -138,12 +138,12 @@ def test_run_matches_reference_bitwise(name, mats, algorithm, n, extra):
 
 @pytest.mark.parametrize("r, n", [
     (3, 40000), (40, 3000), (1, 8), (1, 2 * WIDTH), (5, 2 * WIDTH - 2), (3, 2 * WIDTH + 2),
-    (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10), (3, 2 * norms._BUILD_BLOCK),
+    (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10),
 ])
 def test_node_image_max_matches_reference_across_blocks(r, n):
     # 40000 nodes split each row into column blocks; 40 matrices at 3000 nodes
     # span several row blocks, with a shorter last one; N/2 is also below,
-    # at, above and not a multiple of the apply and the build block widths
+    # at, above and not a multiple of the block width
     s = MatrixSet(tuple(np.random.default_rng(r).uniform(-2.0, 2.0, size=(r, 2, 2))))
     nm = bumpy(n)
     g = _grid(n)
@@ -248,12 +248,15 @@ def test_step_allocates_only_the_next_profile():
         nm = nxt
 
 
-def test_initial_euclidean_matches_normalize_bitwise():
-    for n, e in ((8, (1.0, 0.0)), (3000, (0.0, -3.0)), (3002, node(3002, 11, 1e-300)),
-                 (64, (1e300, 0.0)), (2 * WIDTH + 2, node(2 * WIDTH + 2, 5))):
-        cfg = RelaxConfig(node_count=n, e=e)
-        expected = norms.normalize(euclidean(n), e)
-        assert relax._initial(cfg).values.tobytes() == expected.values.tobytes()
+def test_normalize_matches_folding_construction_bitwise():
+    # a symmetric profile over a scalar keeps its halves equal, so normalize
+    # skips the antipodal fold of construction without changing a bit
+    for nm, e in ((euclidean(8), (1.0, 0.0)), (euclidean(3000), (0.0, -3.0)),
+                  (euclidean(3002), node(3002, 11, 1e-300)), (bumpy(64), (1e300, 0.0)),
+                  (bumpy(2 * WIDTH + 2), node(2 * WIDTH + 2, 5)), (bumpy(3000), (0.3, -0.7)),
+                  (AngularNorm(1e308 * bumpy(16).values), (0.6, 0.8))):
+        expected = AngularNorm(nm.values / norms.evaluate(nm, e))
+        assert norms.normalize(nm, e).values.tobytes() == expected.values.tobytes()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -323,8 +326,5 @@ def test_sector_matches_where_form_bitwise(n):
                          [1.0, -1.0, 0.0, -0.0, -1.0, 1.0], rng.normal(size=5000)])
     i0, f = _sector(x0, x1, n)
     ref_i0, ref_f = where_sector(x0, x1, n)
-    assert i0.tobytes() == ref_i0.tobytes()
+    assert i0.tobytes() == (ref_i0 % (n // 2)).tobytes()
     assert f.tobytes() == ref_f.tobytes()
-    half_i0, half_f = _sector(x0, x1, n, n // 2)
-    assert half_i0.tobytes() == (ref_i0 % (n // 2)).tobytes()
-    assert half_f.tobytes() == ref_f.tobytes()
