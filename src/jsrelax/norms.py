@@ -221,11 +221,16 @@ class _Points:
         return best
 
 
-# Entries per block of a stencil build and apply.  It keeps the working set
-# in cache whatever the family and grid, and every temporary at most 16K
-# doubles, within glibc's mmap threshold, so that freeing one does not hand
-# it back to the system and make the next allocation page-fault.
+# Entries per block of a stencil apply, and of a stencil build.  They keep
+# the working set in cache whatever the family and grid, and every temporary
+# at most 16K doubles, within glibc's mmap threshold, so that freeing one does
+# not hand it back to the system and make the next allocation page-fault.
+# An apply works in two preallocated block buffers; a build makes about eight
+# temporaries per block, so its smaller blocks keep a solve's peak memory
+# about 0.5 MB lower.  They build as fast for r = 2, faster at N = 3000 and
+# about 8% slower at N = 30000 for r >= 8.
 _BLOCK = 16384
+_BUILD_BLOCK = 4096
 
 
 def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
@@ -268,14 +273,14 @@ class _Stencil:
         self.w0 = np.empty((rows, cols))
         self.f = np.empty((rows, cols))
         self.rad = np.empty((rows, cols))
-        tiles = _tiles(rows, cols, _BLOCK)
-        for r, c in tiles:
+        for r, c in _tiles(rows, cols, _BUILD_BLOCK):
             y0, y1 = _images(entry[r], x0[c], x1[c])
             self.i0[r, c], f = _sector(y0, y1, n)
             self.f[r, c] = f
             np.subtract(1.0, f, out=self.w0[r, c])
             np.hypot(y0, y1, out=self.rad[r, c])
         self.best = np.empty(cols)
+        tiles = _tiles(rows, cols, _BLOCK)
         r, c = tiles[0]
         buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
         # per block: its stencil views, two scratch views and its output view;

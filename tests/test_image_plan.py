@@ -138,12 +138,12 @@ def test_run_matches_reference_bitwise(name, mats, algorithm, n, extra):
 
 @pytest.mark.parametrize("r, n", [
     (3, 40000), (40, 3000), (1, 8), (1, 2 * WIDTH), (5, 2 * WIDTH - 2), (3, 2 * WIDTH + 2),
-    (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10),
+    (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10), (3, 2 * norms._BUILD_BLOCK),
 ])
 def test_node_image_max_matches_reference_across_blocks(r, n):
     # 40000 nodes split each row into column blocks; 40 matrices at 3000 nodes
     # span several row blocks, with a shorter last one; N/2 is also below,
-    # at, above and not a multiple of the block width
+    # at, above and not a multiple of the apply and the build block widths
     s = MatrixSet(tuple(np.random.default_rng(r).uniform(-2.0, 2.0, size=(r, 2, 2))))
     nm = bumpy(n)
     g = _grid(n)
