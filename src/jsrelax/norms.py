@@ -226,9 +226,8 @@ class _Points:
 # at most 16K doubles, within glibc's mmap threshold, so that freeing one does
 # not hand it back to the system and make the next allocation page-fault.
 # An apply works in two preallocated block buffers; a build makes about eight
-# temporaries per block, so its smaller blocks keep a solve's peak memory
-# about 0.5 MB lower.  They build as fast for r = 2, faster at N = 3000 and
-# about 8% slower at N = 30000 for r >= 8.
+# temporaries per block, so it takes smaller blocks, which keep a solve's
+# peak memory about 0.5 MB lower.
 _BLOCK = 16384
 _BUILD_BLOCK = 4096
 
