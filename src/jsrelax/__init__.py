@@ -15,8 +15,6 @@ from .matrices import (
 )
 from .norms import (
     AngularNorm,
-    combine_linear,
-    combine_max,
     eccentricity,
     euclidean,
     evaluate,
@@ -42,12 +40,8 @@ from .relax import (
     IterationRecord,
     RelaxConfig,
     RelaxResult,
-    bounds,
-    gamma_lr,
     gamma_mr,
     iterate,
-    lr_step,
-    mr_step,
     run,
 )
 from .io import (
@@ -72,8 +66,6 @@ __all__ = [
     "is_irreducible",
     "spectral_radius",
     "AngularNorm",
-    "combine_linear",
-    "combine_max",
     "eccentricity",
     "euclidean",
     "evaluate",
@@ -95,12 +87,8 @@ __all__ = [
     "IterationRecord",
     "RelaxConfig",
     "RelaxResult",
-    "bounds",
-    "gamma_lr",
     "gamma_mr",
     "iterate",
-    "lr_step",
-    "mr_step",
     "run",
     "ProblemFile",
     "ProblemFormatError",

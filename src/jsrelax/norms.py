@@ -11,8 +11,10 @@ Node sweeps go through elementwise array arithmetic rather than BLAS, and
 single vectors through Python floats with the same IEEE operations in the
 same order, so the two agree bitwise; several exactness guarantees
 (normalization at a grid-aligned reference vector, scaling equivariance)
-rely on this.  A relaxation solve builds one _ImagePlan, whose stencil and
-buffers every step reuses; each step allocates only its next profile.
+rely on this.  A relaxation solve builds one _ImagePlan, the only builder
+of a node stencil, whose stencil and buffers every step reuses;
+combine_linear and combine_max write a step's next profile from the plan's
+node image maxima, and each step allocates only that profile.
 """
 
 from __future__ import annotations
@@ -324,34 +326,15 @@ class _Stencil:
         return self.best
 
 
-def _image_max_xy(values: np.ndarray, mats, x0, x1) -> np.ndarray:
-    """max over the family of the profile norm of A (x0, x1), for a symmetric profile.
-
-    The stencil lives for this call only, so its output buffer is returned.
-    """
-    return _Stencil(mats, x0, x1, values.size).apply(values)
-
-
-def _upper_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors of the upper-half nodes (phi in [0, pi))."""
-    g = _grid(n)
-    return g.ux[n // 2:], g.uy[n // 2:]
-
-
-def _node_image_max(nm: AngularNorm, s: MatrixSet) -> np.ndarray:
-    """Image maxima at the upper-half node directions (phi in [0, pi))."""
-    _require_planar(s)
-    return _image_max_xy(nm.values, s.arrays(), *_upper_nodes(nm.node_count))
-
-
 class _ImagePlan:
     """The fixed vectors of one relaxation solve, and the solve's workspace.
 
     Holds the stencil of every upper-half node under every matrix, and the
-    terms of the images A_i e and of e itself.  Built once per solve; each
-    step then reads the node image maxima, gamma_lr and the norm of e off it
-    with no angle work.  image_at_e and norm_at_e evaluate the terms that
-    max_image and evaluate build, so they agree bitwise.
+    terms of the images A_i e and of e itself.  Built once per solve, and the
+    only builder of a stencil; each step then reads the node image maxima,
+    the lr gamma max_i |A_i e| and the norm of e off it with no angle work.
+    image_at_e and norm_at_e evaluate the terms that max_image and evaluate
+    build, so they agree bitwise.
 
     The workspace is the stencil's node-maximum output and block buffers, and
     the bracket-ratio buffer `ratio`.  node_image_max returns the output
@@ -366,9 +349,10 @@ class _ImagePlan:
         _require_planar(s)
         e0, e1 = _checked_vector(e)
         mats = s.arrays()
+        g = _grid(n)
         # a node image that overflows gets an infinite or NaN length, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            self.nodes = _Stencil(mats, *_upper_nodes(n), n)
+            self.nodes = _Stencil(mats, g.ux[n // 2:], g.uy[n // 2:], n)
         self.images_of_e = _Points.of_family(mats, e0, e1, n)
         self.e = _Points(np.array([e0]), np.array([e1]), n)
         self.ratio = np.empty(n // 2)
@@ -443,22 +427,12 @@ def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
     return pts.max_norm(nm.values)
 
 
-def combine_linear(nm: AngularNorm, s: MatrixSet, lam: float, gamma: float) -> AngularNorm:
-    """Blend the profile with its scaled image profile.
+def combine_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out) -> None:
+    """Blend the profile with its scaled image profile, into out.
 
-    The new node values are lam * h_j + (1 - lam) * max_i |A_i u_j| / gamma.
-    Requires lam strictly inside (0, 1) and gamma > 0.
-    """
-    _require_planar(s)
-    vals = np.empty(nm.node_count)
-    _blend_linear(nm, _node_image_max(nm, s), lam, gamma, vals[nm.node_count // 2:])
-    return AngularNorm._adopt(vals)
-
-
-def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out) -> None:
-    """Write the upper half of combine_linear given the node image maxima m into out.
-
-    m is overwritten.
+    Given the node image maxima m = max_i |A_i u_j| at the upper-half nodes,
+    writes the next upper half lam * h_j + (1 - lam) * m_j / gamma into out;
+    m is overwritten.  Requires lam strictly inside (0, 1) and gamma > 0.
     """
     lam = float(lam)
     gamma = float(gamma)
@@ -473,16 +447,12 @@ def _blend_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out)
     np.add(out, m, out=out)
 
 
-def combine_max(nm: AngularNorm, s: MatrixSet, gamma: float) -> AngularNorm:
-    """Pointwise maximum of the profile and its scaled image profile."""
-    _require_planar(s)
-    vals = np.empty(nm.node_count)
-    _blend_max(nm, _node_image_max(nm, s), gamma, vals[nm.node_count // 2:])
-    return AngularNorm._adopt(vals)
+def combine_max(nm: AngularNorm, m: np.ndarray, gamma: float, out) -> None:
+    """Pointwise maximum of the profile and its scaled image profile, into out.
 
-
-def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float, out) -> None:
-    """Write the upper half of combine_max given the node image maxima m into out."""
+    Given the node image maxima m at the upper-half nodes, writes the next
+    upper half max(h_j, m_j / gamma) into out.  Requires gamma > 0.
+    """
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -491,12 +461,23 @@ def _blend_max(nm: AngularNorm, m: np.ndarray, gamma: float, out) -> None:
 
 
 def normalize(nm: AngularNorm, e) -> AngularNorm:
-    """Rescale so the reference vector e has norm 1."""
+    """Rescale so the reference vector e has norm 1.
+
+    Raises ValueError, with no warning, if e is so short (subnormal, say)
+    that a rescaled value would not be finite.
+    """
     e0, e1 = _checked_vector(e)
     if e0 == 0.0 and e1 == 0.0:
         raise ValueError("reference vector must be nonzero")
+    v = evaluate(nm, (e0, e1))
+    # division is monotone, so the largest value decides whether all stay finite
+    if not (v > 0.0 and math.isfinite(float(nm.values.max()) / v)):
+        raise ValueError(
+            f"e = ({e0!r}, {e1!r}) is too short: the profile rescaled to norm 1 at e "
+            "is not finite; rescale e"
+        )
     # a symmetric profile over a scalar keeps its halves equal: no fold needed
-    return AngularNorm._adopt(nm.values / evaluate(nm, (e0, e1)))
+    return AngularNorm._adopt(nm.values / v)
 
 
 def eccentricity(n1: AngularNorm, n2: AngularNorm) -> float:

@@ -16,13 +16,14 @@ is not a proven bracket; at tol=1e-9 and N=3000, example 1's rho_plus lies
 5.6e-7 below a proven lower bound.  oracle.product_bounds gives the proven
 check.
 
-A solve builds the image plan of the family once (norms._ImagePlan); each
-step then maps the grid once and derives the bracket, gamma and the next
-profile from that single map.  gamma and the norm of e come from scalar
-terms in the plan.  The plan is also the solve's workspace: a step maps the
-grid into the plan's buffers, and the only array it allocates is the next
-profile, whose upper half it computes in place and checks with one min and
-one max.
+A solve builds the image plan of the family once (norms._ImagePlan), and
+each step is lr_step or mr_step on that plan: it maps the grid once, takes
+the bracket from bounds and the next profile from combine_linear or
+combine_max, all on that single map.  gamma and the norm of e come from
+scalar terms in the plan.  The plan is also the solve's workspace: a step
+maps the grid into the plan's buffers, and the only array it allocates is
+the next profile, whose upper half it computes in place and checks with one
+min and one max.
 """
 
 from __future__ import annotations
@@ -34,18 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import MatrixSet, UnsupportedDimensionError, is_irreducible
-from .norms import (  # noqa: F401  combine_*, evaluate: perfbench hooks them on this module
+from .norms import (
     TWO_PI,
     AngularNorm,
-    _blend_linear,
-    _blend_max,
     _ImagePlan,
-    _node_image_max,
     combine_linear,
     combine_max,
     euclidean,
-    evaluate,
-    max_image,
     normalize,
 )
 
@@ -61,7 +57,6 @@ __all__ = [
     "IterationRecord",
     "RelaxResult",
     "bounds",
-    "gamma_lr",
     "gamma_mr",
     "iterate",
     "lr_step",
@@ -184,30 +179,6 @@ class RelaxResult:
     config: RelaxConfig
 
 
-def bounds(nm: AngularNorm, s: MatrixSet) -> tuple[float, float]:
-    """Extremes over grid directions of max_i |A_i u| / |u| under the norm.
-
-    By homogeneity the continuous extrema run over directions only; the grid
-    samples them, so the returned pair is the grid-restricted bracket.
-    """
-    m = _node_image_max(nm, s)
-    return _bracket(nm, m, m)
-
-
-def _bracket(nm: AngularNorm, m: np.ndarray, out: np.ndarray) -> tuple[float, float]:
-    """bounds given the node image maxima m; the ratios go into out."""
-    ratio = np.divide(m, nm.values[nm.node_count // 2:], out=out)
-    return float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
-
-
-def gamma_lr(nm: AngularNorm, s: MatrixSet, e) -> float:
-    """Image norm of the reference vector; lies inside the bracket when |e| = 1."""
-    e0, e1 = float(e[0]), float(e[1])
-    if e0 == 0.0 and e1 == 0.0:
-        raise ValueError("reference vector must be nonzero")
-    return max_image(nm, s, (e0, e1))
-
-
 def gamma_mr(rho_minus: float, rho_plus: float, kind: str = "arithmetic") -> float:
     """Average of the bracket ends: arithmetic, geometric, or harmonic.
 
@@ -243,58 +214,72 @@ def _require_normalized(
         )
 
 
-def _step(
-    nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int, algorithm: str
-) -> tuple[AngularNorm, IterationRecord]:
-    """One step of either scheme from a single node image map.
+def bounds(nm: AngularNorm, m: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+    """Grid bracket: the extremes of m_j / h_j over the upper-half nodes.
 
-    lr keeps the iterate normalized at e by construction; mr renormalizes
-    after the pointwise maximum.  Works in the plan's buffers and allocates
-    only the next profile.  Raises _DegenerateImage when the next profile is
-    undefined.
+    m holds the node image maxima max_i |A_i u_j|; by homogeneity the
+    continuous extrema run over directions only, and the grid samples them.
+    The ratios go into out.
     """
+    ratio = np.divide(m, nm.values[nm.node_count // 2:], out=out)
+    return float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
+
+
+def _mapped(
+    nm: AngularNorm, plan: _ImagePlan, n: int, algorithm: str
+) -> tuple[np.ndarray, float, float]:
+    """Checks nm at entry, maps the grid once: the node image maxima and the bracket."""
     _require_normalized(nm, plan, algorithm, n, "entry")
     m = plan.node_image_max(nm)
-    lo, hi = _bracket(nm, m, plan.ratio)
-    vals = np.empty(nm.node_count)
-    upper = vals[nm.node_count // 2:]
-    if algorithm == ALGORITHM_LR:
-        g = plan.image_at_e(nm)
-        if g == 0.0:
-            raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
-        lam = cfg.lambda_at(n)
-        if cfg.unsafe_direct:
-            # degenerate lam = 0 variant: pure image profile, no convergence guarantee
-            if lo == 0.0:
-                raise _DegenerateImage("every matrix maps a grid direction to 0")
-            np.divide(m, g, out=upper)
-        else:
-            _blend_linear(nm, m, lam, g, upper)
-    else:
-        if lo == 0.0:
-            raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
-        lam = None
-        g = gamma_mr(lo, hi, cfg.averaging)
-        _blend_max(nm, m, g, upper)
-        # |e| under the raised profile, read off its upper half
-        np.divide(upper, plan.e.max_norm(upper), out=upper)
-    nxt = AngularNorm._adopt(vals)
-    _require_normalized(nxt, plan, algorithm, n, "exit")
-    return nxt, IterationRecord(n, lo, hi, g, lam)
+    lo, hi = bounds(nm, m, plan.ratio)
+    return m, lo, hi
 
 
 def lr_step(
-    nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int
+    nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
-    """One linear-relaxation step; the iterate stays normalized at e by construction."""
-    return _step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n, ALGORITHM_LR)
+    """One linear-relaxation step on the solve's plan; the iterate stays normalized at e.
+
+    Raises _DegenerateImage, a ValueError, when the next profile is undefined.
+    """
+    m, lo, hi = _mapped(nm, plan, n, ALGORITHM_LR)
+    g = plan.image_at_e(nm)
+    if g == 0.0:
+        raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
+    lam = cfg.lambda_at(n)
+    vals = np.empty(nm.node_count)
+    upper = vals[nm.node_count // 2:]
+    if cfg.unsafe_direct:
+        # degenerate lam = 0 variant: pure image profile, no convergence guarantee
+        if lo == 0.0:
+            raise _DegenerateImage("every matrix maps a grid direction to 0")
+        np.divide(m, g, out=upper)
+    else:
+        combine_linear(nm, m, lam, g, upper)
+    nxt = AngularNorm._adopt(vals)
+    _require_normalized(nxt, plan, ALGORITHM_LR, n, "exit")
+    return nxt, IterationRecord(n, lo, hi, g, lam)
 
 
 def mr_step(
-    nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int
+    nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
-    """One max-relaxation step; renormalizes at e after the pointwise maximum."""
-    return _step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n, ALGORITHM_MR)
+    """One max-relaxation step on the solve's plan; renormalizes at e after the maximum.
+
+    Raises _DegenerateImage, a ValueError, when the next profile is undefined.
+    """
+    m, lo, hi = _mapped(nm, plan, n, ALGORITHM_MR)
+    if lo == 0.0:
+        raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
+    g = gamma_mr(lo, hi, cfg.averaging)
+    vals = np.empty(nm.node_count)
+    upper = vals[nm.node_count // 2:]
+    combine_max(nm, m, g, upper)
+    # |e| under the raised profile, read off its upper half
+    np.divide(upper, plan.e.max_norm(upper), out=upper)
+    nxt = AngularNorm._adopt(vals)
+    _require_normalized(nxt, plan, ALGORITHM_MR, n, "exit")
+    return nxt, IterationRecord(n, lo, hi, g, None)
 
 
 def _initial(cfg: RelaxConfig) -> AngularNorm:
@@ -320,9 +305,10 @@ def iterate(
         cfg = RelaxConfig()
     nm = _initial(cfg)
     plan = _ImagePlan(s, cfg.node_count, cfg.e)
+    step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     for n in range(cfg.max_iters):
         try:
-            nm, rec = _step(nm, plan, cfg, n, cfg.algorithm)
+            nm, rec = step(nm, plan, cfg, n)
         except _DegenerateImage:
             return
         yield nm, rec

@@ -115,6 +115,17 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: e = (1e+308, 1e+308)")
         assert not trace.exists()
 
+    def test_subnormal_reference_vector_is_an_error(self, problem_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["run", "--nodes", "64", "--e", "5e-324,0",
+                             "--trace", str(trace), problem_file(EX1)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: e = (5e-324, 0.0) is too short")
+        assert not trace.exists()
+
     def test_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 1
 

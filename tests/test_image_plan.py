@@ -21,7 +21,7 @@ from jsrelax import (
     run,
 )
 from jsrelax import norms, relax
-from jsrelax.norms import _grid, _node_image_max, _sector
+from jsrelax.norms import _grid, _sector
 
 
 def _eval_xy(values: np.ndarray, x0, x1) -> np.ndarray:
@@ -148,7 +148,7 @@ def test_node_image_max_matches_reference_across_blocks(r, n):
     nm = bumpy(n)
     g = _grid(n)
     expected = reference_image_max(nm.values, s.arrays(), g.ux[n // 2:], g.uy[n // 2:])
-    assert _node_image_max(nm, s).tobytes() == expected.tobytes()
+    assert norms._ImagePlan(s, n, (1.0, 0.0)).node_image_max(nm).tobytes() == expected.tobytes()
 
 
 class TestWorkCount:
@@ -202,11 +202,17 @@ class TestWorkCount:
         assert counts["node_maps"] == steps
         assert counts["applies"] == steps  # nothing else maps the node grid
 
-    def test_each_direct_step_builds_its_own_plan(self, counts):
-        nm = euclidean(64)
+    def test_a_step_on_a_given_plan_builds_no_plan_and_no_stencil(self, counts):
+        lr, mr = RelaxConfig(node_count=64), RelaxConfig(algorithm="mr", node_count=64)
+        plan = relax._ImagePlan(MatrixSet(EX1), 64, lr.e)
+        assert counts["plans"] == counts["stencils"] == 1
+        nm = relax._initial(lr)
         for n in range(3):
-            nm, _ = relax.lr_step(nm, MatrixSet(EX1), RelaxConfig(node_count=64), n)
-        assert counts["plans"] == counts["node_maps"] == counts["applies"] == 3
+            nm, _ = relax.lr_step(nm, plan, lr, n)
+        for n in range(3, 6):
+            nm, _ = relax.mr_step(nm, plan, mr, n)
+        assert counts["plans"] == counts["stencils"] == 1
+        assert counts["node_maps"] == counts["applies"] == 6
 
 
 def test_plan_one_point_stencils_match_evaluate_and_max_image():
@@ -242,7 +248,7 @@ def test_step_allocates_only_the_next_profile():
         m = plan.node_image_max(nm)
         assert m is plan.nodes.best  # the plan's output, overwritten by the next call
         prev = nm.values.tobytes()
-        nxt, _ = relax._step(nm, plan, cfg, n, "lr")
+        nxt, _ = relax.lr_step(nm, plan, cfg, n)
         assert nm.values.tobytes() == prev
         assert not any(np.shares_memory(nxt.values, b) for b in buffers)
         nm = nxt
@@ -299,7 +305,7 @@ def test_step_refuses_finite_before_positive(bad, message):
     cfg = RelaxConfig(node_count=16, unsafe_direct=True)
     plan = CraftedPlan(MatrixSet(EX1), 16, cfg.e)
     with pytest.raises(ValueError, match=message):
-        relax._step(relax._initial(cfg), plan, cfg, 0, "lr")
+        relax.lr_step(relax._initial(cfg), plan, cfg, 0)
 
 
 def where_sector(x0, x1, n):

@@ -7,17 +7,23 @@ import pytest
 from jsrelax import (
     AngularNorm,
     MatrixSet,
-    combine_linear,
-    combine_max,
     eccentricity,
     euclidean,
     evaluate,
     max_image,
     normalize,
 )
-from jsrelax.norms import _grid
+from jsrelax.norms import _grid, _ImagePlan, combine_linear, combine_max
 
 from conftest import random_irreducible_pair
+
+
+def combined(combine, nm: AngularNorm, s: MatrixSet, *args) -> AngularNorm:
+    """The profile combine_linear or combine_max writes from the node image maxima of s."""
+    vals = np.empty(nm.node_count)
+    m = _ImagePlan(s, nm.node_count, (1.0, 0.0)).node_image_max(nm)
+    combine(nm, m, *args, vals[nm.node_count // 2:])
+    return AngularNorm._adopt(vals)
 
 
 def infinity_profile(n: int) -> AngularNorm:
@@ -146,7 +152,7 @@ class TestEvaluate:
             nm = euclidean(n)
             for k in range(4):
                 g = max_image(nm, ex1, (1.0, 0.0))
-                nm = combine_linear(nm, ex1, 0.3, g)
+                nm = combined(combine_linear, nm, ex1, 0.3, g)
             slack = 10.0 * (2.0 * math.pi / n) ** 2
             for _ in range(200):
                 x = rng.normal(size=2)
@@ -188,12 +194,12 @@ class TestMaxImage:
 class TestCombineLinear:
     def test_identity_fixed_point(self):
         fam = MatrixSet((np.eye(2),))
-        nm = combine_linear(euclidean(64), fam, 0.3, 1.0)
+        nm = combined(combine_linear, euclidean(64), fam, 0.3, 1.0)
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_scalar_family_fixed_point(self):
         fam = MatrixSet((2.0 * np.eye(2),))
-        nm = combine_linear(euclidean(64), fam, 0.5, 2.0)
+        nm = combined(combine_linear, euclidean(64), fam, 0.5, 2.0)
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_normalization_identity_exact(self, example1):
@@ -202,49 +208,49 @@ class TestCombineLinear:
         n = 3000
         nm = euclidean(n)
         gamma = max_image(nm, example1, (1.0, 0.0))
-        out = combine_linear(nm, example1, 0.3, gamma)
+        out = combined(combine_linear, nm, example1, 0.3, gamma)
         assert out.values[n // 2] == 1.0
 
     def test_rejects_bad_lambda(self, example1):
         for lam in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                combine_linear(euclidean(64), example1, lam, 1.0)
+                combined(combine_linear, euclidean(64), example1, lam, 1.0)
 
     def test_rejects_bad_gamma(self, example1):
         for gamma in (0.0, -1.0):
             with pytest.raises(ValueError):
-                combine_linear(euclidean(64), example1, 0.3, gamma)
+                combined(combine_linear, euclidean(64), example1, 0.3, gamma)
 
     def test_positivity_preserved(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             fam = random_irreducible_pair(rng)
             nm = AngularNorm(rng.uniform(0.2, 3.0, size=128))
-            out = combine_linear(nm, fam, 0.4, 1.7)
+            out = combined(combine_linear, nm, fam, 0.4, 1.7)
             assert bool(np.all(out.values > 0.0))
-            out = combine_max(nm, fam, 1.7)
+            out = combined(combine_max, nm, fam, 1.7)
             assert bool(np.all(out.values > 0.0))
 
 
 class TestCombineMax:
     def test_identity_fixed_point(self):
         fam = MatrixSet((np.eye(2),))
-        nm = combine_max(euclidean(64), fam, 1.0)
+        nm = combined(combine_max, euclidean(64), fam, 1.0)
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_scalar_family_matched_gamma(self):
         fam = MatrixSet((2.0 * np.eye(2),))
-        nm = combine_max(euclidean(64), fam, 2.0)
+        nm = combined(combine_max, euclidean(64), fam, 2.0)
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_doubling_dominates(self):
         fam = MatrixSet((2.0 * np.eye(2),))
-        nm = combine_max(euclidean(64), fam, 1.0)
+        nm = combined(combine_max, euclidean(64), fam, 1.0)
         assert np.abs(nm.values - 2.0).max() <= 1e-12
 
     def test_rejects_bad_gamma(self, example1):
         with pytest.raises(ValueError):
-            combine_max(euclidean(64), example1, 0.0)
+            combined(combine_max, euclidean(64), example1, 0.0)
 
 
 class TestNormalize:
@@ -274,6 +280,20 @@ class TestNormalize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize(euclidean(8), (0.0, 0.0))
+
+    @pytest.mark.parametrize("nm, e", [
+        (euclidean(64), (5e-324, 0.0)),
+        (euclidean(64), (0.0, -1e-310)),
+        (AngularNorm(0.4 * np.ones(8)), (5e-324, 0.0)),  # its norm rounds to 0
+        (AngularNorm([1.0, 1.0, 1e300, 1.0] * 2), (1e-10, 0.0)),  # only the spike overflows
+    ])
+    def test_too_short_reference_is_refused_without_a_warning(self, nm, e):
+        # 1/|e| overflowed here with a RuntimeWarning, and the profile check
+        # then said only "profile values must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^e = \(.+\) is too short"):
+                normalize(nm, e)
 
 
 class TestEccentricity:

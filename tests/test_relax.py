@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,22 +15,41 @@ from jsrelax import (
     STATUS_MAX_ITERS,
     STATUS_REJECTED,
     UnsupportedDimensionError,
-    bounds,
     eccentricity,
     euclidean,
     evaluate,
-    gamma_lr,
     gamma_mr,
     is_irreducible,
     iterate,
-    lr_step,
-    mr_step,
     normalize,
     run,
     spectral_radius,
 )
+from jsrelax import relax
+from jsrelax.norms import _ImagePlan
 
 from conftest import random_irreducible_pair, rotation
+
+
+def node_bounds(nm: AngularNorm, s: MatrixSet) -> tuple[float, float]:
+    """relax.bounds on the node image maxima of s under nm, as a step takes them."""
+    m = _ImagePlan(s, nm.node_count, (1.0, 0.0)).node_image_max(nm)
+    return relax.bounds(nm, m, np.empty_like(m))
+
+
+def lr_once(nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int):
+    """relax.lr_step on a plan of s built for this one step."""
+    return relax.lr_step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n)
+
+
+def mr_once(nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int):
+    """relax.mr_step on a plan of s built for this one step."""
+    return relax.mr_step(nm, _ImagePlan(s, nm.node_count, cfg.e), cfg, n)
+
+
+def image_at_e(nm: AngularNorm, s: MatrixSet, e) -> float:
+    """The lr gamma max_i |A_i e|, as a step reads it off the plan."""
+    return _ImagePlan(s, nm.node_count, e).image_at_e(nm)
 
 
 class TestConfig:
@@ -84,26 +105,26 @@ class TestConfig:
 
 class TestBounds:
     def test_scalar_family(self):
-        lo, hi = bounds(euclidean(64), MatrixSet((2.0 * np.eye(2),)))
+        lo, hi = node_bounds(euclidean(64), MatrixSet((2.0 * np.eye(2),)))
         assert lo == pytest.approx(2.0, abs=1e-12)
         assert hi == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_isometry(self):
-        lo, hi = bounds(euclidean(64), MatrixSet((rotation(math.pi / 5),)))
+        lo, hi = node_bounds(euclidean(64), MatrixSet((rotation(math.pi / 5),)))
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_example1_initial_bracket(self, example1):
         # closed forms: the shared 2-norm of both members is the golden ratio,
         # and the direction minimum of max_i |A_i u| is sqrt(3/2)
-        lo, hi = bounds(euclidean(3000), example1)
+        lo, hi = node_bounds(euclidean(3000), example1)
         assert hi == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-5)
         golden_min = math.sqrt(1.5)
         assert golden_min - 1e-12 <= lo <= golden_min + 3e-3
 
     def test_rejects_dim_three(self):
         with pytest.raises(UnsupportedDimensionError):
-            bounds(euclidean(64), MatrixSet((np.eye(3),)))
+            node_bounds(euclidean(64), MatrixSet((np.eye(3),)))
 
     def test_example1_lower_matches_dense_sweep(self, example1):
         # independent dense-direction oracle for the same grid-restricted value
@@ -113,29 +134,33 @@ class TestBounds:
         for m in example1.arrays():
             v = np.hypot(m[0, 0] * u[0] + m[0, 1] * u[1], m[1, 0] * u[0] + m[1, 1] * u[1])
             worst = v if worst is None else np.maximum(worst, v)
-        lo, hi = bounds(euclidean(3000), example1)
+        lo, hi = node_bounds(euclidean(3000), example1)
         assert lo == pytest.approx(float(worst.min()), abs=3e-3)
         assert hi == pytest.approx(float(worst.max()), abs=1e-5)
 
 
 class TestGammas:
     def test_gamma_lr_scalar(self):
-        assert gamma_lr(euclidean(64), MatrixSet((2.0 * np.eye(2),)), (1.0, 0.0)) == 2.0
+        assert image_at_e(euclidean(64), MatrixSet((2.0 * np.eye(2),)), (1.0, 0.0)) == 2.0
 
     def test_gamma_lr_identity_on_normalized_norm(self, example1):
         nm = euclidean(512)
         for n in range(3):
-            nm, _ = lr_step(nm, example1, RelaxConfig(node_count=512), n)
-        value = gamma_lr(nm, MatrixSet((np.eye(2),)), (1.0, 0.0))
+            nm, _ = lr_once(nm, example1, RelaxConfig(node_count=512), n)
+        value = image_at_e(nm, MatrixSet((np.eye(2),)), (1.0, 0.0))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_lr_example1(self, example1):
-        value = gamma_lr(euclidean(3000), example1, (1.0, 0.0))
+        value = image_at_e(euclidean(3000), example1, (1.0, 0.0))
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
-    def test_gamma_lr_rejects_zero(self, example1):
-        with pytest.raises(ValueError):
-            gamma_lr(euclidean(64), example1, (0.0, 0.0))
+    def test_gamma_lr_rejects_zero(self):
+        # the lr gamma is taken at the config's e, which refuses a zero vector,
+        # as normalize does before the first step
+        with pytest.raises(ValueError, match="nonzero"):
+            RelaxConfig(node_count=64, e=(0.0, 0.0))
+        with pytest.raises(ValueError, match="nonzero"):
+            normalize(euclidean(64), (0.0, 0.0))
 
     def test_gamma_mr_degenerate(self):
         for kind in ("arithmetic", "geometric", "harmonic"):
@@ -175,7 +200,7 @@ class TestGammas:
 class TestSteps:
     def test_lr_scalar_fixed_point(self):
         fam = MatrixSet((2.0 * np.eye(2),))
-        nm, rec = lr_step(euclidean(64), fam, RelaxConfig(node_count=64), 0)
+        nm, rec = lr_once(euclidean(64), fam, RelaxConfig(node_count=64), 0)
         assert (rec.rho_minus, rec.rho_plus) == (pytest.approx(2.0, abs=1e-12),) * 2
         assert rec.gamma == pytest.approx(2.0, abs=1e-12)
         assert rec.lam == 0.3
@@ -183,31 +208,31 @@ class TestSteps:
 
     def test_lr_rotation_fixed_point(self):
         fam = MatrixSet((rotation(1.0),))
-        nm, rec = lr_step(euclidean(64), fam, RelaxConfig(node_count=64), 0)
+        nm, rec = lr_once(euclidean(64), fam, RelaxConfig(node_count=64), 0)
         for v in (rec.rho_minus, rec.rho_plus, rec.gamma):
             assert v == pytest.approx(1.0, abs=1e-12)
         assert np.abs(nm.values - 1.0).max() <= 1e-12
 
     def test_lr_example1_first_record(self, example1):
-        _, rec = lr_step(euclidean(3000), example1, RelaxConfig(), 0)
+        _, rec = lr_once(euclidean(3000), example1, RelaxConfig(), 0)
         assert rec.rho_plus == pytest.approx(1.61803, abs=1e-4)
         assert rec.rho_minus < rec.rho_plus
 
     def test_lr_rejects_unnormalized_entry(self, example1):
         bad = AngularNorm(2.0 * np.ones(3000))
         with pytest.raises(RuntimeError):
-            lr_step(bad, example1, RelaxConfig(), 0)
+            lr_once(bad, example1, RelaxConfig(), 0)
 
     def test_mr_scalar_fixed_point(self):
         fam = MatrixSet((2.0 * np.eye(2),))
-        nm, rec = mr_step(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
+        nm, rec = mr_once(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
         assert rec.gamma == pytest.approx(2.0, abs=1e-12)
         assert rec.lam is None
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_mr_duplicate_identities(self):
         fam = MatrixSet((np.eye(2), np.eye(2)))
-        nm, rec = mr_step(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
+        nm, rec = mr_once(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
         for v in (rec.rho_minus, rec.rho_plus, rec.gamma):
             assert v == pytest.approx(1.0, abs=1e-14)
         assert np.abs(nm.values - 1.0).max() <= 1e-14
@@ -215,7 +240,7 @@ class TestSteps:
     def test_mr_example2_first_record_brackets_limit(self, example2):
         cfg = RelaxConfig(algorithm="mr")
         final = run(example2, cfg)
-        _, rec = mr_step(euclidean(3000), example2, cfg, 0)
+        _, rec = mr_once(euclidean(3000), example2, cfg, 0)
         assert rec.rho_plus >= final.rho_mid - 1e-6
         assert rec.rho_minus <= final.rho_mid + 1e-6
 
@@ -268,6 +293,17 @@ class TestRun:
             run(fam, cfg, force=True)
         with pytest.raises(ValueError, match=r"images A_i e"):
             next(iterate(fam, cfg))
+
+    @pytest.mark.parametrize("e", [(5e-324, 0.0), (0.0, -1e-310)])
+    def test_subnormal_reference_is_refused_up_front(self, example1, e):
+        # normalizing at e divided by |e| and overflowed, with a warning
+        cfg = RelaxConfig(node_count=64, e=e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^e = \(.+\) is too short"):
+                run(example1, cfg)
+            with pytest.raises(ValueError, match=r"^e = \(.+\) is too short"):
+                next(iterate(example1, cfg))
 
     def test_overflowing_node_images_are_refused_up_front(self):
         big = 1.5e308  # maps the node at 45 degrees to length 3e308
@@ -338,9 +374,9 @@ class TestRun:
     def test_steps_still_raise_on_degenerate_input(self):
         fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
         with pytest.raises(ValueError):
-            lr_step(euclidean(64), fam, RelaxConfig(node_count=64), 0)
+            lr_once(euclidean(64), fam, RelaxConfig(node_count=64), 0)
         with pytest.raises(ValueError):
-            mr_step(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
+            mr_once(euclidean(64), fam, RelaxConfig(algorithm="mr", node_count=64), 0)
 
     def test_triple_family_vs_oracle(self):
         from jsrelax import product_bounds
@@ -377,6 +413,37 @@ class TestRun:
             slack = 20.0 * (2.0 * math.pi / nodes) ** 2 * max(res.rho_hi, b.lower)
             assert b.lower <= res.rho_hi + slack
             assert res.rho_lo <= b.upper + slack
+
+
+class TestStepPath:
+    """run() steps through the names on relax that a tracer wraps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        tally = Counter()
+        for name in ("lr_step", "mr_step", "bounds", "combine_linear", "combine_max"):
+            def counted(*args, _fn=getattr(relax, name), _name=name, **kwargs):
+                tally[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(relax, name, counted)
+        return tally
+
+    @pytest.mark.parametrize("algorithm, combine", [
+        ("lr", "combine_linear"), ("mr", "combine_max"),
+    ])
+    def test_each_step_calls_bounds_and_its_combine_once(self, calls, example1, algorithm,
+                                                          combine):
+        res = run(example1, RelaxConfig(algorithm=algorithm, node_count=512))
+        steps = len(res.trace)
+        assert steps > 1
+        assert calls == {f"{algorithm}_step": steps, "bounds": steps, combine: steps}
+
+    def test_unsafe_direct_calls_no_combine(self, calls, example1):
+        res = run(example1, RelaxConfig(node_count=512, unsafe_direct=True, max_iters=20))
+        steps = len(res.trace)
+        assert steps > 1
+        assert calls == {"lr_step": steps, "bounds": steps}
 
 
 class TestTraceInvariants:

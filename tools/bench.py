@@ -9,11 +9,12 @@ tol=1e-6, as `jsrelax run --tol 1e-6` does) and times write_norm and
 write_trace into memory and render_unit_sphere at 512 px.
 
 Relax: for seeded random families of r = 2, 8 and 32 matrices and each node
-count N it times the image plan build and one lr and one mr step on that
-plan, from the normalized Euclidean start (r = 32 only up to N = 30000: its
-plan holds 32 bytes per entry, 150 MB at N = 300000).  It also times `run`
-on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to 30000.  Its
-repeats go round robin over all of these calls.
+count N it times the image plan build and one `relax.lr_step` and one
+`relax.mr_step` on that plan, from the normalized Euclidean start (r = 32
+only up to N = 30000: its plan holds 32 bytes per entry, 150 MB at
+N = 300000).  It also times `run` on examples 1 and 2, lr and mr, at
+tol=1e-9 for each N up to 30000.  Its repeats go round robin over all of
+these calls.
 
 Each time is the minimum and the median over the repeats.  Run from the
 repository root:
@@ -147,11 +148,11 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
             steps.append(row)
             plan = norms._ImagePlan(s, n, e)  # kept for the section: 70 MB at the default N
             calls.append((row, "plan_build", lambda s=s, n=n: norms._ImagePlan(s, n, e)))
-            for algorithm in ("lr", "mr"):
+            for algorithm, step in (("lr", relax.lr_step), ("mr", relax.mr_step)):
                 cfg = RelaxConfig(algorithm=algorithm, node_count=n)
                 nm = relax._initial(cfg)
-                calls.append((row, f"{algorithm}_step", lambda nm=nm, plan=plan, cfg=cfg:
-                              relax._step(nm, plan, cfg, 0, cfg.algorithm)))
+                calls.append((row, f"{algorithm}_step",
+                              lambda step=step, nm=nm, plan=plan, cfg=cfg: step(nm, plan, cfg, 0)))
     runs = []
     for name, mats in FAMILIES.items():
         for algorithm in ("lr", "mr"):
