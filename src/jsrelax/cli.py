@@ -141,12 +141,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = _load_problem(args.problem)
+    rows = depth_sweep(problem.matrices, args.max_depth)  # refuses a bad request here
     if problem.label:
         print(f"# label: {problem.label}")
     print("# upper bound norm: euclidean")
     print("# trace_estimate is a diagnostic, not a bound")
     print("depth,lower,upper,trace_estimate")
-    for b, t in depth_sweep(problem.matrices, args.max_depth):
+    for b, t in rows:
         print(f"{b.depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
     return EXIT_OK
 

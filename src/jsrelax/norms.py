@@ -14,11 +14,16 @@ same order, so the two agree bitwise; several exactness guarantees
 rely on this.  A relaxation solve builds one _ImagePlan, the only builder
 of a node stencil, whose stencil and buffers every step reuses;
 combine_linear and combine_max write a step's next profile from the plan's
-node image maxima, and each step allocates only that profile.
+node image maxima, and each step allocates only that profile.  A step maps
+only the family members that can attain those maxima: a member whose
+Euclidean image lengths stay below the longest image's by more than the
+profile's spread max h / min h (its dominance margin) is skipped, which
+changes no output bit (see _Stencil).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,7 +93,9 @@ class AngularNorm:
 
     Construction validates positivity, finiteness and the node-count parity,
     and pins central symmetry by averaging antipodal nodes (an exact no-op
-    when the input is already symmetric).
+    when the input is already symmetric).  The validation's min and max of
+    the node values stay as _extremes = (min h, max h), which the image
+    plan's member screening reads.
     """
 
     values: np.ndarray
@@ -107,7 +114,7 @@ class AngularNorm:
             total = a + b
         # the antipodal mean, halving first where a + b overflows
         vals[n // 2:] = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
-        object.__setattr__(self, "values", _symmetric(vals))
+        _store(self, vals)
 
     @classmethod
     def _adopt(cls, vals: np.ndarray) -> "AngularNorm":
@@ -117,7 +124,7 @@ class AngularNorm:
         which is exact for equal halves.  vals becomes the profile's storage.
         """
         nm = object.__new__(cls)
-        object.__setattr__(nm, "values", _symmetric(vals))
+        _store(nm, vals)
         return nm
 
     @property
@@ -129,8 +136,9 @@ class AngularNorm:
         return _grid(self.node_count).angles
 
 
-def _symmetric(vals: np.ndarray) -> np.ndarray:
-    """vals, read-only, with its upper half checked and copied into its lower half.
+def _store(nm: AngularNorm, vals: np.ndarray) -> None:
+    """Make vals, read-only, nm's profile, with its upper half checked and
+    copied into its lower half; keep the node extremes as nm._extremes.
 
     Non-finite values are refused before non-positive ones.  One min and one
     max decide both: a NaN propagates into each, and the values are all
@@ -145,7 +153,8 @@ def _symmetric(vals: np.ndarray) -> np.ndarray:
         raise ValueError("profile values must be positive")
     vals[:half] = upper
     vals.flags.writeable = False
-    return vals
+    object.__setattr__(nm, "values", vals)
+    object.__setattr__(nm, "_extremes", (lo, hi))
 
 
 def euclidean(n: int) -> AngularNorm:
@@ -249,6 +258,40 @@ def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
     ]
 
 
+# A member is screened out of a step when its dominance margin exceeds the
+# profile's spread max h / min h by this factor, far more than the few-ulp
+# rounding of an interpolated value.  That rounding is relative only for node
+# values in [_SCREEN_LO, _SCREEN_HI]: normal, and an interpolation of them
+# still finite.  A profile outside it maps every member.
+_MARGIN_SLACK = 1.0 + 1e-12
+_SCREEN_LO = 2.0 ** -1022
+_SCREEN_HI = 2.0 ** 1022
+# A stencil orders its rows by their margins over about this many evenly
+# spaced columns.  On the relax_family benchmark corpus (N = 3000) every solve
+# then maps as many rows as with the rows in the order of their exact
+# margins, and so it does with 32 columns; sorting the built rows by their
+# exact margins instead moves the whole stencil, which made an r = 8 plan
+# build at N = 300000 a third slower or more.
+_SAMPLE_COLUMNS = 64
+
+
+def _margins(rad: np.ndarray) -> np.ndarray:
+    """The dominance margin of each row of rad.
+
+    Row k's margin is min over the columns j of top_j / rad_kj, with top_j
+    the largest length in column j: at least 1, exactly 1 for a row that is
+    the longest somewhere, +inf for a row of length 0 wherever top_j > 0.
+    Columns of length 0 in every row do not count.
+    """
+    top = np.maximum.reduce(rad, axis=0)
+    margin = np.full(rad.shape[0], math.inf)
+    # x/0 and 0/0 give inf and NaN, with no warning; fmin skips the NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, c in _tiles(*rad.shape, _BLOCK):
+            np.fmin(margin[r], np.fmin.reduce(top[c] / rad[r, c], axis=1), out=margin[r])
+    return margin
+
+
 class _Stencil:
     """Interpolation stencil of the images y_kj = A_k x_j, reusable for any profile.
 
@@ -257,9 +300,27 @@ class _Stencil:
     max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add
     and no angle work.  A symmetric profile repeats its upper half, so
     h[i0] and h[i0 + 1] are values[i0] and values[1:][i0]: apply() reads
-    values[:N/2 + 1] and needs no shifted copy of the profile.  The build maps
-    all rows at once, block by block, with the same _sector and hypot per
-    entry as a map of one row at a time.
+    values[:N/2 + 1] and needs no shifted copy of the profile.
+
+    Member screening.  Row k's value at column j is rad_kj times an
+    interpolation of h, which lies within a few ulp of [min h, max h]; the
+    longest row there, of length top_j, gives at least top_j * min h less
+    those few ulp.  So where the row's dominance margin
+    mu_k = min_j top_j / rad_kj (see _margins) exceeds the spread
+    max h / min h by _MARGIN_SLACK, its value lies below the longest row's at
+    every column and never attains the maximum.  The maximum is exact and
+    independent of the row order, so apply() maps only the leading rows that
+    rows_for() keeps and returns the same bits as a map of every row.
+
+    The rows are stored in the order of their margins over a sample of the
+    columns, likely those with small margins first; `members` holds the
+    family index of each row.  `margin[k]` is the least exact margin of row
+    k and the rows after it, so it never decreases, and the rows after the
+    first k whose margin[k] exceeds a bound all exceed it.  When every
+    margin is 1 (every member is the longest somewhere, or the last row is)
+    apply() maps every row and does no screening work.  The build maps all
+    rows at once, block by block, with the same _sector and hypot per entry
+    as a map of one row at a time.
 
     Memory is 32 bytes per entry, an output buffer of one value per column
     and two block buffers.  apply() works in those buffers and returns the
@@ -270,6 +331,10 @@ class _Stencil:
     def __init__(self, mats, x0, x1, n: int):
         rows, cols = len(mats), np.size(x0)
         entry = _entries(mats)
+        step = max(1, cols // _SAMPLE_COLUMNS)
+        sample = np.hypot(*_images(entry, x0[::step], x1[::step]))
+        self.members = np.argsort(_margins(sample), kind="stable")
+        entry = entry[self.members]
         self.i0 = np.empty((rows, cols), dtype=np.intp)
         self.w0 = np.empty((rows, cols))
         self.f = np.empty((rows, cols))
@@ -280,31 +345,47 @@ class _Stencil:
             self.f[r, c] = f
             np.subtract(1.0, f, out=self.w0[r, c])
             np.hypot(y0, y1, out=self.rad[r, c])
+        # the exact margins, each lowered to the least of its row and the rows after it
+        self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
         self.best = np.empty(cols)
-        tiles = _tiles(rows, cols, _BLOCK)
-        r, c = tiles[0]
-        buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
-        # per block: its stencil views, two scratch views and its output view;
-        # a one-row block gets 1-d views and needs no reduction over rows
-        self._blocks = []
-        for r, c in tiles:
+        r, c = _tiles(rows, cols, _BLOCK)[0]
+        self._buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
+        self._blocks = {}  # the block views of each leading row count
+
+    def _views(self, rows: int) -> list[tuple]:
+        """Per block of the leading rows: its stencil views, two scratch views
+        and its output view; a one-row block gets 1-d views and needs no
+        reduction over rows."""
+        blocks = []
+        for r, c in _tiles(rows, self.best.size, _BLOCK):
             first = r.start == 0
             if r.stop - r.start == 1:
                 r = r.start
             i0 = self.i0[r, c]
-            a, b = buf[:, :i0.size].reshape((2,) + i0.shape)
-            self._blocks.append(
-                (i0, self.w0[r, c], self.f[r, c], self.rad[r, c], a, b, self.best[c], first)
-            )
+            a, b = self._buf[:, :i0.size].reshape((2,) + i0.shape)
+            blocks.append((i0, self.w0[r, c], self.f[r, c], self.rad[r, c], a, b, self.best[c], first))
+        self._blocks[rows] = blocks
+        return blocks
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """max over the rows of the profile norms of the stored vectors.
+    def rows_for(self, lo: float, hi: float) -> int:
+        """How many leading rows can attain the maximum for a profile with
+        node extremes lo = min h and hi = max h: those with margin at most
+        (hi / lo) * _MARGIN_SLACK, and at least one; every row when no
+        margin exceeds 1 or lo and hi leave the screening range."""
+        margin = self.margin
+        if margin[-1] <= 1.0 or not (_SCREEN_LO <= lo and hi <= _SCREEN_HI):
+            return len(margin)
+        return max(1, bisect.bisect_right(margin, hi / lo * _MARGIN_SLACK))
 
-        values is a symmetric profile.  Returns the output buffer, which the
-        next call overwrites.
+    def apply(self, values: np.ndarray, rows: int) -> np.ndarray:
+        """max over the leading rows of the profile norms of the stored vectors.
+
+        values is a symmetric profile, and rows at least rows_for() of its
+        extremes.  Returns the output buffer, which the next call overwrites.
         """
         ahead = values[1:]  # ahead[i] = h[i + 1]
-        for i0, w0, f, rad, a, b, best, first in self._blocks:
+        blocks = self._blocks.get(rows) or self._views(rows)
+        for i0, w0, f, rad, a, b, best, first in blocks:
             values.take(i0, out=a, mode="clip")
             ahead.take(i0, out=b, mode="clip")
             np.multiply(w0, a, out=a)
@@ -367,9 +448,17 @@ class _ImagePlan:
                 "length; rescale e"
             )
 
+    def members_mapped(self, nm: AngularNorm) -> int:
+        """How many family members node_image_max(nm) maps: those whose
+        dominance margin the spread of nm reaches."""
+        return self.nodes.rows_for(*nm._extremes)
+
     def node_image_max(self, nm: AngularNorm) -> np.ndarray:
-        """max_i |A_i u_j| at the upper-half nodes u_j, in the plan's output buffer."""
-        return self.nodes.apply(nm.values)
+        """max_i |A_i u_j| at the upper-half nodes u_j, in the plan's output buffer.
+
+        Maps only the members that can attain the maximum (see _Stencil).
+        """
+        return self.nodes.apply(nm.values, self.members_mapped(nm))
 
     def image_at_e(self, nm: AngularNorm) -> float:
         """max_i |A_i e|, bitwise equal to max_image(nm, s, e)."""

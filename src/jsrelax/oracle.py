@@ -121,10 +121,17 @@ def _check_budget(count: int, depth: int, cap: int) -> None:
         raise EnumerationBudgetError(count, depth, required, cap)
 
 
-def _deepest(s: MatrixSet, depth: int, cap: int) -> tuple[np.ndarray, int]:
-    """The depth-n batch of _products; refused before any product is built."""
+def _check_request(s: MatrixSet, depth: int) -> None:
+    """Refuses a family that is not 2x2, then a depth below 1."""
+    if s.dim != 2:
+        raise UnsupportedDimensionError(f"the product oracle supports dim 2 only, got {s.dim}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+
+
+def _deepest(s: MatrixSet, depth: int, cap: int) -> tuple[np.ndarray, int]:
+    """The depth-n batch of _products; refused before any product is built."""
+    _check_request(s, depth)
     _check_budget(s.count, depth, cap)
     for batch in _products(s, depth, cap):
         pass
@@ -169,18 +176,12 @@ def _trace(prods: np.ndarray, depth: int, e: int) -> float:
     return _root(np.abs(np.trace(prods, axis1=1, axis2=2)), depth, e)
 
 
-def _require_dim2(s: MatrixSet) -> None:
-    if s.dim != 2:
-        raise UnsupportedDimensionError(f"product_bounds supports dim 2 only, got {s.dim}")
-
-
 def product_bounds(s: MatrixSet, depth: int, cap: int = DEFAULT_PRODUCT_CAP) -> ProductBounds:
     """Exhaustive depth-n bracket of the joint spectral radius.
 
     lower = (max spectral radius over products)^(1/n);
     upper = (max spectral norm over products)^(1/n), exact up to rounding.
     """
-    _require_dim2(s)
     prods, e = _deepest(s, depth, cap)
     return _bounds(prods, depth, e)
 
@@ -194,11 +195,15 @@ def trace_estimate(s: MatrixSet, depth: int, cap: int = DEFAULT_PRODUCT_CAP) -> 
 def depth_sweep(
     s: MatrixSet, max_depth: int, cap: int = DEFAULT_PRODUCT_CAP
 ) -> Iterator[tuple[ProductBounds, float]]:
-    """Yield product_bounds and trace_estimate for depths 1..max_depth, with
+    """Rows of product_bounds and trace_estimate for depths 1..max_depth, with
     equal results, building each depth once from the one before.
 
-    A depth above cap raises EnumerationBudgetError after the rows before it.
+    A family that is not 2x2 and a max_depth below 1 are refused here, before
+    the rows are iterated.  A depth above cap raises EnumerationBudgetError
+    after the rows before it.
     """
-    _require_dim2(s)
-    for depth, (prods, e) in enumerate(_products(s, max_depth, cap), 1):
-        yield _bounds(prods, depth, e), _trace(prods, depth, e)
+    _check_request(s, max_depth)
+    return (
+        (_bounds(prods, depth, e), _trace(prods, depth, e))
+        for depth, (prods, e) in enumerate(_products(s, max_depth, cap), 1)
+    )

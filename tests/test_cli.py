@@ -166,6 +166,14 @@ class TestOracleCommand:
         assert [r.split(",")[0] for r in rows] == ["1"]
         assert "depth 2" in captured.err
 
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_is_an_error(self, problem_file, capsys, depth):
+        code = cli_main(["oracle", "--max-depth", depth, problem_file(EX1)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: depth must be >= 1, got {depth}\n"
+
     def test_nodes_flag_is_a_usage_error(self, problem_file, capsys):
         assert cli_main(["oracle", "--nodes", "512", problem_file(EX1)]) == 1
         assert "--nodes" in capsys.readouterr().err

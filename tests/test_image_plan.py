@@ -4,11 +4,18 @@ The reference below evaluates every family member with _eval_xy, the array
 evaluator that evaluate used before the plan's scalar terms, and takes the
 running maximum, as the image map did before it was split into a plan built
 once per solve and a gather-multiply-add per step.  The plan performs the
-same floating-point operations, so runs must agree bit for bit.
+same floating-point operations, so runs must agree bit for bit.  The plan
+maps only the members whose dominance margin the profile's spread reaches;
+the member-screening tests below hold it to the unscreened reference at and
+around every margin.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsrelax import (
     AngularNorm,
@@ -179,10 +186,10 @@ class TestWorkCount:
             tally["points"] += 1
             points_init(self, *args)
 
-        def counting_apply(self, values):
+        def counting_apply(self, values, rows):
             # only the plan's stencil exists (stencils == 1), so every call maps the node grid
             tally["applies"] += 1
-            return stencil_apply(self, values)
+            return stencil_apply(self, values, rows)
 
         monkeypatch.setattr(relax, "_ImagePlan", CountingPlan)
         monkeypatch.setattr(norms._Stencil, "__init__", counting_init)
@@ -334,3 +341,155 @@ def test_sector_matches_where_form_bitwise(n):
     ref_i0, ref_f = where_sector(x0, x1, n)
     assert i0.tobytes() == (ref_i0 % (n // 2)).tobytes()
     assert f.tobytes() == ref_f.tobytes()
+
+
+# Member screening: a step maps only the members whose dominance margin
+# mu_k = min_j top_j / |A_k u_j|_2 is within the spread max h / min h (times
+# 1 + 1e-12) of the profile, and must equal the reference map of every member.
+
+# the relax_family corpus of the benchmark, before its per-seed rotations
+_rng = np.random.default_rng(2008)
+CORPUS = [_rng.uniform(-2.0, 2.0, size=(r, 2, 2)) for r, count in ((2, 6), (8, 6), (32, 4))
+          for _ in range(count)]
+
+
+def reference_margins(mats, n):
+    """Each member's margin, in family order, from the reference image lengths."""
+    g = _grid(n)
+    x0, x1 = g.ux[n // 2:], g.uy[n // 2:]
+    rad = np.array([np.hypot(a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1)
+                    for a in mats])
+    top = rad.max(axis=0)
+    live = top > 0.0  # columns of length 0 in every row do not count
+    return [min((t / v if v > 0.0 else math.inf for t, v in zip(top[live], row[live])),
+                default=math.inf) for row in rad]
+
+
+def assert_unscreened(plan, s, nm):
+    n = nm.node_count
+    g = _grid(n)
+    expected = reference_image_max(nm.values, s.arrays(), g.ux[n // 2:], g.uy[n // 2:])
+    assert plan.node_image_max(nm).tobytes() == expected.tobytes()
+
+
+def spike(n: int, nodes, hi: float) -> AngularNorm:
+    """Profile 1 except hi at the given upper-half nodes: min h = 1, max h = hi."""
+    upper = np.ones(n // 2)
+    upper[list(nodes)] = hi
+    return AngularNorm(np.concatenate([upper, upper]))
+
+
+@pytest.mark.parametrize("k", range(len(CORPUS)))
+def test_corpus_margins_and_screening_is_exact_around_each(k):
+    # for each member, a profile whose spread sits just below, at and just
+    # above its margin, with max h on the image of its closest node and
+    # min h elsewhere: there the member comes within 2e-12 of the maximum
+    n = 3000
+    s = MatrixSet(tuple(CORPUS[k]))
+    plan = norms._ImagePlan(s, n, (1.0, 0.0))
+    sten = plan.nodes
+    exact = reference_margins(s.arrays(), n)
+    members = sten.members.tolist()
+    assert sorted(members) == list(range(s.count))
+    assert sten.margin == [min(exact[i] for i in members[row:]) for row in range(s.count)]
+    top = sten.rad.max(axis=0)
+    for row, member in enumerate(members):
+        mu = exact[member]
+        if not 1.0 + 1e-9 < mu < math.inf:
+            continue
+        j = int(np.argmin(top / sten.rad[row]))
+        i0 = int(sten.i0[row, j])
+        # just below its margin the member is skipped, unless a later row
+        # has a smaller margin; from 1e-13 below it on, it is mapped
+        for factor, mapped in ((1.0 - 2e-12, False if sten.margin[row] == mu else None),
+                               (1.0 - 1e-13, True), (1.0, True), (1.0 + 1e-12, True),
+                               (1.0 + 1e-6, True)):
+            nm = spike(n, {i0, (i0 + 1) % (n // 2)}, mu * factor)
+            if mapped is not None:
+                assert (plan.members_mapped(nm) > row) == mapped
+            assert_unscreened(plan, s, nm)
+
+
+ZERO = ((0.0, 0.0), (0.0, 0.0))
+NIL = ((0.0, 1.0), (0.0, 0.0))
+A = ((1.0, 2.0), (-0.5, 1.5))
+EDGE_FAMILIES = {
+    "zero member": (A, ZERO),
+    "zero member first": (ZERO, R1[0]),
+    "singular member maps a node to 0": (((1.0, 0.0), (0.0, 0.0)), R1[0]),
+    "dominated singular member": (((0.1, 0.0), (0.0, 0.0)), A),
+    "nilpotent pair": (NIL, ((0.0, 0.0), (1.0, 0.0))),
+    "nilpotent and its double": (NIL, ((0.0, 2.0), (0.0, 0.0))),
+    "r1": R1,
+    "r1 nilpotent": (NIL,),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FAMILIES))
+@pytest.mark.parametrize("n", [64, 3000])
+def test_screening_is_exact_on_degenerate_families(name, n):
+    s = MatrixSet(EDGE_FAMILIES[name])
+    plan = norms._ImagePlan(s, n, (1.0, 0.0))
+    assert 1 <= plan.members_mapped(euclidean(n)) <= s.count
+    for nm in (euclidean(n), bumpy(n), spike(n, {3, 4}, 7.5), spike(n, range(n // 4), 1e6)):
+        assert_unscreened(plan, s, nm)
+
+
+def test_zero_member_has_infinite_margin_and_is_never_mapped():
+    plan = norms._ImagePlan(MatrixSet((ZERO, A)), 64, (1.0, 0.0))
+    assert plan.nodes.members.tolist() == [1, 0]
+    assert plan.nodes.margin == [1.0, math.inf]
+    assert plan.members_mapped(spike(64, {1}, 1e300)) == 1
+
+
+def test_dominated_member_is_mapped_only_past_its_margin():
+    # A/4 lies a factor 4 below A at every node (up to hypot's rounding), so
+    # the Euclidean profile maps A alone and a spread above 4 maps both
+    s = MatrixSet((np.array(A) / 4.0, A))
+    plan = norms._ImagePlan(s, 512, (1.0, 0.0))
+    assert plan.nodes.members.tolist() == [1, 0]
+    assert plan.nodes.margin[0] == 1.0 and plan.nodes.margin[1] == pytest.approx(4.0, rel=1e-15)
+    for nm, mapped in ((euclidean(512), 1), (spike(512, {7}, 3.99), 1), (spike(512, {7}, 4.01), 2),
+                       (bumpy(512), 1)):
+        assert plan.members_mapped(nm) == mapped
+        assert_unscreened(plan, s, nm)
+
+
+def test_profiles_outside_the_screening_range_map_every_member():
+    # the interpolation's rounding is relative only for normal node values
+    # whose interpolations stay finite, so other profiles map every member
+    s = MatrixSet((np.array(A) / 256.0, np.array(A) / 64.0))
+    plan = norms._ImagePlan(s, 64, (1.0, 0.0))
+    assert plan.members_mapped(euclidean(64)) == 1
+    for values in (np.full(64, 1e-310), np.full(64, 1.5 * 2.0 ** 1022),
+                   spike(64, {2}, 1e-300).values * 1e-10):
+        nm = AngularNorm(values)
+        assert plan.members_mapped(nm) == 2
+        assert_unscreened(plan, s, nm)
+
+
+screen_entry = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+screen_matrix = st.lists(screen_entry, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+
+
+@st.composite
+def screened_family(draw):
+    """Up to six matrices, some of them scaled copies of others, so dominated."""
+    base = draw(st.lists(screen_matrix, min_size=1, max_size=4))
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.floats(0.0, 1.0)),
+                           max_size=6 - len(base)))
+    mats = base + [scale * base[i] for i, scale in copies]
+    return draw(st.permutations(mats))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(screened_family(), st.sampled_from([16, 64, 250]),
+       st.lists(st.floats(1.0, 50.0), min_size=1, max_size=8), st.data())
+def test_screened_map_equals_unscreened_reference(mats, n, levels, data):
+    if not any(np.any(a) for a in mats):
+        return  # MatrixSet refuses a family of zero matrices
+    s = MatrixSet(tuple(mats))
+    plan = norms._ImagePlan(s, n, (1.0, 0.0))
+    upper = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n // 2,
+                                        max_size=n // 2)))
+    assert_unscreened(plan, s, AngularNorm(np.concatenate([upper, upper])))

@@ -145,6 +145,12 @@ class TestTraceEstimate:
         with pytest.raises(EnumerationBudgetError):
             trace_estimate(example1, 40)
 
+    def test_rejects_dim_three_as_product_bounds_does(self):
+        fam = MatrixSet((np.eye(3),))
+        for call in (product_bounds, trace_estimate):
+            with pytest.raises(UnsupportedDimensionError, match="dim 2 only, got 3"):
+                call(fam, 2)
+
 
 class TestDepthSweep:
     def test_rows_equal_product_bounds_and_trace_estimate(self, example1, example2):
@@ -166,6 +172,14 @@ class TestDepthSweep:
         fam = MatrixSet((np.eye(3),))
         with pytest.raises(UnsupportedDimensionError):
             next(depth_sweep(fam, 3))
+
+    @pytest.mark.parametrize("max_depth", [0, -2])
+    def test_rejects_depth_below_one_when_called(self, example1, max_depth):
+        # refused by the call itself, as product_bounds refuses depth 0
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {max_depth}"):
+            depth_sweep(example1, max_depth)
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {max_depth}"):
+            product_bounds(example1, max_depth)
 
 
 class TestWorkCount:

@@ -10,11 +10,15 @@ write_trace into memory and render_unit_sphere at 512 px.
 
 Relax: for seeded random families of r = 2, 8 and 32 matrices and each node
 count N it times the image plan build and one `relax.lr_step` and one
-`relax.mr_step` on that plan, from the normalized Euclidean start (r = 32
-only up to N = 30000: its plan holds 32 bytes per entry, 150 MB at
-N = 300000).  It also times `run` on examples 1 and 2, lr and mr, at
-tol=1e-9 for each N up to 30000.  Its repeats go round robin over all of
-these calls.
+`relax.mr_step` on that plan, from the normalized Euclidean start and from
+the profile that `run` converges to at tol=1e-4 with the same algorithm
+(r = 32 only up to N = 30000: its plan holds 32 bytes per entry, 150 MB at
+N = 300000).  Each row records how many of the r members each of those
+steps maps: the plan maps only the members whose dominance margin the
+profile's spread reaches.  It also times `run` on examples 1 and 2, lr and
+mr, at tol=1e-9 for each N up to 30000, and on the seeded r = 8 and r = 32
+families, lr and mr, at N = 3000 and tol=1e-4.  Its repeats go round robin
+over all of these calls.
 
 Each time is the minimum and the median over the repeats.  Run from the
 repository root:
@@ -115,6 +119,20 @@ def writer_times(s: MatrixSet, nodes: int, repeats: int) -> dict:
 RELAX_FAMILIES = ((2, 300000), (8, 300000), (32, 30000))
 RUN_TOL = 1e-9
 RUN_MAX_NODES = 30000
+# the converged profiles of the step rows, and the run rows of the seeded families
+FAMILY_TOL = 1e-4
+FAMILY_RUNS = ((8, 3000), (32, 3000))
+
+
+def seeded_family(r: int) -> MatrixSet:
+    return MatrixSet(tuple(np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))))
+
+
+def members_mapped(plan, nm: norms.AngularNorm) -> int:
+    """How many members a step from nm maps on the plan (all, for a plan without screening)."""
+    if hasattr(plan, "members_mapped"):
+        return plan.members_mapped(nm)
+    return len(plan.nodes.rad)
 
 
 def round_robin(calls: list[tuple[dict, str, object]], repeats: int) -> None:
@@ -142,17 +160,22 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
     steps, calls = [], []
     e = RelaxConfig().e
     for r, max_nodes in RELAX_FAMILIES:
-        s = MatrixSet(tuple(np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))))
+        s = seeded_family(r)
         for n in (n for n in nodes if n <= max_nodes):
-            row = {"r": r, "nodes": n}
+            row = {"r": r, "nodes": n, "mapped": {}}
             steps.append(row)
             plan = norms._ImagePlan(s, n, e)  # kept for the section: 70 MB at the default N
             calls.append((row, "plan_build", lambda s=s, n=n: norms._ImagePlan(s, n, e)))
             for algorithm, step in (("lr", relax.lr_step), ("mr", relax.mr_step)):
                 cfg = RelaxConfig(algorithm=algorithm, node_count=n)
-                nm = relax._initial(cfg)
-                calls.append((row, f"{algorithm}_step",
-                              lambda step=step, nm=nm, plan=plan, cfg=cfg: step(nm, plan, cfg, 0)))
+                start = relax._initial(cfg)
+                converged = run(s, RelaxConfig(algorithm=algorithm, node_count=n,
+                                               tol=FAMILY_TOL)).norm
+                for key, nm in ((f"{algorithm}_step", start),
+                                (f"{algorithm}_step_converged", converged)):
+                    row["mapped"][key] = members_mapped(plan, nm)
+                    calls.append((row, key, lambda step=step, nm=nm, plan=plan, cfg=cfg:
+                                  step(nm, plan, cfg, 0)))
     runs = []
     for name, mats in FAMILIES.items():
         for algorithm in ("lr", "mr"):
@@ -164,6 +187,15 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
                        "status": result.status, "iterations": len(result.trace)}
                 runs.append(row)
                 calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
+    for r, n in FAMILY_RUNS:
+        s = seeded_family(r)
+        for algorithm in ("lr", "mr"):
+            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=FAMILY_TOL)
+            result = run(s, cfg)
+            row = {"family": f"r{r}", "algorithm": algorithm, "nodes": n, "tol": FAMILY_TOL,
+                   "status": result.status, "iterations": len(result.trace)}
+            runs.append(row)
+            calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
     round_robin(calls, repeats)
     return {"steps": steps, "runs": runs}
 
@@ -229,8 +261,10 @@ def main(argv=None) -> int:
                   + ", ".join(f"{w} {row[w]['min_ms']:.2f} ms"
                               for w in ("write_norm", "render_unit_sphere", "write_trace")))
     for row in result["relax"]["steps"]:
+        steps = ", ".join(f"{key.replace('_', ' ')} {row[key]['min_ms']:.3f} ms ({mapped} mapped)"
+                          for key, mapped in row["mapped"].items())
         print(f"r={row['r']} N={row['nodes']}: plan build {row['plan_build']['min_ms']:.2f} ms, "
-              f"lr step {row['lr_step']['min_ms']:.3f} ms, mr step {row['mr_step']['min_ms']:.3f} ms")
+              + steps)
     for row in result["relax"]["runs"]:
         print(f"{row['family']} {row['algorithm']} N={row['nodes']} tol={row['tol']:g}: "
               f"run {row['run']['min_ms']:.1f} ms, {row['iterations']} iterations, {row['status']}")
