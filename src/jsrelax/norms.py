@@ -332,8 +332,8 @@ class _Stencil:
         rows, cols = len(mats), np.size(x0)
         entry = _entries(mats)
         step = max(1, cols // _SAMPLE_COLUMNS)
-        sample = np.hypot(*_images(entry, x0[::step], x1[::step]))
-        self.members = np.argsort(_margins(sample), kind="stable")
+        sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
+        self.members = np.argsort(sampled, kind="stable")
         entry = entry[self.members]
         self.i0 = np.empty((rows, cols), dtype=np.intp)
         self.w0 = np.empty((rows, cols))
@@ -345,8 +345,14 @@ class _Stencil:
             self.f[r, c] = f
             np.subtract(1.0, f, out=self.w0[r, c])
             np.hypot(y0, y1, out=self.rad[r, c])
-        # the exact margins, each lowered to the least of its row and the rows after it
-        self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
+        # the exact margins, each lowered to the least of its row and the rows
+        # after it.  The sample's lengths are the build's at its columns, so a
+        # row's exact margin is at most its sampled one: margins all 1 there
+        # are exact.
+        if sampled.max() > 1.0:
+            self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
+        else:
+            self.margin = [1.0] * rows
         self.best = np.empty(cols)
         r, c = _tiles(rows, cols, _BLOCK)[0]
         self._buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
