@@ -134,6 +134,8 @@ def _cmd_run(args) -> int:
         print(f"label: {problem.label}")
     print(f"status: {result.status}")
     print(f"iterations: {len(result.trace)}")
+    if len(result.levels) > 1:
+        print("levels: " + " ".join(f"{nodes}:{steps}" for nodes, steps in result.levels))
     print(f"rho bracket: [{_fmt(result.rho_lo)}, {_fmt(result.rho_hi)}]")
     print(f"rho midpoint: {_fmt(result.rho_mid)}")
     return EXIT_OK if result.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED

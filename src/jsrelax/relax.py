@@ -24,13 +24,22 @@ scalar terms in the plan.  The plan is also the solve's workspace: a step
 maps the grid into the plan's buffers, and the only array it allocates is
 the next profile, whose upper half it computes in place and checks with one
 min and one max.
+
+Grid continuation.  The relaxation contracts at a rate set by the family,
+not by the grid, so a fine solve with no initial norm first solves on a
+coarse grid of N_c = 2 * floor(N / 8) nodes (N/4 rounded down to even),
+with e = (1, 0), and starts from that profile, interpolated linearly in
+angle.  The rule recurses while N_c >= 1024: N = 30000 solves on 1874,
+7500 and then 30000 nodes.  Below that floor a coarse level costs more
+than the fine steps it saves, so N = 3000 is a single-level solve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +47,7 @@ from .matrices import MatrixSet, UnsupportedDimensionError, is_irreducible
 from .norms import (
     TWO_PI,
     AngularNorm,
+    _grid,
     _ImagePlan,
     combine_linear,
     combine_max,
@@ -80,6 +90,9 @@ STATUS_DEGENERATE = "degenerate_image"
 # preserves this identity by construction, so drift past this bound means an
 # implementation bug and is raised rather than silently rescaled.
 _NORMALIZATION_TOL = 1e-12
+
+# The least node count of a coarse level; see the module docstring.
+_COARSE_MIN_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,7 @@ class RelaxConfig:
         object.__setattr__(self, "lambda_schedule", sched)
         if self.averaging not in AVERAGING_KINDS:
             raise ValueError(f"unknown averaging {self.averaging!r}")
-        n = int(self.node_count)
+        n = _count(self.node_count, "node count")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"node count must be even and >= 8, got {n}")
         object.__setattr__(self, "node_count", n)
@@ -139,8 +152,10 @@ class RelaxConfig:
         object.__setattr__(self, "e", e)
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        iters = _count(self.max_iters, "max_iters")
+        if iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {iters}")
+        object.__setattr__(self, "max_iters", iters)
         if self.initial_norm is not None and self.initial_norm.node_count != n:
             raise ValueError(
                 f"initial norm has {self.initial_norm.node_count} nodes, config wants {n}"
@@ -153,6 +168,16 @@ class RelaxConfig:
         if isinstance(self.lambda_schedule, float):
             return self.lambda_schedule
         return self.lambda_schedule[min(n, len(self.lambda_schedule) - 1)]
+
+
+def _count(value, name: str) -> int:
+    """value as an int; refuses a bool and any value that is not an integer type."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -168,7 +193,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RelaxResult:
-    """Final bracket, midpoint estimate, converged norm, and the full trace."""
+    """Final bracket, midpoint estimate, converged norm, and the trace of the solve.
+
+    The trace, and so the bracket and the norm, are those of the N-node grid.
+    levels holds (node count, steps) for every grid the solve stepped on,
+    coarsest first, and ends with (N, len(trace)); a solve with no coarse
+    level has the one entry, and a rejected family none.
+    """
 
     rho_lo: float
     rho_hi: float
@@ -177,6 +208,7 @@ class RelaxResult:
     trace: tuple[IterationRecord, ...]
     status: str
     config: RelaxConfig
+    levels: tuple[tuple[int, int], ...]
 
 
 def gamma_mr(rho_minus: float, rho_plus: float, kind: str = "arithmetic") -> float:
@@ -291,19 +323,36 @@ def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
     return 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol
 
 
-def iterate(
-    s: MatrixSet, cfg: RelaxConfig | None = None
-) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """Yield the norm and the trace record after each step of the configured scheme.
+def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> AngularNorm:
+    """The normalized start of the solve cfg configures.
 
-    Starts from the normalized initial norm and builds the image plan of the
-    family once.  Stops after the first step whose bracket half-width is
-    within tol, after max_iters steps, or, yielding nothing for it, at a step
-    whose image profile degenerates.  Does not test irreducibility; run does.
+    With no initial norm and a coarse grid of at least _COARSE_MIN_NODES,
+    the last profile of the coarse solve (itself continued) refined onto
+    this grid; it appends each coarse level's (node count, steps) to levels.
+    Otherwise, or when the coarse level yields no step, the initial norm or
+    the Euclidean profile.
     """
-    if cfg is None:
-        cfg = RelaxConfig()
-    nm = _initial(cfg)
+    coarse_n = 2 * (cfg.node_count // 8)
+    if cfg.initial_norm is not None or coarse_n < _COARSE_MIN_NODES:
+        return _initial(cfg)
+    last, steps = None, 0
+    # the coarse solve's plan goes with its generator, before this level builds one
+    for last, _ in _solve(s, replace(cfg, node_count=coarse_n, e=(1.0, 0.0)), levels):
+        steps += 1
+    levels.append((coarse_n, steps))
+    if last is None:
+        return _initial(cfg)
+    # last, interpolated periodically and linearly in angle onto this grid
+    fine = np.interp(_grid(cfg.node_count).angles, last.node_angles(), last.values,
+                     period=TWO_PI)
+    return normalize(AngularNorm(fine), cfg.e)
+
+
+def _solve(
+    s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]
+) -> Iterator[tuple[AngularNorm, IterationRecord]]:
+    """iterate's steps on cfg's grid, from _start; coarse levels go into levels."""
+    nm = _start(s, cfg, levels)
     plan = _ImagePlan(s, cfg.node_count, cfg.e)
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     for n in range(cfg.max_iters):
@@ -316,13 +365,33 @@ def iterate(
             return
 
 
+def iterate(
+    s: MatrixSet, cfg: RelaxConfig | None = None
+) -> Iterator[tuple[AngularNorm, IterationRecord]]:
+    """Yield the norm and the trace record after each step of the configured scheme.
+
+    Starts from the normalized initial norm and builds the image plan of the
+    family once.  With no initial norm, on N nodes with
+    N_c = 2 * floor(N / 8) >= 1024, it first solves on N_c nodes (and so on
+    down, see the module docstring) and starts from that profile refined
+    onto the N-node grid; it yields the steps of the N-node grid only.
+    Stops after the first step whose bracket half-width is within tol,
+    after max_iters steps, or, yielding nothing for it, at a step whose
+    image profile degenerates.  Does not test irreducibility; run does.
+    """
+    return _solve(s, RelaxConfig() if cfg is None else cfg, [])
+
+
 def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) -> RelaxResult:
     """Iterate the configured scheme until the bracket half-width reaches tol.
 
     Reducible families are rejected with a distinct status unless force is
     set; forced runs keep valid brackets but may stall at the iteration cap,
     and end with STATUS_DEGENERATE and the records so far if every image of
-    some direction vanishes.
+    some direction vanishes.  A fine grid with no initial norm is solved by
+    continuation from coarse grids, as iterate does; the trace and the
+    status are the N-node grid's, and levels lists every grid's steps.
+    Pass initial_norm=euclidean(N) for a single-level solve.
     """
     if cfg is None:
         cfg = RelaxConfig()
@@ -330,10 +399,12 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
         raise UnsupportedDimensionError(f"run supports dim 2 only, got {s.dim}")
     nan = float("nan")
     if not force and not is_irreducible(s):
-        return RelaxResult(nan, nan, nan, _initial(cfg), (), STATUS_REJECTED, cfg)
+        return RelaxResult(nan, nan, nan, _initial(cfg), (), STATUS_REJECTED, cfg, ())
     records: list[IterationRecord] = []
-    for nm, rec in iterate(s, cfg):
+    levels: list[tuple[int, int]] = []
+    for nm, rec in _solve(s, cfg, levels):
         records.append(rec)
+    levels.append((cfg.node_count, len(records)))
     if records and _converged(records[-1], cfg):
         status = STATUS_CONVERGED
     elif len(records) == cfg.max_iters:
@@ -341,7 +412,9 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
     else:
         status = STATUS_DEGENERATE
     if not records:
-        return RelaxResult(nan, nan, nan, _initial(cfg), (), status, cfg)
+        return RelaxResult(nan, nan, nan, _initial(cfg), (), status, cfg, tuple(levels))
     last = records[-1]
     mid = 0.5 * (last.rho_minus + last.rho_plus)
-    return RelaxResult(last.rho_minus, last.rho_plus, mid, nm, tuple(records), status, cfg)
+    return RelaxResult(
+        last.rho_minus, last.rho_plus, mid, nm, tuple(records), status, cfg, tuple(levels)
+    )

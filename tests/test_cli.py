@@ -65,6 +65,21 @@ class TestRunCommand:
         assert [str(w.message) for w in caught] == []
         assert text.getvalue().splitlines()[-2].startswith("rho bracket: [")
 
+    @pytest.mark.parametrize("nodes, levels", [
+        ("3000", None), ("4094", None), ("30000", r"levels: 1874:\d+ 7500:\d+ 30000:(\d+)"),
+    ])
+    def test_levels_line_follows_iterations_on_fine_grids(self, problem_file, capsys, nodes,
+                                                            levels):
+        code = cli_main(["run", "--nodes", nodes, "--tol", "1e-6", problem_file(EX1)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("status: ") and lines[1].startswith("iterations: ")
+        if levels is None:
+            assert not any(line.startswith("levels:") for line in lines)
+        else:
+            finest = re.fullmatch(levels, lines[2]).group(1)
+            assert lines[1] == f"iterations: {finest}"
+
     def test_mr_algorithm(self, problem_file, capsys):
         code = cli_main(["run", "--algorithm", "mr", "--averaging", "geom",
                          problem_file(EX2)])

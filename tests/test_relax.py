@@ -94,6 +94,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             RelaxConfig(max_iters=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", np.float64(3)), ("max_iters", 3.0),
+        ("max_iters", True), ("node_count", 3000.7), ("node_count", 3000.0),
+        ("node_count", np.float64(64)), ("node_count", False), ("node_count", "64"),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RelaxConfig(**{field: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = RelaxConfig(node_count=np.int64(64), max_iters=np.int32(3))
+        assert type(cfg.node_count) is int and cfg.node_count == 64
+        assert type(cfg.max_iters) is int and cfg.max_iters == 3
+        assert len(run(MatrixSet((rotation(0.5, 2.0),)), cfg).trace) <= 3
+
     def test_unsafe_direct_is_lr_only(self):
         with pytest.raises(ValueError):
             RelaxConfig(algorithm="mr", unsafe_direct=True)

@@ -17,8 +17,12 @@ N = 300000).  Each row records how many of the r members each of those
 steps maps: the plan maps only the members whose dominance margin the
 profile's spread reaches.  It also times `run` on examples 1 and 2, lr and
 mr, at tol=1e-9 for each N up to 30000, and on the seeded r = 8 and r = 32
-families, lr and mr, at N = 3000 and tol=1e-4.  Its repeats go round robin
-over all of these calls.
+families, lr and mr, at N = 3000 and tol=1e-4, and, whatever --nodes says,
+on examples 1 and 2, lr and mr, at N = 30000 with tol=1e-6 and at
+N = 300000 with tol=1e-10 (`fine_runs`).  Each run row records its status,
+its iterations (the N-node grid's) and its grid levels: the node count and
+the steps of every grid the solve stepped on, coarsest first.  Its repeats
+go round robin over all of these calls.
 
 Each time is the minimum and the median over the repeats.  Run from the
 repository root:
@@ -122,6 +126,8 @@ RUN_MAX_NODES = 30000
 # the converged profiles of the step rows, and the run rows of the seeded families
 FAMILY_TOL = 1e-4
 FAMILY_RUNS = ((8, 3000), (32, 3000))
+# (N, tol) of the fine example runs
+FINE_RUNS = ((30000, 1e-6), (300000, 1e-10))
 
 
 def seeded_family(r: int) -> MatrixSet:
@@ -133,6 +139,15 @@ def members_mapped(plan, nm: norms.AngularNorm) -> int:
     if hasattr(plan, "members_mapped"):
         return plan.members_mapped(nm)
     return len(plan.nodes.rad)
+
+
+def run_row(family: str, algorithm: str, n: int, tol: float, result) -> dict:
+    """A run row's outcome; a tree without grid continuation has the one level."""
+    levels = getattr(result, "levels", ((n, len(result.trace)),))
+    return {"family": family, "algorithm": algorithm, "nodes": n, "tol": tol,
+            "status": result.status, "iterations": len(result.trace),
+            "levels": [list(level) for level in levels],
+            "rho_lo": result.rho_lo, "rho_hi": result.rho_hi}
 
 
 def round_robin(calls: list[tuple[dict, str, object]], repeats: int) -> None:
@@ -176,28 +191,20 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
                     row["mapped"][key] = members_mapped(plan, nm)
                     calls.append((row, key, lambda step=step, nm=nm, plan=plan, cfg=cfg:
                                   step(nm, plan, cfg, 0)))
-    runs = []
-    for name, mats in FAMILIES.items():
+    runs, fine_runs = [], []
+    cases = [(runs, name, MatrixSet(mats), n, RUN_TOL)
+             for name, mats in FAMILIES.items() for n in nodes if n <= RUN_MAX_NODES]
+    cases += [(runs, f"r{r}", seeded_family(r), n, FAMILY_TOL) for r, n in FAMILY_RUNS]
+    cases += [(fine_runs, name, MatrixSet(mats), n, tol)
+              for n, tol in FINE_RUNS for name, mats in FAMILIES.items()]
+    for rows, name, s, n, tol in cases:
         for algorithm in ("lr", "mr"):
-            for n in (n for n in nodes if n <= RUN_MAX_NODES):
-                s = MatrixSet(mats)
-                cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=RUN_TOL)
-                result = run(s, cfg)
-                row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": RUN_TOL,
-                       "status": result.status, "iterations": len(result.trace)}
-                runs.append(row)
-                calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
-    for r, n in FAMILY_RUNS:
-        s = seeded_family(r)
-        for algorithm in ("lr", "mr"):
-            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=FAMILY_TOL)
-            result = run(s, cfg)
-            row = {"family": f"r{r}", "algorithm": algorithm, "nodes": n, "tol": FAMILY_TOL,
-                   "status": result.status, "iterations": len(result.trace)}
-            runs.append(row)
+            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=tol)
+            row = run_row(name, algorithm, n, tol, run(s, cfg))
+            rows.append(row)
             calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
     round_robin(calls, repeats)
-    return {"steps": steps, "runs": runs}
+    return {"steps": steps, "runs": runs, "fine_runs": fine_runs}
 
 
 def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
@@ -265,9 +272,11 @@ def main(argv=None) -> int:
                           for key, mapped in row["mapped"].items())
         print(f"r={row['r']} N={row['nodes']}: plan build {row['plan_build']['min_ms']:.2f} ms, "
               + steps)
-    for row in result["relax"]["runs"]:
+    for row in result["relax"]["runs"] + result["relax"]["fine_runs"]:
+        levels = " / ".join(str(steps) for _, steps in row["levels"])
         print(f"{row['family']} {row['algorithm']} N={row['nodes']} tol={row['tol']:g}: "
-              f"run {row['run']['min_ms']:.1f} ms, {row['iterations']} iterations, {row['status']}")
+              f"run {row['run']['min_ms']:.1f} ms, {row['iterations']} iterations "
+              f"(steps by level {levels}), {row['status']}")
     return 0
 
 
