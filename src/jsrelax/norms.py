@@ -177,13 +177,7 @@ def _sector(x0, x1, n: int) -> tuple[np.ndarray, np.ndarray]:
     hi = f >= 1.0 - _NODE_SNAP
     j += hi
     np.putmask(f, hi | (f <= _NODE_SNAP), 0.0)
-    # j lies in [0, N], so two passes of min(k, k - N/2) reduce it modulo
-    # N/2: in unsigned arithmetic k - N/2 wraps round above k when k < N/2
-    k = j.astype(np.uintp)
-    half = np.uintp(n // 2)
-    for _ in range(2):
-        np.minimum(k, k - half, out=k)
-    return k.view(np.intp), f
+    return j.astype(np.intp) % (n // 2), f
 
 
 def _entries(mats) -> np.ndarray:
@@ -272,12 +266,12 @@ def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
 _MARGIN_SLACK = 1.0 + 1e-12
 _SCREEN_LO = 2.0 ** -1022
 _SCREEN_HI = 2.0 ** 1022
-# A stencil of three or more rows orders them by their margins over about
-# this many evenly spaced columns.  On the relax_family benchmark corpus
-# (N = 3000) every solve then maps as many rows as with the rows in the
-# order of their exact margins, and so it does with 32 columns; sorting the
-# built rows by their exact margins instead moves the whole stencil, which
-# made an r = 8 plan build at N = 300000 a third slower or more.
+# A stencil orders its rows by their margins over about this many evenly
+# spaced columns.  On the relax_family benchmark corpus (N = 3000) every solve
+# then maps as many rows as with the rows in the order of their exact
+# margins, and so it does with 32 columns; sorting the built rows by their
+# exact margins instead moves the whole stencil, which made an r = 8 plan
+# build at N = 300000 a third slower or more.
 _SAMPLE_COLUMNS = 64
 
 
@@ -319,11 +313,10 @@ class _Stencil:
     rows_for() keeps and returns the same bits as a map of every row.
 
     The rows are stored in the order of their margins over a sample of the
-    columns, likely those with small margins first, or, for one or two rows,
-    of their exact margins; `members` holds the family index of each row.
-    `margin[k]` is the least exact margin of row k and the rows after it, so
-    it never decreases, and the rows after the first k whose margin[k]
-    exceeds a bound all exceed it.  When every
+    columns, likely those with small margins first; `members` holds the
+    family index of each row.  `margin[k]` is the least exact margin of row
+    k and the rows after it, so it never decreases, and the rows after the
+    first k whose margin[k] exceeds a bound all exceed it.  When every
     margin is 1 (every member is the longest somewhere, or the last row is)
     apply() maps every row and does no screening work.  The build maps all
     rows at once, block by block, with the same _sector and hypot per entry
@@ -338,13 +331,10 @@ class _Stencil:
     def __init__(self, mats, x0, x1, n: int):
         rows, cols = len(mats), np.size(x0)
         entry = _entries(mats)
-        if rows > 2:
-            step = max(1, cols // _SAMPLE_COLUMNS)
-            sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
-            self.members = np.argsort(sampled, kind="stable")
-            entry = entry[self.members]
-        else:
-            self.members = np.arange(rows)
+        step = max(1, cols // _SAMPLE_COLUMNS)
+        sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
+        self.members = np.argsort(sampled, kind="stable")
+        entry = entry[self.members]
         self.i0 = np.empty((rows, cols), dtype=np.intp)
         self.w0 = np.empty((rows, cols))
         self.f = np.empty((rows, cols))
@@ -358,17 +348,8 @@ class _Stencil:
         # the exact margins, each lowered to the least of its row and the rows
         # after it.  The sample's lengths are the build's at its columns, so a
         # row's exact margin is at most its sampled one: margins all 1 there
-        # are exact.  One or two rows take their exact margins, and two swap
-        # when the second's is the smaller.
-        if rows <= 2:
-            exact = _margins(self.rad)
-            if rows == 2 and exact[1] < exact[0]:
-                self.members = self.members[::-1]
-                exact = exact[::-1]
-                for a in (self.i0, self.w0, self.f, self.rad):
-                    a[0], a[1] = a[1], a[0].copy()
-            self.margin = exact.tolist()
-        elif sampled.max() > 1.0:
+        # are exact.
+        if sampled.max() > 1.0:
             self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
         else:
             self.margin = [1.0] * rows

@@ -26,12 +26,19 @@ the next profile, whose upper half it computes in place and checks with one
 min and one max.
 
 Grid continuation.  The relaxation contracts at a rate set by the family,
-not by the grid, so a fine solve with no initial norm first solves on a
-coarse grid of N_c = 2 * floor(N / 8) nodes (N/4 rounded down to even),
-with e = (1, 0), and starts from that profile, interpolated linearly in
-angle.  The rule recurses while N_c >= 1024: N = 30000 solves on 1874,
-7500 and then 30000 nodes.  Below that floor a coarse level costs more
-than the fine steps it saves, so N = 3000 is a single-level solve.
+not by the grid, so a fine solve with no initial norm first solves on the
+coarse grids N/4, N/16, ... (each 2 * floor(n / 8) nodes, n/4 rounded down
+to even) of at least 1024 nodes, coarsest first, with e = (1, 0), and each
+grid starts from the last profile of the one before, interpolated linearly
+in angle.  A coarse grid of N_c nodes may take max_iters * N_c / N steps.
+A solve is continued only when it has two coarse grids or more, from
+N = 16384: N = 30000 solves on 1874, 7500 and then 30000 nodes, N = 3000
+and N = 16382 on their own grid.  Coarse grids pay off when the solve
+needs many steps and cost more than they save on a short one; timed
+against single-level solves on the benchmark corpus's r = 8 families,
+one coarse grid (N = 4096 to 12000) took 1.5-27% longer in all, two
+(N = 16384) 3% longer, three (N = 30000) 1-7% less and, for the two
+families timed there, five (N = 300000) 20-37% less.
 """
 
 from __future__ import annotations
@@ -91,7 +98,8 @@ STATUS_DEGENERATE = "degenerate_image"
 # implementation bug and is raised rather than silently rescaled.
 _NORMALIZATION_TOL = 1e-12
 
-# The least node count of a coarse level; see the module docstring.
+# The least node count of a coarse grid; a solve needs two such grids to be
+# continued (see the module docstring).
 _COARSE_MIN_NODES = 1024
 
 
@@ -323,36 +331,67 @@ def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
     return 0.5 * (rec.rho_plus - rec.rho_minus) <= cfg.tol
 
 
+def _refined(nm: AngularNorm, n: int) -> AngularNorm:
+    """nm interpolated linearly in angle onto the n-node grid.
+
+    Both profiles are centrally symmetric, so only the upper half (phi in
+    [0, pi)) is interpolated; its last interval ends at phi = pi, where the
+    profile takes its value at phi = 0.
+    """
+    half = nm.node_count // 2
+    xp = np.append(nm.node_angles()[half:], math.pi)
+    fp = np.append(nm.values[half:], nm.values[half])
+    vals = np.empty(n)
+    vals[n // 2:] = np.interp(_grid(n).angles[n // 2:], xp, fp)
+    return AngularNorm._adopt(vals)
+
+
+def _coarse_grids(cfg: RelaxConfig) -> list[int]:
+    """Node counts of the grids a solve steps on before cfg's, coarsest first.
+
+    N_c = 2 * floor(N / 8) (N/4 rounded down to even), the same of N_c, and
+    so on down to the last of at least _COARSE_MIN_NODES nodes; none for a
+    solve with an initial norm or with fewer than two such grids.
+    """
+    grids, n = [], cfg.node_count
+    while (n := 2 * (n // 8)) >= _COARSE_MIN_NODES:
+        grids.append(n)
+    if cfg.initial_norm is not None or len(grids) < 2:
+        return []
+    return grids[::-1]
+
+
 def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> AngularNorm:
     """The normalized start of the solve cfg configures.
 
-    With no initial norm and a coarse grid of at least _COARSE_MIN_NODES,
-    the last profile of the coarse solve (itself continued) refined onto
-    this grid; it appends each coarse level's (node count, steps) to levels.
-    Otherwise, or when the coarse level yields no step, the initial norm or
-    the Euclidean profile.
+    The initial norm, or the Euclidean profile, unless cfg has coarse grids.
+    Then each coarse grid in turn is solved with e = (1, 0) from the last
+    profile of the grid before, refined, and the last profile, refined onto
+    cfg's grid, is the start; each grid's (node count, steps) is appended to
+    levels.  A grid of N_c nodes may take max_iters * N_c / N steps, so a
+    solve that stalls spends at most (N_c / N)^2 of its N-node grid's
+    node-steps there, 1/15 on all of them together.  A grid that yields no
+    step leaves the next one the Euclidean start.
     """
-    coarse_n = 2 * (cfg.node_count // 8)
-    if cfg.initial_norm is not None or coarse_n < _COARSE_MIN_NODES:
-        return _initial(cfg)
-    last, steps = None, 0
-    # the coarse solve's plan goes with its generator, before this level builds one
-    for last, _ in _solve(s, replace(cfg, node_count=coarse_n, e=(1.0, 0.0)), levels):
-        steps += 1
-    levels.append((coarse_n, steps))
+    last = None
+    for n_c in _coarse_grids(cfg):
+        coarse = replace(cfg, node_count=n_c, e=(1.0, 0.0),
+                         initial_norm=None if last is None else _refined(last, n_c),
+                         max_iters=max(1, cfg.max_iters * n_c // cfg.node_count))
+        last, steps = None, 0
+        # each grid's plan goes with its generator, before the next grid builds one
+        for last, _ in _steps(s, coarse, _initial(coarse)):
+            steps += 1
+        levels.append((n_c, steps))
     if last is None:
         return _initial(cfg)
-    # last, interpolated periodically and linearly in angle onto this grid
-    fine = np.interp(_grid(cfg.node_count).angles, last.node_angles(), last.values,
-                     period=TWO_PI)
-    return normalize(AngularNorm(fine), cfg.e)
+    return normalize(_refined(last, cfg.node_count), cfg.e)
 
 
-def _solve(
-    s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]
+def _steps(
+    s: MatrixSet, cfg: RelaxConfig, nm: AngularNorm
 ) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """iterate's steps on cfg's grid, from _start; coarse levels go into levels."""
-    nm = _start(s, cfg, levels)
+    """The steps on cfg's grid from the normalized profile nm, as iterate yields them."""
     plan = _ImagePlan(s, cfg.node_count, cfg.e)
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     for n in range(cfg.max_iters):
@@ -365,16 +404,23 @@ def _solve(
             return
 
 
+def _solve(
+    s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]
+) -> Iterator[tuple[AngularNorm, IterationRecord]]:
+    """iterate's steps; the coarse grids' (node count, steps) go into levels."""
+    yield from _steps(s, cfg, _start(s, cfg, levels))
+
+
 def iterate(
     s: MatrixSet, cfg: RelaxConfig | None = None
 ) -> Iterator[tuple[AngularNorm, IterationRecord]]:
     """Yield the norm and the trace record after each step of the configured scheme.
 
     Starts from the normalized initial norm and builds the image plan of the
-    family once.  With no initial norm, on N nodes with
-    N_c = 2 * floor(N / 8) >= 1024, it first solves on N_c nodes (and so on
-    down, see the module docstring) and starts from that profile refined
-    onto the N-node grid; it yields the steps of the N-node grid only.
+    family once.  With no initial norm and N >= 16384 nodes it first solves
+    on the coarse grids N/4, N/16, ... of 1024 nodes or more (see the module
+    docstring) and starts from the last profile refined onto the N-node
+    grid; it yields the steps of the N-node grid only.
     Stops after the first step whose bracket half-width is within tol,
     after max_iters steps, or, yielding nothing for it, at a step whose
     image profile degenerates.  Does not test irreducibility; run does.
@@ -388,10 +434,10 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
     Reducible families are rejected with a distinct status unless force is
     set; forced runs keep valid brackets but may stall at the iteration cap,
     and end with STATUS_DEGENERATE and the records so far if every image of
-    some direction vanishes.  A fine grid with no initial norm is solved by
-    continuation from coarse grids, as iterate does; the trace and the
-    status are the N-node grid's, and levels lists every grid's steps.
-    Pass initial_norm=euclidean(N) for a single-level solve.
+    some direction vanishes.  A grid of 16384 nodes or more with no initial
+    norm is solved by continuation from coarse grids, as iterate does; the
+    trace and the status are the N-node grid's, and levels lists every
+    grid's steps.  Pass initial_norm=euclidean(N) for a single-level solve.
     """
     if cfg is None:
         cfg = RelaxConfig()

@@ -66,7 +66,7 @@ class TestRunCommand:
         assert text.getvalue().splitlines()[-2].startswith("rho bracket: [")
 
     @pytest.mark.parametrize("nodes, levels", [
-        ("3000", None), ("4094", None), ("30000", r"levels: 1874:\d+ 7500:\d+ 30000:(\d+)"),
+        ("3000", None), ("16382", None), ("30000", r"levels: 1874:\d+ 7500:\d+ 30000:(\d+)"),
     ])
     def test_levels_line_follows_iterations_on_fine_grids(self, problem_file, capsys, nodes,
                                                             levels):

@@ -1,10 +1,12 @@
 """Grid continuation: a solve of N nodes with no initial norm starts from
-coarse solves on N_c = 2 * floor(N / 8) nodes while N_c >= 1024.
+solves on the coarse grids N/4, N/16, ... (each 2 * floor(n / 8) nodes) of
+at least 1024 nodes, coarsest first, when there are two or more of them.
 
 The chain below rebuilds it by hand from public calls: iterate on each
-coarse grid with e = (1, 0), the last profile interpolated periodically and
-linearly in angle onto the next grid, and that profile passed as the next
-solve's initial norm (which run normalizes at its e).
+coarse grid with e = (1, 0) and max_iters * N_c / N steps at most, the last
+profile interpolated linearly in angle onto the next grid (its upper half,
+which is pi-periodic), and that profile passed as the next solve's initial
+norm (which iterate and run normalize at their e).
 """
 
 import math
@@ -32,8 +34,10 @@ R3 = tuple(np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 2, 2)))
 
 
 def refine(nm: AngularNorm, n: int) -> AngularNorm:
-    return AngularNorm(np.interp(_grid(n).angles, _grid(nm.node_count).angles, nm.values,
-                                 period=2.0 * math.pi))
+    half = nm.node_count // 2
+    upper = np.interp(_grid(n).angles[n // 2:], nm.node_angles()[half:], nm.values[half:],
+                      period=math.pi)
+    return AngularNorm(np.concatenate([upper, upper]))
 
 
 def chain(s: MatrixSet, cfg: RelaxConfig, coarse: tuple[int, ...]):
@@ -41,7 +45,9 @@ def chain(s: MatrixSet, cfg: RelaxConfig, coarse: tuple[int, ...]):
     start, levels = None, []
     grids = (*coarse, cfg.node_count)
     for n, finer in zip(grids, grids[1:]):
-        steps = list(iterate(s, replace(cfg, node_count=n, e=(1.0, 0.0), initial_norm=start)))
+        budget = max(1, cfg.max_iters * n // cfg.node_count)
+        steps = list(iterate(s, replace(cfg, node_count=n, e=(1.0, 0.0), initial_norm=start,
+                                        max_iters=budget)))
         levels.append((n, len(steps)))
         start = refine(steps[-1][0], finer) if steps else None
     return run(s, replace(cfg, initial_norm=start)), levels
@@ -49,10 +55,12 @@ def chain(s: MatrixSet, cfg: RelaxConfig, coarse: tuple[int, ...]):
 
 @pytest.mark.parametrize("mats, extra, coarse", [
     (EX2, {"node_count": 30000, "tol": 1e-6}, (1874, 7500)),
-    (EX1, {"node_count": 4096, "algorithm": "mr", "averaging": "harmonic", "e": (0.0, 2.0)},
-     (1024,)),
-    (R3, {"node_count": 8198, "lambda_schedule": (0.1, 0.5, 0.9), "tol": 1e-5}, (2048,)),
-], ids=["ex2-lr-30000", "ex1-mr-4096-e", "r3-lr-8198-schedule"])
+    (EX1, {"node_count": 16384, "algorithm": "mr", "averaging": "harmonic", "e": (0.0, 2.0)},
+     (1024, 4096)),
+    (R3, {"node_count": 16392, "lambda_schedule": (0.1, 0.5, 0.9), "tol": 1e-5},
+     (1024, 4098)),
+    (tuple(np.array(EX1) * 1e300), {"node_count": 30000, "max_iters": 40}, (1874, 7500)),
+], ids=["ex2-lr-30000", "ex1-mr-16384-e", "r3-lr-16392-schedule", "ex1x1e300-stalled"])
 def test_run_equals_hand_built_chain_bitwise(mats, extra, coarse):
     s = MatrixSet(mats)
     cfg = RelaxConfig(**extra)
@@ -73,10 +81,12 @@ def test_levels_at_30000_nodes():
 
 
 @pytest.mark.parametrize("n, nodes", [
-    (4094, [4094]),          # N_c = 1022, below the floor
-    (4096, [1024, 4096]),    # N_c = 1024
-    (8190, [2046, 8190]),    # N_c = 2 * floor(8190 / 8) = 2046
+    (16382, [16382]),               # 4094, then 1022: one coarse grid
+    (16384, [1024, 4096, 16384]),   # two coarse grids of 1024 nodes or more
+    (16392, [1024, 4098, 16392]),   # 2 * floor(16392 / 8) = 4098
+    (4096, [4096]),
     (3000, [3000]),
+    (300000, [1170, 4686, 18750, 75000, 300000]),
 ])
 def test_coarse_levels_start_at_1024_nodes(n, nodes):
     res = run(MatrixSet(EX1), RelaxConfig(node_count=n))
@@ -90,11 +100,11 @@ def test_explicit_initial_norm_is_one_level():
 
 
 def test_iterate_yields_the_finest_level_only():
-    s, cfg = MatrixSet(EX2), RelaxConfig(node_count=4096, tol=1e-6)
+    s, cfg = MatrixSet(EX2), RelaxConfig(node_count=16384, tol=1e-6)
     seen = list(iterate(s, cfg))
     res = run(s, cfg)
     assert tuple(rec for _, rec in seen) == res.trace
-    assert all(nm.node_count == 4096 for nm, _ in seen)
+    assert all(nm.node_count == 16384 for nm, _ in seen)
     assert seen[-1][0].values.tobytes() == res.norm.values.tobytes()
 
 
@@ -110,24 +120,24 @@ def test_iterate_yields_the_finest_level_only():
     {"algorithm": "mr", "max_iters": 1},
 ], ids=lambda extra: "-".join(f"{k}={v}" for k, v in extra.items()))
 def test_continued_solves_end_with_a_status(extra):
-    cfg = RelaxConfig(node_count=4096, tol=1e-6, **extra)
+    cfg = RelaxConfig(node_count=16384, tol=1e-6, **extra)
     res = run(MatrixSet(R3), cfg)
     assert res.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
-    assert [n for n, _ in res.levels] == [1024, 4096]
+    assert [n for n, _ in res.levels] == [1024, 4096, 16384]
     assert 1 <= len(res.trace) <= cfg.max_iters
-    assert res.levels[-1] == (4096, len(res.trace))
+    assert res.levels[-1] == (16384, len(res.trace))
     assert res.rho_lo <= res.rho_mid <= res.rho_hi
 
 
 def test_degenerate_coarse_level_falls_back_to_the_euclidean_start():
-    # every member maps (1, 0), the coarse level's e, to 0, so its first lr
-    # step has gamma = 0; the fine level's e = (0, 1) has a nonzero image
+    # every member maps (1, 0), the coarse grids' e, to 0, so their first lr
+    # step has gamma = 0; the fine grid's e = (0, 1) has a nonzero image
     s = MatrixSet((((0.0, 1.0), (0.0, 0.0)), ((0.0, -0.5), (0.0, 0.0))))
-    cfg = RelaxConfig(node_count=4096, e=(0.0, 1.0), max_iters=30)
+    cfg = RelaxConfig(node_count=16384, e=(0.0, 1.0), max_iters=30)
     res = run(s, cfg, force=True)
-    assert res.levels == ((1024, 0), (4096, len(res.trace)))
+    assert res.levels == ((1024, 0), (4096, 0), (16384, len(res.trace)))
     assert len(res.trace) >= 1
-    single = run(s, replace(cfg, initial_norm=euclidean(4096)), force=True)
+    single = run(s, replace(cfg, initial_norm=euclidean(16384)), force=True)
     assert res.trace == single.trace
     assert res.status == single.status
     assert res.norm.values.tobytes() == single.norm.values.tobytes()
@@ -149,3 +159,18 @@ def test_fine_solves_converge_within_the_product_bounds(mats, algorithm):
     # and it brackets the same quantity as the single-level solve
     single = run(s, replace(cfg, initial_norm=euclidean(30000)))
     assert res.rho_lo <= single.rho_hi and single.rho_lo <= res.rho_hi
+
+
+@pytest.mark.parametrize("mats, force", [
+    (tuple(np.array(EX1) * 1e300), False),   # tol is absolute: 1e-3 is below its rounding
+    ((((1.0, 1.0), (0.0, 1.0)), ((0.5, 0.3), (0.0, 0.9))), True),  # reducible
+], ids=["ex1x1e300", "forced-reducible"])
+def test_a_stalled_solve_spends_at_most_a_fifteenth_on_coarse_grids(mats, force):
+    # each coarse grid of N_c nodes may take max_iters * N_c / N steps, so its
+    # node-steps are at most (N_c / N)^2 of the N-node grid's
+    cfg = RelaxConfig(node_count=30000, max_iters=200, tol=1e-12)
+    res = run(MatrixSet(mats), cfg, force=force)
+    assert res.status == STATUS_MAX_ITERS
+    assert res.levels == ((1874, 12), (7500, 50), (30000, 200))
+    coarse = sum(n * steps for n, steps in res.levels[:-1])
+    assert coarse <= 30000 * 200 / 15

@@ -135,9 +135,9 @@ CASES = [
     ids=[f"{c[0]}-{c[2]}-{c[3]}-{'-'.join(c[4]) or 'default'}" for c in CASES],
 )
 def test_run_matches_reference_bitwise(name, mats, algorithm, n, extra):
-    # the reference is a single-level solve; from N = 4096 on, run() would
+    # the reference is a single-level solve; from N = 16384 on, run() would
     # start from coarse grids, so those cases pass the Euclidean start
-    if n >= 4096:
+    if n >= 16384:
         extra = {"initial_norm": euclidean(n), **extra}
     s = MatrixSet(mats)
     cfg = RelaxConfig(algorithm=algorithm, node_count=n, **extra)
@@ -459,28 +459,6 @@ def test_dominated_member_is_mapped_only_past_its_margin():
     for nm, mapped in ((euclidean(512), 1), (spike(512, {7}, 3.99), 1), (spike(512, {7}, 4.01), 2),
                        (bumpy(512), 1)):
         assert plan.members_mapped(nm) == mapped
-        assert_unscreened(plan, s, nm)
-
-
-@pytest.mark.parametrize("mats, members", [
-    ((A, np.array(A) / 4.0), [0, 1]), ((np.array(A) / 4.0, A), [1, 0]),
-    ((A, ZERO), [0, 1]), ((ZERO, A), [1, 0]), ((A, R1[0]), [0, 1]), ((R1[0], A), [0, 1]),
-])
-def test_two_members_are_ordered_by_their_exact_margins(mats, members):
-    # two rows take their exact margins, with no sample, and swap only when
-    # the second row's is the smaller; the swapped rows stay whole
-    s = MatrixSet(mats)
-    plan = norms._ImagePlan(s, 512, (1.0, 0.0))
-    sten = plan.nodes
-    exact = reference_margins(s.arrays(), 512)
-    assert sten.members.tolist() == members
-    assert sten.margin == [exact[i] for i in members]
-    g = _grid(512)
-    for row, member in enumerate(members):
-        alone = norms._Stencil((mats[member],), g.ux[256:], g.uy[256:], 512)
-        for name in ("i0", "w0", "f", "rad"):
-            assert getattr(sten, name)[row].tobytes() == getattr(alone, name)[0].tobytes()
-    for nm in (euclidean(512), spike(512, {7}, 3.99), spike(512, {7}, 4.01), bumpy(512)):
         assert_unscreened(plan, s, nm)
 
 

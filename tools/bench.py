@@ -19,10 +19,16 @@ profile's spread reaches.  It also times `run` on examples 1 and 2, lr and
 mr, at tol=1e-9 for each N up to 30000, and on the seeded r = 8 and r = 32
 families, lr and mr, at N = 3000 and tol=1e-4, and, whatever --nodes says,
 on examples 1 and 2, lr and mr, at N = 30000 with tol=1e-6 and at
-N = 300000 with tol=1e-10 (`fine_runs`).  Each run row records its status,
-its iterations (the N-node grid's) and its grid levels: the node count and
-the steps of every grid the solve stepped on, coarsest first.  Its repeats
-go round robin over all of these calls.
+N = 300000 with tol=1e-10; on the seeded r = 2, 8 and 32 families at
+tol=1e-6 and N = 16382 and 16384 (either side of the node count where grid
+continuation starts) and 30000, and for r = 8 at N = 300000; and on
+example 1 scaled by 1e300 at N = 30000 with max_iters=200, a solve that
+stalls because tol is absolute (`fine_runs`).  A fine run row also times
+the single-level solve, `run` given the Euclidean start (`run_single`).
+Each run row records its status, its iterations (the N-node grid's) and
+its grid levels: the node count and the steps of every grid the solve
+stepped on, coarsest first.  Its repeats go round robin over all of these
+calls.
 
 Each time is the minimum and the median over the repeats.  Run from the
 repository root:
@@ -42,6 +48,7 @@ import resource
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +60,7 @@ from jsrelax import (  # noqa: E402
     MatrixSet,
     RelaxConfig,
     depth_sweep,
+    euclidean,
     render_unit_sphere,
     run,
     write_norm,
@@ -128,6 +136,11 @@ FAMILY_TOL = 1e-4
 FAMILY_RUNS = ((8, 3000), (32, 3000))
 # (N, tol) of the fine example runs
 FINE_RUNS = ((30000, 1e-6), (300000, 1e-10))
+# (r, N) of the fine seeded-family runs, at FINE_FAMILY_TOL
+FINE_FAMILY_RUNS = (*((r, n) for r in (2, 8, 32) for n in (16382, 16384, 30000)), (8, 300000))
+FINE_FAMILY_TOL = 1e-6
+# the stalled run: example 1 times 1e300 at N = 30000 takes max_iters steps
+STALLED_MAX_ITERS = 200
 
 
 def seeded_family(r: int) -> MatrixSet:
@@ -141,10 +154,11 @@ def members_mapped(plan, nm: norms.AngularNorm) -> int:
     return len(plan.nodes.rad)
 
 
-def run_row(family: str, algorithm: str, n: int, tol: float, result) -> dict:
+def run_row(family: str, cfg: RelaxConfig, result) -> dict:
     """A run row's outcome; a tree without grid continuation has the one level."""
-    levels = getattr(result, "levels", ((n, len(result.trace)),))
-    return {"family": family, "algorithm": algorithm, "nodes": n, "tol": tol,
+    levels = getattr(result, "levels", ((cfg.node_count, len(result.trace)),))
+    return {"family": family, "algorithm": cfg.algorithm, "nodes": cfg.node_count,
+            "tol": cfg.tol, "max_iters": cfg.max_iters,
             "status": result.status, "iterations": len(result.trace),
             "levels": [list(level) for level in levels],
             "rho_lo": result.rho_lo, "rho_hi": result.rho_hi}
@@ -192,17 +206,24 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
                     calls.append((row, key, lambda step=step, nm=nm, plan=plan, cfg=cfg:
                                   step(nm, plan, cfg, 0)))
     runs, fine_runs = [], []
-    cases = [(runs, name, MatrixSet(mats), n, RUN_TOL)
+    cases = [(runs, name, MatrixSet(mats), n, RUN_TOL, {})
              for name, mats in FAMILIES.items() for n in nodes if n <= RUN_MAX_NODES]
-    cases += [(runs, f"r{r}", seeded_family(r), n, FAMILY_TOL) for r, n in FAMILY_RUNS]
-    cases += [(fine_runs, name, MatrixSet(mats), n, tol)
+    cases += [(runs, f"r{r}", seeded_family(r), n, FAMILY_TOL, {}) for r, n in FAMILY_RUNS]
+    cases += [(fine_runs, name, MatrixSet(mats), n, tol, {})
               for n, tol in FINE_RUNS for name, mats in FAMILIES.items()]
-    for rows, name, s, n, tol in cases:
+    cases += [(fine_runs, f"r{r}", seeded_family(r), n, FINE_FAMILY_TOL, {})
+              for r, n in FINE_FAMILY_RUNS]
+    cases.append((fine_runs, "ex1x1e300", MatrixSet(tuple(np.array(FAMILIES["ex1"]) * 1e300)),
+                  30000, FINE_FAMILY_TOL, {"max_iters": STALLED_MAX_ITERS}))
+    for rows, name, s, n, tol, extra in cases:
         for algorithm in ("lr", "mr"):
-            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=tol)
-            row = run_row(name, algorithm, n, tol, run(s, cfg))
+            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=tol, **extra)
+            row = run_row(name, cfg, run(s, cfg))
             rows.append(row)
             calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
+            if rows is fine_runs:
+                single = replace(cfg, initial_norm=euclidean(n))
+                calls.append((row, "run_single", lambda s=s, cfg=single: run(s, cfg)))
     round_robin(calls, repeats)
     return {"steps": steps, "runs": runs, "fine_runs": fine_runs}
 
@@ -274,8 +295,10 @@ def main(argv=None) -> int:
               + steps)
     for row in result["relax"]["runs"] + result["relax"]["fine_runs"]:
         levels = " / ".join(str(steps) for _, steps in row["levels"])
+        single = row.get("run_single")
+        single = f" (single-level {single['min_ms']:.1f} ms)" if single else ""
         print(f"{row['family']} {row['algorithm']} N={row['nodes']} tol={row['tol']:g}: "
-              f"run {row['run']['min_ms']:.1f} ms, {row['iterations']} iterations "
+              f"run {row['run']['min_ms']:.1f} ms{single}, {row['iterations']} iterations "
               f"(steps by level {levels}), {row['status']}")
     return 0
 
