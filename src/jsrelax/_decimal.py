@@ -23,7 +23,8 @@ goes through the %-format one element at a time.
 A number is written as a column of four-character words, with its sign,
 digits and point at fixed places and every unused byte 0: leading zeros, the
 trailing zeros %g strips, a point with nothing after it.  text() joins such
-columns and drops the zero bytes.
+columns and drops the zero bytes, and returns ASCII bytes, which a writer
+sends to a binary sink as they are.
 """
 
 from __future__ import annotations
@@ -202,14 +203,14 @@ def blocks(n: int):
     return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
-def text(*columns: np.ndarray) -> str:
-    """Column j of every cells array in turn, for each j, as text without the 0 bytes."""
+def text(*columns: np.ndarray) -> bytes:
+    """Column j of every cells array in turn, for each j, as ASCII bytes without the 0 bytes."""
     # a row of zero words is dropped before the bytewise pass that drops the rest
     words = np.concatenate([c[np.bitwise_or.reduce(c, axis=1) != 0] for c in columns])
     # in pieces of at most 64 KiB, which the allocator reuses: a fresh buffer
     # of a megabyte costs a page fault per 4 KiB written
     step = max(1, 16384 // max(1, len(words)))
-    return "".join(
-        words[:, i:i + step].T.tobytes().translate(None, b"\0").decode("ascii")
+    return b"".join(
+        words[:, i:i + step].T.tobytes().translate(None, b"\0")
         for i in range(0, words.shape[1], step)
     )

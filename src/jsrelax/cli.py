@@ -126,7 +126,7 @@ def _cmd_run(args) -> int:
         with open(args.trace, "w", newline="\n") as sink:
             write_trace(result, sink)
     if args.norm_out:
-        with open(args.norm_out, "w", newline="\n") as sink:
+        with open(args.norm_out, "wb") as sink:
             write_norm(result.norm, sink)
     if args.svg:
         Path(args.svg).write_text(render_unit_sphere(result.norm, _SVG_SIZE), newline="\n")

@@ -5,7 +5,7 @@ to round-trip doubles exactly), LF line endings, no timestamps.  The trace,
 at most a few thousand numbers, is formatted one number at a time with
 format(x, ".17g"); the norm CSV, two numbers per grid node, goes through the
 decimal kernel in `_decimal`, which writes the same bytes as "%.17g" for
-whole arrays at once.
+whole arrays at once, and goes to its binary sink block by block.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -210,11 +210,14 @@ def read_trace(text: str) -> tuple[dict[str, str], tuple[IterationRecord, ...]]:
     return meta, tuple(rows)
 
 
-def write_norm(nm: AngularNorm, sink: TextIO) -> None:
-    """Write the radial profile as 'phi,h' CSV, angles ascending from -pi.
+def write_norm(nm: AngularNorm, sink: BinaryIO) -> None:
+    """Write the radial profile as 'phi,h' CSV, angles ascending from -pi, as
+    ASCII bytes to a binary sink (a file opened "wb", or io.BytesIO).
 
     The numbers are format(x, ".17g") of each angle and value, written by the
-    decimal kernel in blocks of at most _decimal.BLOCK rows.
+    decimal kernel in blocks of at most _decimal.BLOCK rows.  Each block of
+    the lower half goes to the sink as it is made; the upper half's rows,
+    made from the same value cells, wait for the lower half to end.
     """
     # imported here, not with the package: building its tables costs about
     # 1 MB of RSS, which a process that writes no norm or SVG need not pay
@@ -223,12 +226,14 @@ def write_norm(nm: AngularNorm, sink: TextIO) -> None:
     angles = nm.node_angles()
     half = nm.node_count // 2
     upper = nm.values[half:]  # bit-equal to the lower half, so formatted once for both
-    halves = ([], [])
+    sink.write(f"{_NORM_HEADER}\n".encode())
+    later = []
     for rows in _decimal.blocks(half):
         h = _decimal.cells(upper[rows], "%.17g", b"\n")
-        for part, phi in zip(halves, (angles[:half], angles[half:])):
-            part.append(_decimal.text(_decimal.cells(phi[rows], "%.17g", b","), h))
-    sink.write("".join([f"{_NORM_HEADER}\n", *halves[0], *halves[1]]))
+        sink.write(_decimal.text(_decimal.cells(angles[:half][rows], "%.17g", b","), h))
+        later.append(_decimal.text(_decimal.cells(angles[half:][rows], "%.17g", b","), h))
+    for part in later:
+        sink.write(part)
 
 
 def read_norm(text: str) -> AngularNorm:

@@ -19,6 +19,14 @@ only the family members that can attain those maxima: a member whose
 Euclidean image lengths stay below the longest image's by more than the
 profile's spread max h / min h (its dominance margin) is skipped, which
 changes no output bit (see _Stencil).
+
+A plan lives for one solve and serves one thread.  When the solve ends, it
+hands its stencil arrays to a one-set slot (_ImagePlan.release), and the
+next plan of the same shape that a solve takes from it (_ImagePlan.reusing)
+builds into them instead of allocating; the build rewrites every entry, so
+no output bit depends on what the arrays held.  The slot keeps at most one
+set, of at most _KEPT_MAX_BYTES, so a process keeps at most that much after
+a solve returns.
 """
 
 from __future__ import annotations
@@ -136,6 +144,10 @@ class AngularNorm:
         return _grid(self.node_count).angles
 
 
+class _ZeroValue(ValueError):
+    """The least profile value is 0 (a step's positive value can underflow to 0)."""
+
+
 def _store(nm: AngularNorm, vals: np.ndarray) -> None:
     """Make vals, read-only, nm's profile, with its upper half checked and
     copied into its lower half; keep the node extremes as nm._extremes.
@@ -150,7 +162,7 @@ def _store(nm: AngularNorm, vals: np.ndarray) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("profile values must be finite")
     if not lo > 0.0:
-        raise ValueError("profile values must be positive")
+        raise (_ZeroValue if lo == 0.0 else ValueError)("profile values must be positive")
     vals[:half] = upper
     vals.flags.writeable = False
     object.__setattr__(nm, "values", vals)
@@ -292,6 +304,17 @@ def _margins(rad: np.ndarray) -> np.ndarray:
     return margin
 
 
+# The slot of released stencil arrays: at most one entry, under _KEPT_KEY,
+# (shape, arrays) of the last plan released.  A set is taken with one
+# dict.pop, so two threads never take the same set, and put with one
+# assignment, which replaces any set there.  A set over _KEPT_MAX_BYTES is
+# not kept: the benchmark corpus's largest (32 matrices on 3000 nodes) is
+# 1.78 MB, and one of a 300000-node solve would pin tens of MB.
+_KEPT_KEY = "stencil"
+_KEPT_MAX_BYTES = 4 << 20
+_kept: dict = {}
+
+
 class _Stencil:
     """Interpolation stencil of the images y_kj = A_k x_j, reusable for any profile.
 
@@ -325,20 +348,25 @@ class _Stencil:
     Memory is 32 bytes per entry, an output buffer of one value per column
     and two block buffers.  apply() works in those buffers and returns the
     output buffer, which its next call overwrites; so one stencil serves one
-    thread.
+    thread.  The four entry arrays and the block buffers (`arrays`) may come
+    from an earlier stencil of the same (rows, cols): the build overwrites
+    every entry of the entry arrays, and apply() every buffer entry it reads.
     """
 
-    def __init__(self, mats, x0, x1, n: int):
+    def __init__(self, mats, x0, x1, n: int, arrays: tuple | None = None):
         rows, cols = len(mats), np.size(x0)
         entry = _entries(mats)
         step = max(1, cols // _SAMPLE_COLUMNS)
         sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
         self.members = np.argsort(sampled, kind="stable")
         entry = entry[self.members]
-        self.i0 = np.empty((rows, cols), dtype=np.intp)
-        self.w0 = np.empty((rows, cols))
-        self.f = np.empty((rows, cols))
-        self.rad = np.empty((rows, cols))
+        if arrays is None:
+            r, c = _tiles(rows, cols, _BLOCK)[0]
+            arrays = (np.empty((rows, cols), dtype=np.intp), np.empty((rows, cols)),
+                      np.empty((rows, cols)), np.empty((rows, cols)),
+                      np.empty((2, (r.stop - r.start) * (c.stop - c.start))))
+        self.arrays = arrays
+        self.i0, self.w0, self.f, self.rad, self._buf = arrays
         for r, c in _tiles(rows, cols, _BUILD_BLOCK):
             y0, y1 = _images(entry[r], x0[c], x1[c])
             self.i0[r, c], f = _sector(y0, y1, n)
@@ -354,8 +382,6 @@ class _Stencil:
         else:
             self.margin = [1.0] * rows
         self.best = np.empty(cols)
-        r, c = _tiles(rows, cols, _BLOCK)[0]
-        self._buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
         self._blocks = {}  # the block views of each leading row count
 
     def _views(self, rows: int) -> list[tuple]:
@@ -428,18 +454,26 @@ class _ImagePlan:
     array itself, and its next call overwrites it; so one plan serves one
     thread, and a caller that keeps the maxima past the next call copies them.
 
+    Lifetime.  A plan built directly, _ImagePlan(s, n, e), owns its arrays
+    for as long as the caller keeps it, and release() leaves it alone.  A
+    solve takes its plan from reusing() instead, which builds into the
+    stencil arrays of the last released plan when their (rows, cols) match,
+    and ends it with release(), which hands those arrays to the slot (see
+    _kept) and unlinks them from the plan.
+
     Raises ValueError, before any step and without a warning, if e or one of
     these images has no finite Euclidean length.
     """
 
-    def __init__(self, s: MatrixSet, n: int, e):
+    def __init__(self, s: MatrixSet, n: int, e, arrays: tuple | None = None):
         _require_planar(s)
         e0, e1 = _checked_vector(e)
         mats = s.arrays()
         g = _grid(n)
+        self._slot_shape = None  # (rows, cols) for a plan from reusing()
         # a node image that overflows gets an infinite or NaN length, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            self.nodes = _Stencil(mats, g.ux[n // 2:], g.uy[n // 2:], n)
+            self.nodes = _Stencil(mats, g.ux[n // 2:], g.uy[n // 2:], n, arrays)
         self.images_of_e = _Points.of_family(mats, e0, e1, n)
         self.e = _Points(np.array([e0]), np.array([e1]), n)
         self.ratio = np.empty(n // 2)
@@ -453,6 +487,34 @@ class _ImagePlan:
                 f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
                 "length; rescale e"
             )
+
+    @classmethod
+    def reusing(cls, s: MatrixSet, n: int, e) -> "_ImagePlan":
+        """The plan of (s, n, e), built into the kept stencil arrays if they
+        have its shape; its caller ends it with release().
+
+        A kept set of another shape is freed before the build allocates, and
+        the set of a build that raises is dropped: the slot stays empty until
+        the next release.
+        """
+        shape = (s.count, n // 2)
+        kept = _kept.pop(_KEPT_KEY, None)
+        arrays = kept[1] if kept is not None and kept[0] == shape else None
+        del kept
+        plan = cls(s, n, e, arrays)
+        plan._slot_shape = shape
+        return plan
+
+    def release(self) -> None:
+        """End a plan from reusing(): keep its stencil arrays for the next
+        plan of the same shape, if they are at most _KEPT_MAX_BYTES, and make
+        this plan unusable.  A plan built directly is left as it is."""
+        shape, self._slot_shape = self._slot_shape, None
+        if shape is None:
+            return
+        arrays, self.nodes = self.nodes.arrays, None
+        if sum(a.nbytes for a in arrays) <= _KEPT_MAX_BYTES:
+            _kept[_KEPT_KEY] = (shape, arrays)
 
     def members_mapped(self, nm: AngularNorm) -> int:
         """How many family members node_image_max(nm) maps: those whose

@@ -16,6 +16,29 @@ is not a proven bracket; at tol=1e-9 and N=3000, example 1's rho_plus lies
 5.6e-7 below a proven lower bound.  oracle.product_bounds gives the proven
 check.
 
+Nested brackets.  Write the grid map as M(h)_j = max_i L_ij(h), with
+L_ij(h) = rad * (w0 * h[i0] + f * h[i1]) the interpolated norm of A_i u_j:
+a linear map with nonnegative weights.  So M is monotone, positively
+homogeneous and subadditive, and the bracket of h says
+rho_minus * h <= M(h) <= rho_plus * h at the nodes.  An lr step with any
+lambda in [0, 1), the unsafe_direct lambda = 0 included, gives
+h' = lambda * h + (1 - lambda) * M(h) / gamma, and then
+  M(h') <= lambda * M(h) + (1 - lambda) * M(M(h)) / gamma <= rho_plus * h',
+since M(M(h)) <= M(rho_plus * h) = rho_plus * M(h); and at node j, with i
+the member that attains M(h)_j,
+  M(h')_j >= lambda * L_ij(h) + (1 - lambda) * L_ij(M(h)) / gamma
+         >= rho_minus * h'_j,
+since L_ij(M(h)) >= rho_minus * L_ij(h) = rho_minus * M(h)_j.  An mr step
+takes g = max(h, M(h) / gamma) with rho_minus <= gamma <= rho_plus, and
+rescales it, which moves no ratio: M(g) is at least M(h) and M(M(h)) / gamma,
+so at least rho_minus * g; and g <= (rho_plus / gamma) * h, so
+M(g) <= rho_plus * M(h) / gamma <= rho_plus * g.  So the grid brackets are
+nested, up to rounding: rho_plus never rises and rho_minus never falls from
+one step to the next.  Rounding does move them by a few ulp: at N = 3000
+and tol = 1e-6, 15 of the 16 families of the relax_family benchmark's
+corpus, unrotated or turned by its seed-1 rotations, have an mr step whose
+rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
+
 A solve builds the image plan of the family once (norms._ImagePlan), and
 each step is lr_step or mr_step on that plan: it maps the grid once, takes
 the bracket from bounds and the next profile from combine_linear or
@@ -23,7 +46,10 @@ combine_max, all on that single map.  gamma and the norm of e come from
 scalar terms in the plan.  The plan is also the solve's workspace: a step
 maps the grid into the plan's buffers, and the only array it allocates is
 the next profile, whose upper half it computes in place and checks with one
-min and one max.
+min and one max.  A plan serves one solve, so one thread: it is taken with
+_ImagePlan.reusing when the grid's steps start and released when they end,
+however they end, and its stencil arrays then serve the next solve of the
+same shape in the process (see norms).
 
 Grid continuation.  The relaxation contracts at a rate set by the family,
 not by the grid, so a fine solve with no initial norm first solves on the
@@ -56,6 +82,7 @@ from .norms import (
     AngularNorm,
     _grid,
     _ImagePlan,
+    _ZeroValue,
     combine_linear,
     combine_max,
     euclidean,
@@ -90,7 +117,8 @@ STATUS_MAX_ITERS = "max_iters_reached"
 STATUS_REJECTED = "not_irreducible_rejected"
 # every matrix maps some grid direction to 0 (possible for reducible families
 # only), so the next profile is undefined: lr has gamma = 0, or the image
-# profile that mr and the direct variant need vanishes at a node
+# profile that mr and the direct variant need vanishes at a node; or a node
+# value underflows to 0, as lr's at such a node does, lam^n times its start
 STATUS_DEGENERATE = "degenerate_image"
 
 # Every iterate must keep the reference vector at norm 1; the lr update
@@ -275,6 +303,15 @@ def _mapped(
     return m, lo, hi
 
 
+def _next_profile(vals: np.ndarray) -> AngularNorm:
+    """The profile of a step's new values; a node value that underflowed to 0
+    (where every member maps the node to 0, or nearly) ends the solve."""
+    try:
+        return AngularNorm._adopt(vals)
+    except _ZeroValue:
+        raise _DegenerateImage("a node value underflowed to 0") from None
+
+
 def lr_step(
     nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
@@ -296,7 +333,7 @@ def lr_step(
         np.divide(m, g, out=upper)
     else:
         combine_linear(nm, m, lam, g, upper)
-    nxt = AngularNorm._adopt(vals)
+    nxt = _next_profile(vals)
     _require_normalized(nxt, plan, ALGORITHM_LR, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, lam)
 
@@ -317,7 +354,7 @@ def mr_step(
     combine_max(nm, m, g, upper)
     # |e| under the raised profile, read off its upper half
     np.divide(upper, plan.e.max_norm(upper), out=upper)
-    nxt = AngularNorm._adopt(vals)
+    nxt = _next_profile(vals)
     _require_normalized(nxt, plan, ALGORITHM_MR, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, None)
 
@@ -391,17 +428,24 @@ def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> Ang
 def _steps(
     s: MatrixSet, cfg: RelaxConfig, nm: AngularNorm
 ) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """The steps on cfg's grid from the normalized profile nm, as iterate yields them."""
-    plan = _ImagePlan(s, cfg.node_count, cfg.e)
+    """The steps on cfg's grid from the normalized profile nm, as iterate yields them.
+
+    The plan is released however the steps end: converged, at the cap, at
+    a degenerate image, on an error, or when the caller closes the generator.
+    """
+    plan = _ImagePlan.reusing(s, cfg.node_count, cfg.e)
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
-    for n in range(cfg.max_iters):
-        try:
-            nm, rec = step(nm, plan, cfg, n)
-        except _DegenerateImage:
-            return
-        yield nm, rec
-        if _converged(rec, cfg):
-            return
+    try:
+        for n in range(cfg.max_iters):
+            try:
+                nm, rec = step(nm, plan, cfg, n)
+            except _DegenerateImage:
+                return
+            yield nm, rec
+            if _converged(rec, cfg):
+                return
+    finally:
+        plan.release()
 
 
 def _solve(
@@ -434,10 +478,11 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
     Reducible families are rejected with a distinct status unless force is
     set; forced runs keep valid brackets but may stall at the iteration cap,
     and end with STATUS_DEGENERATE and the records so far if every image of
-    some direction vanishes.  A grid of 16384 nodes or more with no initial
-    norm is solved by continuation from coarse grids, as iterate does; the
-    trace and the status are the N-node grid's, and levels lists every
-    grid's steps.  Pass initial_norm=euclidean(N) for a single-level solve.
+    some direction vanishes, or a node value underflows to 0.  A grid of
+    16384 nodes or more with no initial norm is solved by continuation from
+    coarse grids, as iterate does; the trace and the status are the N-node
+    grid's, and levels lists every grid's steps.  Pass
+    initial_norm=euclidean(N) for a single-level solve.
     """
     if cfg is None:
         cfg = RelaxConfig()

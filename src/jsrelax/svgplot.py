@@ -54,7 +54,8 @@ def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
     x = center + scale * px
     y = center - scale * py
     path = [
-        _decimal.text(_decimal.cells(x[rows], "%.6f", b" "), _decimal.cells(y[rows], "%.6f", b" L "))
+        _decimal.text(_decimal.cells(x[rows], "%.6f", b" "),
+                      _decimal.cells(y[rows], "%.6f", b" L ")).decode("ascii")
         for rows in _decimal.blocks(len(x))
     ]
     path[-1] = path[-1][:-3] + " Z"

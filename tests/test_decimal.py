@@ -22,9 +22,9 @@ FORMATS = ["%.17g", "%.6f"]
 
 def kernel_text(x: np.ndarray, fmt: str) -> str:
     x = np.asarray(x, dtype=np.float64)
-    return "".join(
+    return b"".join(
         _decimal.text(_decimal.cells(x[rows], fmt, b"\n")) for rows in _decimal.blocks(x.size)
-    )
+    ).decode("ascii")
 
 
 def first_mismatch(x: np.ndarray, fmt: str):
@@ -159,7 +159,7 @@ class TestFallbackAcrossBlocks:
     def test_suffix_follows_a_widened_row(self):
         # a %-formatted number longer than the kernel's row widens every row
         cells = _decimal.cells(np.array([1.5, 1e300, -2.25]), "%.6f", b" L ")
-        assert _decimal.text(cells) == "".join("%.6f L " % v for v in (1.5, 1e300, -2.25))
+        assert _decimal.text(cells) == "".join("%.6f L " % v for v in (1.5, 1e300, -2.25)).encode()
 
 
 @settings(max_examples=300, deadline=None)

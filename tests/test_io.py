@@ -168,32 +168,32 @@ class TestTraceRoundTrip:
 
 class TestNormCsv:
     def test_header_and_row_count(self):
-        sink = stringio.StringIO()
+        sink = stringio.BytesIO()
         write_norm(euclidean(64), sink)
-        lines = sink.getvalue().splitlines()
+        lines = sink.getvalue().decode().splitlines()
         assert lines[0] == "phi,h"
         assert len(lines) == 65
 
     def test_angles_ascend_from_minus_pi(self):
-        sink = stringio.StringIO()
+        sink = stringio.BytesIO()
         write_norm(euclidean(64), sink)
-        rows = sink.getvalue().splitlines()[1:]
+        rows = sink.getvalue().decode().splitlines()[1:]
         angles = [float(r.split(",")[0]) for r in rows]
         assert angles[0] == -math.pi
         assert all(b > a for a, b in zip(angles, angles[1:]))
 
     def test_round_trip_bit_exact(self, example1):
         result = run(example1, RelaxConfig())
-        sink = stringio.StringIO()
+        sink = stringio.BytesIO()
         write_norm(result.norm, sink)
-        back = read_norm(sink.getvalue())
+        back = read_norm(sink.getvalue().decode())
         assert bool(np.all(back.values == result.norm.values))
 
     def test_read_rejects_wrong_grid(self):
         nm = euclidean(64)
-        sink = stringio.StringIO()
+        sink = stringio.BytesIO()
         write_norm(nm, sink)
-        mangled = sink.getvalue().replace("phi,h", "phi,h").splitlines()
+        mangled = sink.getvalue().decode().replace("phi,h", "phi,h").splitlines()
         # shift one angle off the uniform grid
         parts = mangled[5].split(",")
         mangled[5] = f"{float(parts[0]) + 0.01},{parts[1]}"

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsrelax import MatrixSet, RelaxConfig, iterate, norms
+from jsrelax import MatrixSet, RelaxConfig, iterate, norms, run
 from test_image_plan import _eval_xy, reference_image_max
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -79,3 +79,37 @@ def test_plan_points_match_the_array_reference(mats, e, n, seed):
     x0, x1 = np.array([e[0]]), np.array([e[1]])
     assert plan.norm_at_e(nm) == float(_eval_xy(nm.values, x0, x1)[0])
     assert plan.image_at_e(nm) == float(reference_image_max(nm.values, mats, x0, x1)[0])
+
+
+# a family of up to five matrices, entries 0 or of magnitude 2^-10 .. 2, scaled
+# as a whole by 10^-3 .. 10^3: clear of the subnormals, where rounding is not
+# relative
+scaled_family = st.tuples(family(5), st.floats(-3.0, 3.0)).map(
+    lambda t: [a * 10.0 ** t[1] for a in t[0]]
+)
+
+
+def nesting_config(lam: float, n: int, algorithm: str, averaging: str) -> RelaxConfig:
+    common = dict(node_count=n, tol=1e-300, max_iters=30)
+    if algorithm == "mr":
+        return RelaxConfig(algorithm="mr", averaging=averaging, **common)
+    if lam == 0.0:
+        return RelaxConfig(unsafe_direct=True, **common)
+    return RelaxConfig(lambda_lo=lam, lambda_hi=lam, lambda_schedule=lam, **common)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    scaled_family,
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(4, 1500).map(lambda k: 2 * k),
+    st.sampled_from(["lr", "mr"]),
+    st.sampled_from(["arithmetic", "geometric", "harmonic"]),
+)
+def test_grid_brackets_are_nested(mats, lam, n, algorithm, averaging):
+    # the relax module docstring proves it for lr at any lambda in [0, 1) and
+    # for mr; a step may move an end by a few ulp of rounding
+    res = run(MatrixSet(tuple(mats)), nesting_config(lam, n, algorithm, averaging), force=True)
+    for before, after in zip(res.trace, res.trace[1:]):
+        assert after.rho_plus <= before.rho_plus * (1.0 + 1e-12), (before, after)
+        assert after.rho_minus >= before.rho_minus * (1.0 - 1e-12), (before, after)

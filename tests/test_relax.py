@@ -386,6 +386,16 @@ class TestRun:
         cfg = RelaxConfig(node_count=64, e=(0.0, 1.0), unsafe_direct=True)
         assert run(fam, cfg, force=True).status == STATUS_DEGENERATE
 
+    def test_forced_lr_whose_node_value_underflows_ends_degenerate(self):
+        # (0, 1) maps to 0, so lr keeps lam^n of its value there, which
+        # underflows after 11 steps; it raised "profile values must be positive"
+        lam = 8.0e-28
+        cfg = RelaxConfig(node_count=8, tol=1e-300, max_iters=30,
+                          lambda_lo=lam, lambda_hi=lam, lambda_schedule=lam)
+        res = run(MatrixSet(([[0.0, 0.0], [1.0, 0.0]],)), cfg, force=True)
+        assert res.status == STATUS_DEGENERATE
+        assert len(res.trace) == 11 and res.rho_lo == 0.0
+
     def test_steps_still_raise_on_degenerate_input(self):
         fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
         with pytest.raises(ValueError):

@@ -52,9 +52,9 @@ def mismatch(got: str, want: str):
 
 
 def written_norm(nm: AngularNorm) -> str:
-    sink = io.StringIO()
+    sink = io.BytesIO()
     write_norm(nm, sink)
-    return sink.getvalue()
+    return sink.getvalue().decode("ascii")
 
 
 def svg_path(svg: str) -> str:
