@@ -63,7 +63,7 @@ def _parse_entry(raw, where: str) -> float:
     if isinstance(raw, bool):
         raise ProblemFormatError(f"{where}: expected a number or 'p/q' string")
     if isinstance(raw, (int, float)):
-        value = float(raw)
+        num, den = raw, 1
     elif isinstance(raw, str):
         parts = raw.split("/")
         if len(parts) != 2:
@@ -76,9 +76,12 @@ def _parse_entry(raw, where: str) -> float:
             ) from None
         if den == 0:
             raise ProblemFormatError(f"{where}: zero denominator in {raw!r}")
-        value = num / den
     else:
         raise ProblemFormatError(f"{where}: expected a number or 'p/q' string")
+    try:
+        value = num / den  # the nearest double, 0.0 on underflow; x / 1 is x
+    except OverflowError:
+        raise ProblemFormatError(f"{where}: entry overflows a double") from None
     if not math.isfinite(value):
         raise ProblemFormatError(f"{where}: entry is not finite")
     return value
@@ -257,6 +260,6 @@ def read_norm(text: str) -> AngularNorm:
     except ValueError as exc:
         raise TraceFormatError(str(exc)) from None
     expected = nm.node_angles()
-    if np.abs(np.asarray(angles) - expected).max() > 1e-9:
+    if not (np.abs(np.asarray(angles) - expected) <= 1e-9).all():  # refuses a NaN
         raise TraceFormatError("phi column does not match the uniform grid from -pi")
     return nm

@@ -18,11 +18,10 @@ node image maxima, and each step allocates only that profile.  A step maps
 only the family members that can attain those maxima: a member whose
 Euclidean image lengths stay below the longest image's by more than the
 profile's spread max h / min h (its dominance margin) is skipped, which
-changes no output bit (see _Stencil).
+changes no output bit (see _ImagePlan).
 
-A plan lives for one solve and serves one thread.  When the solve ends, it
-hands its stencil arrays to a one-set slot (_ImagePlan.release), and the
-next plan of the same shape that a solve takes from it (_ImagePlan.reusing)
+A plan lives for one solve and serves one thread.  Its release() hands its
+stencil arrays to a one-set slot, and the next plan of the same shape
 builds into them instead of allocating; the build rewrites every entry, so
 no output bit depends on what the arrays held.  The slot keeps at most one
 set, of at most _KEPT_MAX_BYTES, so a process keeps at most that much after
@@ -207,7 +206,7 @@ class _Points:
 
     Each vector y keeps (i0, i1, w0 = 1 - f, f, rad = |y|_2) for its grid
     sector, and max_norm() returns max over the vectors of
-    rad * (w0 * h[i0] + f * h[i1]): the IEEE operations of _Stencil.apply,
+    rad * (w0 * h[i0] + f * h[i1]): the IEEE operations of the plan's node map,
     in the same order, without copying the profile.  The indices are taken
     modulo N/2, so a symmetric profile's full values and its upper half give
     the same result.
@@ -244,11 +243,11 @@ class _Points:
         return best
 
 
-# Entries per block of a stencil apply, and of a stencil build.  They keep
+# Entries per block of a node map, and of a stencil build.  They keep
 # the working set in cache whatever the family and grid, and every temporary
 # at most 16K doubles, within glibc's mmap threshold, so that freeing one does
 # not hand it back to the system and make the next allocation page-fault.
-# An apply works in two preallocated block buffers; a build makes about eight
+# A map works in two preallocated block buffers; a build makes about eight
 # temporaries per block, so it takes smaller blocks, which keep a solve's
 # peak memory about 0.5 MB lower.
 _BLOCK = 16384
@@ -278,7 +277,7 @@ def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
 _MARGIN_SLACK = 1.0 + 1e-12
 _SCREEN_LO = 2.0 ** -1022
 _SCREEN_HI = 2.0 ** 1022
-# A stencil orders its rows by their margins over about this many evenly
+# A plan orders its stencil rows by their margins over about this many evenly
 # spaced columns.  On the relax_family benchmark corpus (N = 3000) every solve
 # then maps as many rows as with the rows in the order of their exact
 # margins, and so it does with 32 columns; sorting the built rows by their
@@ -304,7 +303,7 @@ def _margins(rad: np.ndarray) -> np.ndarray:
     return margin
 
 
-# The slot of released stencil arrays: at most one entry, under _KEPT_KEY,
+# The slot of released plan arrays: at most one entry, under _KEPT_KEY,
 # (shape, arrays) of the last plan released.  A set is taken with one
 # dict.pop, so two threads never take the same set, and put with one
 # assignment, which replaces any set there.  A set over _KEPT_MAX_BYTES is
@@ -315,15 +314,24 @@ _KEPT_MAX_BYTES = 4 << 20
 _kept: dict = {}
 
 
-class _Stencil:
-    """Interpolation stencil of the images y_kj = A_k x_j, reusable for any profile.
+class _ImagePlan:
+    """The fixed vectors of one relaxation solve, and the solve's workspace.
 
-    Row k, column j stores the grid sector i0 modulo N/2, the weights
-    w0 = 1 - f and f, and the length rad = |y_kj|_2, so that apply() evaluates
-    max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a gather and a multiply-add
-    and no angle work.  A symmetric profile repeats its upper half, so
-    h[i0] and h[i0 + 1] are values[i0] and values[1:][i0]: apply() reads
-    values[:N/2 + 1] and needs no shifted copy of the profile.
+    Holds the interpolation stencil of the images y_kj = A_k u_j of every
+    upper-half node under every matrix, and the terms of the images A_i e
+    and of e itself.  Built once per solve; each step then reads the node
+    image maxima, the lr gamma max_i |A_i e| and the norm of e off it with
+    no angle work.  image_at_e and norm_at_e evaluate the terms that
+    max_image and evaluate build, so they agree bitwise.
+
+    Row k, column j of the stencil stores the grid sector i0 modulo N/2,
+    the weights w0 = 1 - f and f, and the length rad = |y_kj|_2, so that
+    node_image_max evaluates max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a
+    gather and a multiply-add.  A symmetric profile repeats its upper half,
+    so h[i0] and h[i0 + 1] are values[i0] and values[1:][i0]: the map reads
+    values[:N/2 + 1] and needs no shifted copy of the profile.  The build
+    maps all rows at once, block by block, with the same _sector and hypot
+    per entry as a map of one row at a time.
 
     Member screening.  Row k's value at column j is rad_kj times an
     interpolation of h, which lies within a few ulp of [min h, max h]; the
@@ -332,57 +340,98 @@ class _Stencil:
     mu_k = min_j top_j / rad_kj (see _margins) exceeds the spread
     max h / min h by _MARGIN_SLACK, its value lies below the longest row's at
     every column and never attains the maximum.  The maximum is exact and
-    independent of the row order, so apply() maps only the leading rows that
-    rows_for() keeps and returns the same bits as a map of every row.
-
+    independent of the row order, so node_image_max maps only the leading
+    members_mapped() rows and returns the same bits as a map of every row.
     The rows are stored in the order of their margins over a sample of the
     columns, likely those with small margins first; `members` holds the
     family index of each row.  `margin[k]` is the least exact margin of row
     k and the rows after it, so it never decreases, and the rows after the
     first k whose margin[k] exceeds a bound all exceed it.  When every
     margin is 1 (every member is the longest somewhere, or the last row is)
-    apply() maps every row and does no screening work.  The build maps all
-    rows at once, block by block, with the same _sector and hypot per entry
-    as a map of one row at a time.
+    every row is mapped and no screening work is done.
 
-    Memory is 32 bytes per entry, an output buffer of one value per column
-    and two block buffers.  apply() works in those buffers and returns the
-    output buffer, which its next call overwrites; so one stencil serves one
-    thread.  The four entry arrays and the block buffers (`arrays`) may come
-    from an earlier stencil of the same (rows, cols): the build overwrites
-    every entry of the entry arrays, and apply() every buffer entry it reads.
+    Workspace and lifetime.  The stencil takes 32 bytes per entry; the
+    workspace is an output buffer `best` of one value per column, two block
+    buffers and the bracket-ratio buffer `ratio`.  node_image_max returns
+    `best` itself, and its next call overwrites it; so one plan serves one
+    thread, and a caller that keeps the maxima past the next call copies
+    them.  The four stencil arrays and the block buffers (`arrays`) come
+    from the slot (see _kept) when the last plan released there has the
+    same (rows, cols), and are allocated otherwise: a kept set of another
+    shape is freed first, and the set of a build that raises is dropped.
+    The build rewrites every stencil entry, and the map every buffer entry
+    it reads, so no output bit depends on what the arrays held.  release()
+    hands the arrays back to the slot.
+
+    Raises ValueError, before any step and without a warning, if e or one of
+    these images has no finite Euclidean length.
     """
 
-    def __init__(self, mats, x0, x1, n: int, arrays: tuple | None = None):
-        rows, cols = len(mats), np.size(x0)
+    def __init__(self, s: MatrixSet, n: int, e):
+        _require_planar(s)
+        e0, e1 = _checked_vector(e)
+        mats = s.arrays()
+        g = _grid(n)
+        x0, x1 = g.ux[n // 2:], g.uy[n // 2:]
+        rows, cols = len(mats), n // 2
+        shape, arrays = _kept.pop(_KEPT_KEY, (None, None))
+        if shape != (rows, cols):
+            arrays = None  # a kept set of another shape is freed before the build allocates
         entry = _entries(mats)
-        step = max(1, cols // _SAMPLE_COLUMNS)
-        sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
-        self.members = np.argsort(sampled, kind="stable")
-        entry = entry[self.members]
-        if arrays is None:
-            r, c = _tiles(rows, cols, _BLOCK)[0]
-            arrays = (np.empty((rows, cols), dtype=np.intp), np.empty((rows, cols)),
-                      np.empty((rows, cols)), np.empty((rows, cols)),
-                      np.empty((2, (r.stop - r.start) * (c.stop - c.start))))
-        self.arrays = arrays
-        self.i0, self.w0, self.f, self.rad, self._buf = arrays
-        for r, c in _tiles(rows, cols, _BUILD_BLOCK):
-            y0, y1 = _images(entry[r], x0[c], x1[c])
-            self.i0[r, c], f = _sector(y0, y1, n)
-            self.f[r, c] = f
-            np.subtract(1.0, f, out=self.w0[r, c])
-            np.hypot(y0, y1, out=self.rad[r, c])
-        # the exact margins, each lowered to the least of its row and the rows
-        # after it.  The sample's lengths are the build's at its columns, so a
-        # row's exact margin is at most its sampled one: margins all 1 there
-        # are exact.
-        if sampled.max() > 1.0:
-            self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
-        else:
-            self.margin = [1.0] * rows
+        # a node image that overflows gets an infinite or NaN length, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = max(1, cols // _SAMPLE_COLUMNS)
+            sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
+            self.members = np.argsort(sampled, kind="stable")
+            entry = entry[self.members]
+            if arrays is None:
+                r, c = _tiles(rows, cols, _BLOCK)[0]
+                arrays = (np.empty((rows, cols), dtype=np.intp), np.empty((rows, cols)),
+                          np.empty((rows, cols)), np.empty((rows, cols)),
+                          np.empty((2, (r.stop - r.start) * (c.stop - c.start))))
+            self.arrays = arrays
+            self.i0, self.w0, self.f, self.rad, self._buf = arrays
+            for r, c in _tiles(rows, cols, _BUILD_BLOCK):
+                y0, y1 = _images(entry[r], x0[c], x1[c])
+                self.i0[r, c], f = _sector(y0, y1, n)
+                self.f[r, c] = f
+                np.subtract(1.0, f, out=self.w0[r, c])
+                np.hypot(y0, y1, out=self.rad[r, c])
+            # the exact margins, each lowered to the least of its row and the
+            # rows after it.  The sample's lengths are the build's at its
+            # columns, so a row's exact margin is at most its sampled one:
+            # margins all 1 there are exact.
+            if sampled.max() > 1.0:
+                self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
+            else:
+                self.margin = [1.0] * rows
         self.best = np.empty(cols)
         self._blocks = {}  # the block views of each leading row count
+        self.images_of_e = _Points.of_family(mats, e0, e1, n)
+        self.e = _Points(np.array([e0]), np.array([e1]), n)
+        self.ratio = np.empty(cols)
+        if not math.isfinite(self.rad.max()):  # max keeps a NaN
+            raise ValueError(
+                "the family maps a grid node to a vector of non-finite length; "
+                "rescale the family"
+            )
+        if not (self.e.finite and self.images_of_e.finite):
+            raise ValueError(
+                f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
+                "length; rescale e"
+            )
+
+    def release(self) -> None:
+        """End the plan: keep its arrays for the next plan of the same shape,
+        if they are at most _KEPT_MAX_BYTES, and unlink them and every view
+        of them from this plan, which cannot map again.  A second call does
+        nothing."""
+        arrays = self.arrays
+        if arrays is None:
+            return
+        self.arrays = self.i0 = self.w0 = self.f = self.rad = self._buf = self._blocks = None
+        if sum(a.nbytes for a in arrays) <= _KEPT_MAX_BYTES:
+            _kept[_KEPT_KEY] = (arrays[0].shape, arrays)
 
     def _views(self, rows: int) -> list[tuple]:
         """Per block of the leading rows: its stencil views, two scratch views
@@ -399,23 +448,24 @@ class _Stencil:
         self._blocks[rows] = blocks
         return blocks
 
-    def rows_for(self, lo: float, hi: float) -> int:
-        """How many leading rows can attain the maximum for a profile with
-        node extremes lo = min h and hi = max h: those with margin at most
-        (hi / lo) * _MARGIN_SLACK, and at least one; every row when no
-        margin exceeds 1 or lo and hi leave the screening range."""
+    def members_mapped(self, nm: AngularNorm) -> int:
+        """How many leading rows node_image_max(nm) maps: those whose margin
+        is at most the spread (max h / min h) * _MARGIN_SLACK of nm, and at
+        least one; every row when no margin exceeds 1 or nm's extremes leave
+        the screening range."""
+        lo, hi = nm._extremes
         margin = self.margin
         if margin[-1] <= 1.0 or not (_SCREEN_LO <= lo and hi <= _SCREEN_HI):
             return len(margin)
         return max(1, bisect.bisect_right(margin, hi / lo * _MARGIN_SLACK))
 
-    def apply(self, values: np.ndarray, rows: int) -> np.ndarray:
-        """max over the leading rows of the profile norms of the stored vectors.
-
-        values is a symmetric profile, and rows at least rows_for() of its
-        extremes.  Returns the output buffer, which the next call overwrites.
-        """
+    def node_image_max(self, nm: AngularNorm) -> np.ndarray:
+        """max_i |A_i u_j| at the upper-half nodes u_j, in the output buffer
+        `best`, which the next call overwrites; maps only the members that
+        can attain the maximum."""
+        values = nm.values
         ahead = values[1:]  # ahead[i] = h[i + 1]
+        rows = self.members_mapped(nm)
         blocks = self._blocks.get(rows) or self._views(rows)
         for i0, w0, f, rad, a, b, best, first in blocks:
             values.take(i0, out=a, mode="clip")
@@ -438,96 +488,6 @@ class _Stencil:
                     np.maximum(best, b[0], out=best)
         return self.best
 
-
-class _ImagePlan:
-    """The fixed vectors of one relaxation solve, and the solve's workspace.
-
-    Holds the stencil of every upper-half node under every matrix, and the
-    terms of the images A_i e and of e itself.  Built once per solve, and the
-    only builder of a stencil; each step then reads the node image maxima,
-    the lr gamma max_i |A_i e| and the norm of e off it with no angle work.
-    image_at_e and norm_at_e evaluate the terms that max_image and evaluate
-    build, so they agree bitwise.
-
-    The workspace is the stencil's node-maximum output and block buffers, and
-    the bracket-ratio buffer `ratio`.  node_image_max returns the output
-    array itself, and its next call overwrites it; so one plan serves one
-    thread, and a caller that keeps the maxima past the next call copies them.
-
-    Lifetime.  A plan built directly, _ImagePlan(s, n, e), owns its arrays
-    for as long as the caller keeps it, and release() leaves it alone.  A
-    solve takes its plan from reusing() instead, which builds into the
-    stencil arrays of the last released plan when their (rows, cols) match,
-    and ends it with release(), which hands those arrays to the slot (see
-    _kept) and unlinks them from the plan.
-
-    Raises ValueError, before any step and without a warning, if e or one of
-    these images has no finite Euclidean length.
-    """
-
-    def __init__(self, s: MatrixSet, n: int, e, arrays: tuple | None = None):
-        _require_planar(s)
-        e0, e1 = _checked_vector(e)
-        mats = s.arrays()
-        g = _grid(n)
-        self._slot_shape = None  # (rows, cols) for a plan from reusing()
-        # a node image that overflows gets an infinite or NaN length, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.nodes = _Stencil(mats, g.ux[n // 2:], g.uy[n // 2:], n, arrays)
-        self.images_of_e = _Points.of_family(mats, e0, e1, n)
-        self.e = _Points(np.array([e0]), np.array([e1]), n)
-        self.ratio = np.empty(n // 2)
-        if not math.isfinite(self.nodes.rad.max()):  # max keeps a NaN
-            raise ValueError(
-                "the family maps a grid node to a vector of non-finite length; "
-                "rescale the family"
-            )
-        if not (self.e.finite and self.images_of_e.finite):
-            raise ValueError(
-                f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
-                "length; rescale e"
-            )
-
-    @classmethod
-    def reusing(cls, s: MatrixSet, n: int, e) -> "_ImagePlan":
-        """The plan of (s, n, e), built into the kept stencil arrays if they
-        have its shape; its caller ends it with release().
-
-        A kept set of another shape is freed before the build allocates, and
-        the set of a build that raises is dropped: the slot stays empty until
-        the next release.
-        """
-        shape = (s.count, n // 2)
-        kept = _kept.pop(_KEPT_KEY, None)
-        arrays = kept[1] if kept is not None and kept[0] == shape else None
-        del kept
-        plan = cls(s, n, e, arrays)
-        plan._slot_shape = shape
-        return plan
-
-    def release(self) -> None:
-        """End a plan from reusing(): keep its stencil arrays for the next
-        plan of the same shape, if they are at most _KEPT_MAX_BYTES, and make
-        this plan unusable.  A plan built directly is left as it is."""
-        shape, self._slot_shape = self._slot_shape, None
-        if shape is None:
-            return
-        arrays, self.nodes = self.nodes.arrays, None
-        if sum(a.nbytes for a in arrays) <= _KEPT_MAX_BYTES:
-            _kept[_KEPT_KEY] = (shape, arrays)
-
-    def members_mapped(self, nm: AngularNorm) -> int:
-        """How many family members node_image_max(nm) maps: those whose
-        dominance margin the spread of nm reaches."""
-        return self.nodes.rows_for(*nm._extremes)
-
-    def node_image_max(self, nm: AngularNorm) -> np.ndarray:
-        """max_i |A_i u_j| at the upper-half nodes u_j, in the plan's output buffer.
-
-        Maps only the members that can attain the maximum (see _Stencil).
-        """
-        return self.nodes.apply(nm.values, self.members_mapped(nm))
-
     def image_at_e(self, nm: AngularNorm) -> float:
         """max_i |A_i e|, bitwise equal to max_image(nm, s, e)."""
         return self.images_of_e.max_norm(nm.values)
@@ -543,6 +503,8 @@ def _require_planar(s: MatrixSet) -> None:
 
 
 def _checked_vector(x) -> tuple[float, float]:
+    if len(x) != 2:
+        raise ValueError(f"a planar vector has two entries, got {len(x)}")
     x0, x1 = float(x[0]), float(x[1])
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError("vector entries must be finite")

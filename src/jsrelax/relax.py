@@ -46,10 +46,10 @@ combine_max, all on that single map.  gamma and the norm of e come from
 scalar terms in the plan.  The plan is also the solve's workspace: a step
 maps the grid into the plan's buffers, and the only array it allocates is
 the next profile, whose upper half it computes in place and checks with one
-min and one max.  A plan serves one solve, so one thread: it is taken with
-_ImagePlan.reusing when the grid's steps start and released when they end,
-however they end, and its stencil arrays then serve the next solve of the
-same shape in the process (see norms).
+min and one max.  A plan serves one solve, so one thread: it is built when
+the grid's steps start and released when they end, however they end, and
+its stencil arrays then serve the next solve of the same shape in the
+process (see norms).
 
 Grid continuation.  The relaxation contracts at a rate set by the family,
 not by the grid, so a fine solve with no initial norm first solves on the
@@ -177,6 +177,8 @@ class RelaxConfig:
         if n < 8 or n % 2 != 0:
             raise ValueError(f"node count must be even and >= 8, got {n}")
         object.__setattr__(self, "node_count", n)
+        if len(self.e) != 2:
+            raise ValueError(f"e must have two entries, got {len(self.e)}")
         e = (float(self.e[0]), float(self.e[1]))
         if not all(math.isfinite(c) for c in e):
             raise ValueError("e must be finite")
@@ -433,7 +435,7 @@ def _steps(
     The plan is released however the steps end: converged, at the cap, at
     a degenerate image, on an error, or when the caller closes the generator.
     """
-    plan = _ImagePlan.reusing(s, cfg.node_count, cfg.e)
+    plan = _ImagePlan(s, cfg.node_count, cfg.e)
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     try:
         for n in range(cfg.max_iters):

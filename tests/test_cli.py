@@ -150,6 +150,13 @@ class TestRunCommand:
         assert cli_main(["run", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_entry_that_overflows_a_double_is_an_error(self, problem_file, capsys):
+        path = problem_file({"matrices": [[[1, 0], [0, 10 ** 400]]]})
+        assert cli_main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix 0, row 1, column 1: entry overflows a double")
+        assert "Traceback" not in err
+
     def test_usage_error(self, capsys):
         assert cli_main(["run"]) == 1
         assert cli_main(["frobnicate"]) == 1

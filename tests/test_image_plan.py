@@ -165,39 +165,27 @@ def test_node_image_max_matches_reference_across_blocks(r, n):
 class TestWorkCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"plans": 0, "stencils": 0, "points": 0, "plan_points": 0, "node_maps": 0,
-                 "applies": 0}
-
-        class CountingPlan(norms._ImagePlan):
-            def __init__(self, *args):
-                tally["plans"] += 1
-                before = tally["points"]
-                super().__init__(*args)
-                tally["plan_points"] += tally["points"] - before
-
-            def node_image_max(self, nm):
-                tally["node_maps"] += 1
-                return super().node_image_max(nm)
-
-        stencil_init, stencil_apply = norms._Stencil.__init__, norms._Stencil.apply
+        tally = {"plans": 0, "points": 0, "plan_points": 0, "node_maps": 0}
+        plan_init, node_image_max = norms._ImagePlan.__init__, norms._ImagePlan.node_image_max
         points_init = norms._Points.__init__
 
         def counting_init(self, *args):
-            tally["stencils"] += 1
-            stencil_init(self, *args)
+            tally["plans"] += 1
+            before = tally["points"]
+            plan_init(self, *args)
+            tally["plan_points"] += tally["points"] - before
+
+        def counting_map(self, nm):
+            # the plan is the only builder of a node stencil, so this counts every node map
+            tally["node_maps"] += 1
+            return node_image_max(self, nm)
 
         def counting_points_init(self, *args):
             tally["points"] += 1
             points_init(self, *args)
 
-        def counting_apply(self, values, rows):
-            # only the plan's stencil exists (stencils == 1), so every call maps the node grid
-            tally["applies"] += 1
-            return stencil_apply(self, values, rows)
-
-        monkeypatch.setattr(relax, "_ImagePlan", CountingPlan)
-        monkeypatch.setattr(norms._Stencil, "__init__", counting_init)
-        monkeypatch.setattr(norms._Stencil, "apply", counting_apply)
+        monkeypatch.setattr(norms._ImagePlan, "__init__", counting_init)
+        monkeypatch.setattr(norms._ImagePlan, "node_image_max", counting_map)
         monkeypatch.setattr(norms._Points, "__init__", counting_points_init)
         return tally
 
@@ -207,23 +195,21 @@ class TestWorkCount:
         res = run(MatrixSet(mats), RelaxConfig(algorithm=algorithm, node_count=512, tol=1e-4))
         steps = len(res.trace)
         assert steps > 1
-        assert counts["plans"] == 1
-        assert counts["stencils"] == 1  # the node grid, inside the plan
+        assert counts["plans"] == 1  # the only builder of a node stencil
         assert counts["plan_points"] == 2  # the terms of A_i e and of e
-        assert counts["node_maps"] == steps
-        assert counts["applies"] == steps  # nothing else maps the node grid
+        assert counts["node_maps"] == steps  # nothing else maps the node grid
 
     def test_a_step_on_a_given_plan_builds_no_plan_and_no_stencil(self, counts):
         lr, mr = RelaxConfig(node_count=64), RelaxConfig(algorithm="mr", node_count=64)
         plan = relax._ImagePlan(MatrixSet(EX1), 64, lr.e)
-        assert counts["plans"] == counts["stencils"] == 1
+        assert counts["plans"] == 1
         nm = relax._initial(lr)
         for n in range(3):
             nm, _ = relax.lr_step(nm, plan, lr, n)
         for n in range(3, 6):
             nm, _ = relax.mr_step(nm, plan, mr, n)
-        assert counts["plans"] == counts["stencils"] == 1
-        assert counts["node_maps"] == counts["applies"] == 6
+        assert counts["plans"] == 1
+        assert counts["node_maps"] == 6
 
 
 def test_plan_one_point_stencils_match_evaluate_and_max_image():
@@ -254,10 +240,10 @@ def test_step_allocates_only_the_next_profile():
     cfg = RelaxConfig(node_count=256)
     plan = norms._ImagePlan(MatrixSet(R5), 256, cfg.e)
     nm = relax._initial(cfg)
-    buffers = (plan.ratio, plan.nodes.best)
+    buffers = (plan.ratio, plan.best)
     for n in range(4):
         m = plan.node_image_max(nm)
-        assert m is plan.nodes.best  # the plan's output, overwritten by the next call
+        assert m is plan.best  # the plan's output, overwritten by the next call
         prev = nm.values.tobytes()
         nxt, _ = relax.lr_step(nm, plan, cfg, n)
         assert nm.values.tobytes() == prev
@@ -394,21 +380,20 @@ def test_corpus_margins_and_screening_is_exact_around_each(k):
     n = 3000
     s = MatrixSet(tuple(CORPUS[k]))
     plan = norms._ImagePlan(s, n, (1.0, 0.0))
-    sten = plan.nodes
     exact = reference_margins(s.arrays(), n)
-    members = sten.members.tolist()
+    members = plan.members.tolist()
     assert sorted(members) == list(range(s.count))
-    assert sten.margin == [min(exact[i] for i in members[row:]) for row in range(s.count)]
-    top = sten.rad.max(axis=0)
+    assert plan.margin == [min(exact[i] for i in members[row:]) for row in range(s.count)]
+    top = plan.rad.max(axis=0)
     for row, member in enumerate(members):
         mu = exact[member]
         if not 1.0 + 1e-9 < mu < math.inf:
             continue
-        j = int(np.argmin(top / sten.rad[row]))
-        i0 = int(sten.i0[row, j])
+        j = int(np.argmin(top / plan.rad[row]))
+        i0 = int(plan.i0[row, j])
         # just below its margin the member is skipped, unless a later row
         # has a smaller margin; from 1e-13 below it on, it is mapped
-        for factor, mapped in ((1.0 - 2e-12, False if sten.margin[row] == mu else None),
+        for factor, mapped in ((1.0 - 2e-12, False if plan.margin[row] == mu else None),
                                (1.0 - 1e-13, True), (1.0, True), (1.0 + 1e-12, True),
                                (1.0 + 1e-6, True)):
             nm = spike(n, {i0, (i0 + 1) % (n // 2)}, mu * factor)
@@ -444,8 +429,8 @@ def test_screening_is_exact_on_degenerate_families(name, n):
 
 def test_zero_member_has_infinite_margin_and_is_never_mapped():
     plan = norms._ImagePlan(MatrixSet((ZERO, A)), 64, (1.0, 0.0))
-    assert plan.nodes.members.tolist() == [1, 0]
-    assert plan.nodes.margin == [1.0, math.inf]
+    assert plan.members.tolist() == [1, 0]
+    assert plan.margin == [1.0, math.inf]
     assert plan.members_mapped(spike(64, {1}, 1e300)) == 1
 
 
@@ -454,8 +439,8 @@ def test_dominated_member_is_mapped_only_past_its_margin():
     # the Euclidean profile maps A alone and a spread above 4 maps both
     s = MatrixSet((np.array(A) / 4.0, A))
     plan = norms._ImagePlan(s, 512, (1.0, 0.0))
-    assert plan.nodes.members.tolist() == [1, 0]
-    assert plan.nodes.margin[0] == 1.0 and plan.nodes.margin[1] == pytest.approx(4.0, rel=1e-15)
+    assert plan.members.tolist() == [1, 0]
+    assert plan.margin[0] == 1.0 and plan.margin[1] == pytest.approx(4.0, rel=1e-15)
     for nm, mapped in ((euclidean(512), 1), (spike(512, {7}, 3.99), 1), (spike(512, {7}, 4.01), 2),
                        (bumpy(512), 1)):
         assert plan.members_mapped(nm) == mapped

@@ -68,6 +68,20 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match="finite"):
             parse_problem(bad)
 
+    @pytest.mark.parametrize("entry", [10 ** 400, -10 ** 309, "1" + "0" * 400 + "/3",
+                                       "-1" + "0" * 309 + "/1", "1" + "0" * 400 + "/1" + "0" * 50],
+                             ids=["int", "negative int", "p/q", "negative p/q", "quotient"])
+    def test_an_entry_that_overflows_a_double_is_refused(self, entry):
+        # each raised an uncaught OverflowError
+        bad = json.dumps({"matrices": [[[1, 0], [0, 1]], [[1, 2], [3, entry]]]})
+        with pytest.raises(ProblemFormatError, match="matrix 1, row 1, column 1: .*overflows"):
+            parse_problem(bad)
+
+    def test_a_rational_that_underflows_is_the_nearest_double(self):
+        ok = json.dumps({"matrices": [[["1/1" + "0" * 400, "-3/1" + "0" * 330], [0, 1]]]})
+        entries = parse_problem(ok).matrices.matrices[0].entries
+        assert entries[0].tolist() == [0.0, -3e-330] and math.copysign(1.0, entries[0, 0]) == 1.0
+
     def test_syntax_error_reports_line_and_column(self):
         with pytest.raises(ProblemFormatError, match="line"):
             parse_problem("{not json}")
@@ -199,6 +213,15 @@ class TestNormCsv:
         mangled[5] = f"{float(parts[0]) + 0.01},{parts[1]}"
         with pytest.raises(TraceFormatError, match="grid"):
             read_norm("\n".join(mangled) + "\n")
+
+    def test_read_rejects_a_nan_angle(self):
+        # a NaN compared False against the grid tolerance and was accepted
+        sink = stringio.BytesIO()
+        write_norm(euclidean(64), sink)
+        lines = sink.getvalue().decode().splitlines()
+        lines[5] = "nan," + lines[5].split(",")[1]
+        with pytest.raises(TraceFormatError, match="grid"):
+            read_norm("\n".join(lines) + "\n")
 
     def test_read_rejects_bad_header(self):
         with pytest.raises(TraceFormatError):

@@ -119,6 +119,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(euclidean(8), (float("nan"), 1.0))
 
+    @pytest.mark.parametrize("x", [(1.0,), (), (1.0, 0.0, 7.0), np.ones(3)])
+    def test_a_vector_of_other_than_two_entries_is_refused(self, x):
+        # (1.0,) raised IndexError, and a third entry was ignored
+        s, nm = MatrixSet((((1.0, 0.0), (0.0, 1.0)),)), euclidean(64)
+        for call in (lambda: evaluate(nm, x), lambda: max_image(nm, s, x),
+                     lambda: normalize(nm, x), lambda: _ImagePlan(s, 64, x)):
+            with pytest.raises(ValueError, match="two entries, got"):
+                call()
+
     def test_overflowing_length_is_refused_without_a_warning(self):
         # hypot overflowed here with a RuntimeWarning, and the norm was inf
         with warnings.catch_warnings():

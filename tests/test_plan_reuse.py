@@ -58,16 +58,15 @@ def empty_slot():
 
 @pytest.fixture
 def built(monkeypatch) -> list:
-    """Every plan a solve takes from _ImagePlan.reusing, in order."""
+    """Every plan built, in order."""
     plans = []
-    reusing = norms._ImagePlan.reusing
+    init = norms._ImagePlan.__init__
 
-    def spy(s, n, e):
-        plan = reusing(s, n, e)
-        plans.append(plan)
-        return plan
+    def spy(self, *args):
+        plans.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(norms._ImagePlan, "reusing", spy)
+    monkeypatch.setattr(norms._ImagePlan, "__init__", spy)
     return plans
 
 
@@ -85,7 +84,7 @@ def test_second_solve_of_a_shape_builds_into_the_kept_arrays(built):
     run(s, cfg)
     arrays = kept_arrays()
     run(s, cfg)
-    assert len(built) == 2 and built[1].nodes is None  # released, and unlinked
+    assert len(built) == 2 and built[1].arrays is None  # released, and unlinked
     assert kept_arrays() is arrays
 
 
@@ -96,10 +95,10 @@ def test_nan_filled_kept_arrays_are_fully_rewritten(fresh, built):
     for a in kept_arrays():
         a.fill(-1 if a.dtype.kind == "i" else np.nan)
     arrays = kept_arrays()
-    plan = norms._ImagePlan.reusing(s, NODES, cfg.e)
-    assert plan.nodes.arrays is arrays
-    direct = norms._ImagePlan(s, NODES, cfg.e)
-    for got, want in zip(plan.nodes.arrays[:4], direct.nodes.arrays[:4]):
+    plan = norms._ImagePlan(s, NODES, cfg.e)
+    assert plan.arrays is arrays
+    direct = norms._ImagePlan(s, NODES, cfg.e)  # the slot is empty: into new arrays
+    for got, want in zip(plan.arrays[:4], direct.arrays[:4]):
         assert got.tobytes() == want.tobytes()
     plan.release()
     for a in kept_arrays():
@@ -126,9 +125,9 @@ def test_interleaved_solves_of_one_shape_share_no_arrays(built):
             got.append((rec, nm.values.tobytes()))
         if not checked:  # both plans are live after the first round
             plan_a, plan_b = built[-2:]
-            assert plan_a.nodes.arrays is arrays
+            assert plan_a.arrays is arrays
             assert not any(np.shares_memory(x, y)
-                           for x in plan_a.nodes.arrays for y in plan_b.nodes.arrays)
+                           for x in plan_a.arrays for y in plan_b.arrays)
             checked = True
     assert (got_a, got_b) == (want_a, want_b)
 
@@ -138,26 +137,27 @@ def test_a_kept_set_of_another_shape_is_freed_before_the_build(monkeypatch):
     run(s, cfg)
     kept = weakref.ref(kept_arrays()[0])
     alive = []
-    stencil = norms._Stencil
+    entries = norms._entries
 
-    def spy(*args):
+    def spy(mats):
         alive.append(kept() is not None)
-        return stencil(*args)
+        return entries(mats)
 
-    monkeypatch.setattr(norms, "_Stencil", spy)
+    # the plan's first call starts its build; its second makes the terms of A_i e
+    monkeypatch.setattr(norms, "_entries", spy)
     run(CASES[-1][0], cfg)  # 32 matrices
-    assert alive == [False]
+    assert alive == [False, False]
 
 
 def test_closing_a_solve_early_hands_its_arrays_back(built):
     s, cfg = CASES[2 * 13]
     gen = iterate(s, cfg)
     next(gen)
-    arrays = built[0].nodes.arrays
+    arrays = built[0].arrays
     assert norms._KEPT_KEY not in norms._kept
     gen.close()
     assert kept_arrays() is arrays
-    assert built[0].nodes is None
+    assert built[0].arrays is None
 
 
 def test_a_build_that_raises_leaves_the_slot_usable(fresh, built):
@@ -170,7 +170,7 @@ def test_a_build_that_raises_leaves_the_slot_usable(fresh, built):
     assert outcome(run(s, cfg)) == fresh[0]
     arrays = kept_arrays()
     assert outcome(run(s, cfg)) == fresh[0]
-    assert built[-1].nodes is None and kept_arrays() is arrays
+    assert built[-1].arrays is None and kept_arrays() is arrays
 
 
 def test_threads_give_the_sequential_results(fresh):
@@ -200,25 +200,59 @@ def test_threads_give_the_sequential_results(fresh):
         assert all(got == fresh[k] for k, got in results[t])
 
 
-def test_a_directly_built_plan_is_never_reused():
+def test_a_plan_never_released_keeps_its_arrays():
     s, cfg = CASES[0]
-    plan = norms._ImagePlan(s, NODES, cfg.e)
-    before = [a.copy() for a in plan.nodes.arrays[:4]]
-    plan.release()  # leaves a direct plan as it is
-    assert norms._KEPT_KEY not in norms._kept and plan.nodes is not None
+    run(s, cfg)
+    plan = norms._ImagePlan(s, NODES, cfg.e)  # takes the set the solve released
+    assert norms._KEPT_KEY not in norms._kept
+    before = [a.copy() for a in plan.arrays[:4]]
+    following = norms._ImagePlan(s, NODES, cfg.e)  # the next plan of its shape allocates
+    assert not any(np.shares_memory(x, y) for x in plan.arrays for y in following.arrays)
     for _ in range(3):
         run(s, cfg)
-        assert all(x is not y for x, y in zip(kept_arrays(), plan.nodes.arrays))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(plan.nodes.arrays, before))
+        assert not any(np.shares_memory(x, y) for x in kept_arrays() for y in plan.arrays)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plan.arrays, before))
+
+
+def test_a_second_release_does_nothing():
+    s, cfg = CASES[0]
+    plan = norms._ImagePlan(s, NODES, cfg.e)
+    arrays = plan.arrays
+    plan.release()
+    plan.release()
+    assert kept_arrays() is arrays
+    taken = norms._ImagePlan(s, NODES, cfg.e)
+    assert taken.arrays is arrays
+    plan.release()  # hands nothing back: the arrays are taken's
+    assert norms._KEPT_KEY not in norms._kept
+
+
+def test_every_construction_takes_the_kept_set_of_its_shape():
+    # plans of one (rows, cols) share the set whatever their family and e:
+    # two families of 2 matrices, two of 8, then one of 8 on two nodes more
+    shapes = [(CASES[0][0], NODES, (1.0, 0.0)), (CASES[2][0], NODES, (0.0, -2.0)),
+              (CASES[12][0], NODES, (1.0, 0.0)), (CASES[14][0], NODES, (-3.0, 0.0)),
+              (CASES[14][0], NODES + 2, (1.0, 0.0))]
+    last = None
+    for s, n, e in shapes:
+        for _ in range(2):
+            plan = norms._ImagePlan(s, n, e)
+            if last is not None and last[0].shape == (s.count, n // 2):
+                assert plan.arrays is last
+            else:
+                assert not any(np.shares_memory(x, y) for x in plan.arrays for y in last or ())
+            assert norms._KEPT_KEY not in norms._kept
+            last = plan.arrays
+            plan.release()
 
 
 def test_a_set_over_the_cap_is_not_kept():
     s = CASES[-1][0]  # 32 matrices
-    small = norms._ImagePlan.reusing(s, NODES, (1.0, 0.0))
-    assert sum(a.nbytes for a in small.nodes.arrays) <= norms._KEPT_MAX_BYTES
+    small = norms._ImagePlan(s, NODES, (1.0, 0.0))
+    assert sum(a.nbytes for a in small.arrays) <= norms._KEPT_MAX_BYTES
     small.release()
     assert norms._KEPT_KEY in norms._kept
-    large = norms._ImagePlan.reusing(s, 3 * NODES, (1.0, 0.0))  # 32 matrices x 4500 columns
-    assert sum(a.nbytes for a in large.nodes.arrays) > norms._KEPT_MAX_BYTES
+    large = norms._ImagePlan(s, 3 * NODES, (1.0, 0.0))  # 32 matrices x 4500 columns
+    assert sum(a.nbytes for a in large.arrays) > norms._KEPT_MAX_BYTES
     large.release()
     assert norms._KEPT_KEY not in norms._kept

@@ -88,6 +88,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             RelaxConfig(e=(0.0, 0.0))
 
+    @pytest.mark.parametrize("e", [(1.0,), (1.0, 0.0, 7.0)])
+    def test_rejects_a_reference_of_other_than_two_entries(self, e):
+        # (1.0, 0.0, 7.0) became (1.0, 0.0), dropping the 7.0
+        with pytest.raises(ValueError, match="e must have two entries"):
+            RelaxConfig(e=e)
+
     def test_rejects_bad_tol_and_cap(self):
         with pytest.raises(ValueError):
             RelaxConfig(tol=0.0)

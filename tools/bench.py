@@ -32,12 +32,13 @@ calls.
 
 Each time is the minimum and the median over the repeats, and each timed
 relax call (plan build, step, run) also records the median minor page faults
-of one call (`minflt`, from getrusage).  A step row also times a second plan
-build of the same shape taken as a solve takes it, from the arrays the
-build before it released (`plan_rebuild`).  After its large solves this
-process no longer faults on fresh arrays, so `fresh_process_faults` counts
-the faults of a few run() calls and of a first and a second plan build of
-each seeded family, in a fresh process per tree.
+of one call (`minflt`, from getrusage).  A step row's `plan_build` is a
+build into new arrays; its `plan_rebuild` is a second build of the same
+shape as a solve makes it, into the arrays the build before it released.
+After its large solves this process no longer faults on fresh arrays, so
+`fresh_process_faults` counts the faults of a few run() calls and of a
+first and a second plan build of each seeded family, in a fresh process
+per tree.
 
 With --parent DIR, a checkout of the parent commit, the jsrelax package under
 DIR/src is imported as a package copy, and the `runs` rows and one
@@ -193,20 +194,12 @@ def run_families(nodes: list[int]) -> list[tuple[str, object, int, float]]:
             + [(f"r{r}", seeded_mats(r), n, FAMILY_TOL) for r, n in FAMILY_RUNS])
 
 
-def members_mapped(plan, nm: norms.AngularNorm) -> int:
-    """How many members a step from nm maps on the plan (all, for a plan without screening)."""
-    if hasattr(plan, "members_mapped"):
-        return plan.members_mapped(nm)
-    return len(plan.nodes.rad)
-
-
 def run_row(family: str, cfg: RelaxConfig, result) -> dict:
-    """A run row's outcome; a tree without grid continuation has the one level."""
-    levels = getattr(result, "levels", ((cfg.node_count, len(result.trace)),))
+    """A run row's outcome."""
     return {"family": family, "algorithm": cfg.algorithm, "nodes": cfg.node_count,
             "tol": cfg.tol, "max_iters": cfg.max_iters,
             "status": result.status, "iterations": len(result.trace),
-            "levels": [list(level) for level in levels],
+            "levels": [list(level) for level in result.levels],
             "rho_lo": result.rho_lo, "rho_hi": result.rho_hi}
 
 
@@ -241,11 +234,11 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
             row = {"r": r, "nodes": n, "mapped": {}}
             steps.append(row)
             plan = norms._ImagePlan(s, n, e)  # kept for the section: 70 MB at the default N
+            # never released, so the untimed call drains the slot and the timed one allocates
             calls.append((row, "plan_build", lambda s=s, n=n: norms._ImagePlan(s, n, e)))
-            if hasattr(norms._ImagePlan, "reusing"):
-                # as a solve takes its plan: into the arrays the untimed call released
-                calls.append((row, "plan_rebuild",
-                              lambda s=s, n=n: norms._ImagePlan.reusing(s, n, e).release()))
+            # as a solve builds its plan: into the arrays the untimed call released
+            calls.append((row, "plan_rebuild",
+                          lambda s=s, n=n: norms._ImagePlan(s, n, e).release()))
             for algorithm, step in (("lr", relax.lr_step), ("mr", relax.mr_step)):
                 cfg = RelaxConfig(algorithm=algorithm, node_count=n)
                 start = relax._initial(cfg)
@@ -253,7 +246,7 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
                                                tol=FAMILY_TOL)).norm
                 for key, nm in ((f"{algorithm}_step", start),
                                 (f"{algorithm}_step_converged", converged)):
-                    row["mapped"][key] = members_mapped(plan, nm)
+                    row["mapped"][key] = plan.members_mapped(nm)
                     calls.append((row, key, lambda step=step, nm=nm, plan=plan, cfg=cfg:
                                   step(nm, plan, cfg, 0)))
     runs, fine_runs = [], []
@@ -281,8 +274,9 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
 # Run in a fresh process by fresh_faults: the minor page faults of each of
 # RUN_SERIES run() calls of one family, after one run of the same family on
 # two nodes more (so the process has imported and warmed up everything, and
-# its kept plan arrays, if any, have another shape), and of a first and a
-# second plan build taken as a solve takes it, for a tree that keeps arrays.
+# its kept plan arrays have another shape), and of a first and a second plan
+# build made and released as a solve makes and releases it (by `reusing` in
+# a tree that has it).
 _FAULTS = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -295,10 +289,9 @@ def faults(call):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
 row = {"runs": [faults(lambda: run(s, RelaxConfig(node_count=n, tol=tol))) for _ in range(series)]}
-if hasattr(norms._ImagePlan, "reusing"):
-    run(s, RelaxConfig(node_count=n + 2, tol=tol))
-    build = lambda: norms._ImagePlan.reusing(s, n, (1.0, 0.0)).release()
-    row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
+run(s, RelaxConfig(node_count=n + 2, tol=tol))
+build = lambda: getattr(norms._ImagePlan, "reusing", norms._ImagePlan)(s, n, (1.0, 0.0)).release()
+row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
 print(json.dumps(row))
 """
 RUN_SERIES = 4
