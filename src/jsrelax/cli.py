@@ -11,9 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .io import ProblemFile, ProblemFormatError, parse_problem, write_norm, write_trace
-from .matrices import UnsupportedDimensionError, is_irreducible, spectral_radius
-from .oracle import EnumerationBudgetError, depth_sweep
+from .io import ProblemFile, parse_problem, write_norm, write_trace
+from .matrices import is_irreducible, spectral_radius
+from .oracle import depth_sweep
 from .relax import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
@@ -183,13 +183,8 @@ def cli_main(argv) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_check(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ProblemFormatError, EnumerationBudgetError, UnsupportedDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
+        # ValueError covers ProblemFormatError and EnumerationBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

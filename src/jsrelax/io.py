@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
@@ -59,18 +60,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# one side of a rational string: an optional sign and ASCII digits, nothing else
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_entry(raw, where: str) -> float:
     if isinstance(raw, bool):
         raise ProblemFormatError(f"{where}: expected a number or 'p/q' string")
     if isinstance(raw, (int, float)):
         num, den = raw, 1
     elif isinstance(raw, str):
-        parts = raw.split("/")
-        if len(parts) != 2:
+        parts = [part.strip() for part in raw.split("/")]
+        if len(parts) != 2 or not all(_INTEGER.fullmatch(part) for part in parts):
             raise ProblemFormatError(f"{where}: cannot parse {raw!r} as a rational 'p/q'")
         try:
-            num, den = int(parts[0].strip()), int(parts[1].strip())
-        except ValueError:
+            num, den = int(parts[0]), int(parts[1])
+        except ValueError:  # more digits than int() converts
             raise ProblemFormatError(
                 f"{where}: cannot parse {raw!r} as a rational 'p/q'"
             ) from None
@@ -90,8 +95,10 @@ def _parse_entry(raw, where: str) -> float:
 def parse_problem(text: bytes | str) -> ProblemFile:
     """Parse a JSON problem file: {"matrices": [...], "label": optional}.
 
-    Matrix entries are numbers or rational strings like "15/17" (converted by
-    division to the nearest double).  Errors name the matrix, row and column.
+    Each matrix is a list of 2 rows of 2 entries; any other shape is refused
+    here, naming the matrix (and the row).  Entries are numbers or rational
+    strings like "15/17" (converted by division to the nearest double).
+    Errors name the matrix, row and column.
     """
     if isinstance(text, bytes):
         try:
@@ -104,6 +111,8 @@ def parse_problem(text: bytes | str) -> ProblemFile:
         raise ProblemFormatError(
             f"invalid syntax at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        raise ProblemFormatError(f"unreadable number: {exc}") from None
     if not isinstance(data, dict) or "matrices" not in data:
         raise ProblemFormatError("top level must be an object with a 'matrices' list")
     raw_mats = data["matrices"]
@@ -111,14 +120,13 @@ def parse_problem(text: bytes | str) -> ProblemFile:
         raise ProblemFormatError("'matrices' must be a nonempty list")
     mats = []
     for k, raw in enumerate(raw_mats):
-        if not isinstance(raw, list) or not raw:
-            raise ProblemFormatError(f"matrix {k}: must be a nonempty list of rows")
-        dim = len(raw)
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ProblemFormatError(f"matrix {k}: expected a 2x2 matrix, a list of 2 rows")
         rows = []
         for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != dim:
+            if not isinstance(row, list) or len(row) != 2:
                 raise ProblemFormatError(
-                    f"matrix {k}, row {i}: expected {dim} entries for a {dim}x{dim} matrix"
+                    f"matrix {k}, row {i}: expected 2 entries for a 2x2 matrix"
                 )
             rows.append([
                 _parse_entry(cell, f"matrix {k}, row {i}, column {j}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,51 +22,44 @@ ANGLE_TOL = 1e-10
 
 
 class UnsupportedDimensionError(ValueError):
-    """Raised when an operation only implemented for 2x2 matrices gets another size."""
+    """Raised when a matrix is not 2x2; Matrix refuses every other shape."""
 
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable real square matrix with finite entries (row-major)."""
+    """Immutable real 2x2 matrix with finite entries (row-major).
+
+    The radial-profile norms are planar, so this is the one place that
+    decides the dimension: any other shape raises UnsupportedDimensionError.
+    """
 
     entries: np.ndarray
+    dim = 2  # not a field: the one dimension a Matrix can have
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
+        if arr.shape != (2, 2):
+            raise UnsupportedDimensionError(f"a matrix must be 2x2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixSet:
-    """Ordered family of matrices of one common dimension, not all zero."""
+    """Ordered family of 2x2 matrices, not all zero."""
 
     matrices: tuple[Matrix, ...]
+    dim = 2
 
     def __post_init__(self):
         mats = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in self.matrices)
         if not mats:
             raise ValueError("matrix set must contain at least one matrix")
-        dim = mats[0].dim
-        if any(m.dim != dim for m in mats):
-            raise ValueError("all matrices in a set must share one dimension")
         if all(not m.entries.any() for m in mats):
             raise ValueError("matrix set must contain at least one nonzero matrix")
         object.__setattr__(self, "matrices", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].dim
 
     @property
     def count(self) -> int:
@@ -82,25 +76,53 @@ class MatrixSet:
         return len(self.matrices)
 
 
-def spectral_radius(a: Matrix) -> float:
-    """Largest eigenvalue magnitude of a 1x1 or 2x2 matrix.
+def _count(value, name: str) -> int:
+    """value as an int; refuses a bool and any value that is not an integer type.
 
-    Uses the closed form from trace and determinant: for a real pair the
-    extreme eigenvalue is (|tr| + sqrt(disc)) / 2, and for a complex pair
-    |lambda|^2 equals the determinant.  Larger matrices are rejected.
+    RelaxConfig's node count and iteration cap and the oracle's depths use it.
     """
-    if a.dim == 1:
-        return abs(float(a.entries[0, 0]))
-    if a.dim != 2:
-        raise UnsupportedDimensionError(f"spectral_radius supports dim <= 2, got {a.dim}")
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def spectral_radius(a: Matrix) -> float:
+    """Largest eigenvalue magnitude, by the closed form of _spectral_radii."""
     e, exp = _unit_scaled(a.entries)
-    tr = float(e[0, 0] + e[1, 1])
-    det = float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
+    return math.ldexp(float(_spectral_radii(e)), exp)
+
+
+def _spectral_radii(m: np.ndarray) -> np.ndarray:
+    """Closed-form spectral radii of 2x2 matrices stored component-major:
+    m[i, j] holds the (i, j) entries, one array (or scalar) per component.
+
+    For a real pair the extreme eigenvalue is (|tr| + sqrt(disc)) / 2, and
+    for a complex pair |lambda|^2 equals the determinant.
+    """
+    p, q, r, s = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    tr = p + s
+    det = p * s - q * r
     disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        return math.ldexp(0.5 * (abs(tr) + math.sqrt(disc)), exp)
+    real = 0.5 * (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0)))
     # complex conjugate pair; det > 0 is forced by a negative discriminant
-    return math.ldexp(math.sqrt(det), exp)
+    complex_pair = np.sqrt(np.maximum(det, 0.0))
+    return np.where(disc >= 0.0, real, complex_pair)
+
+
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """Closed-form spectral norms (largest singular values) of 2x2 matrices
+    stored component-major, as in _spectral_radii.
+
+    [[p, q], [r, s]] splits into a scaled rotation and a scaled reflection
+    whose gains add: hypot((p+s)/2, (r-q)/2) + hypot((p-s)/2, (r+q)/2).
+    hypot squares nothing, and both terms are nonnegative, so the sum has no
+    cancellation.
+    """
+    p, q, r, s = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    return np.hypot(0.5 * (p + s), 0.5 * (r - q)) + np.hypot(0.5 * (p - s), 0.5 * (r + q))
 
 
 def _unit_scaled(e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -172,10 +194,8 @@ def is_irreducible(s: MatrixSet) -> bool:
     A common invariant line must be a real eigendirection of every member
     that is not a scalar multiple of the identity, so it suffices to take
     the (at most two) eigendirections of the first non-scalar member and
-    test them against the whole family.  Exact for dimension 2.
+    test them against the whole family.
     """
-    if s.dim != 2:
-        raise UnsupportedDimensionError(f"is_irreducible supports dim 2 only, got {s.dim}")
     # eigendirections and invariant lines are scale-free: test each member
     # divided by a power of two, so tr^2, det and A v stay in range
     candidates: list[np.ndarray] | None = None

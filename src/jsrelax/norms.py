@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import MatrixSet, UnsupportedDimensionError
+from .matrices import MatrixSet
 
 __all__ = [
     "AngularNorm",
@@ -368,7 +368,6 @@ class _ImagePlan:
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
-        _require_planar(s)
         e0, e1 = _checked_vector(e)
         mats = s.arrays()
         g = _grid(n)
@@ -497,11 +496,6 @@ class _ImagePlan:
         return self.e.max_norm(nm.values)
 
 
-def _require_planar(s: MatrixSet) -> None:
-    if s.dim != 2:
-        raise UnsupportedDimensionError(f"angular norms are planar; matrix dim is {s.dim}")
-
-
 def _checked_vector(x) -> tuple[float, float]:
     if len(x) != 2:
         raise ValueError(f"a planar vector has two entries, got {len(x)}")
@@ -535,7 +529,6 @@ def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
 
     Raises ValueError if one of the images has no finite Euclidean length.
     """
-    _require_planar(s)
     x0, x1 = _checked_vector(x)
     pts = _Points.of_family(s.arrays(), x0, x1, nm.node_count)
     if not pts.finite:

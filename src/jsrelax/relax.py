@@ -70,13 +70,12 @@ families timed there, five (N = 300000) 20-37% less.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrices import MatrixSet, UnsupportedDimensionError, is_irreducible
+from .matrices import MatrixSet, _count, is_irreducible
 from .norms import (
     TWO_PI,
     AngularNorm,
@@ -206,16 +205,6 @@ class RelaxConfig:
         if isinstance(self.lambda_schedule, float):
             return self.lambda_schedule
         return self.lambda_schedule[min(n, len(self.lambda_schedule) - 1)]
-
-
-def _count(value, name: str) -> int:
-    """value as an int; refuses a bool and any value that is not an integer type."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -488,8 +477,6 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
     """
     if cfg is None:
         cfg = RelaxConfig()
-    if s.dim != 2:
-        raise UnsupportedDimensionError(f"run supports dim 2 only, got {s.dim}")
     nan = float("nan")
     if not force and not is_irreducible(s):
         return RelaxResult(nan, nan, nan, _initial(cfg), (), STATUS_REJECTED, cfg, ())

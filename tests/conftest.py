@@ -49,7 +49,7 @@ def product_levels(monkeypatch):
 
     def counting_extend(mats, prods):
         out = extend(mats, prods)
-        built.append(out.shape[0])
+        built.append(out.shape[-1])
         return out
 
     monkeypatch.setattr(oracle, "_extend", counting_extend)

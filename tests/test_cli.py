@@ -17,6 +17,7 @@ EX2 = {"matrices": [
 ]}
 REDUCIBLE = {"matrices": [[[2, 0], [0, 3]], [[1, 0], [0, 5]]]}
 NILPOTENT = {"matrices": [[[0, 1], [0, 0]]]}
+THREE_BY_THREE = {"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}
 
 
 @pytest.fixture
@@ -199,6 +200,16 @@ class TestOracleCommand:
     def test_nodes_flag_is_a_usage_error(self, problem_file, capsys):
         assert cli_main(["oracle", "--nodes", "512", problem_file(EX1)]) == 1
         assert "--nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["oracle", "--max-depth", "3"], ["check"]])
+def test_a_3x3_family_is_an_error_before_any_output(problem_file, capsys, command):
+    # `check` printed "matrices: 1 (dim 3)" before failing
+    code = cli_main([*command, problem_file(THREE_BY_THREE)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: matrix 0: expected a 2x2 matrix, a list of 2 rows\n"
 
 
 class TestCheckCommand:

@@ -1,6 +1,7 @@
 import io as stringio
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,45 @@ class TestParseProblem:
     def test_boolean_entry_rejected(self):
         with pytest.raises(ProblemFormatError):
             parse_problem(json.dumps({"matrices": [[[1, True], [0, 1]]]}))
+
+    @pytest.mark.parametrize("matrix, where", [
+        (np.eye(3).tolist(), "matrix 1: "),
+        ([[1]], "matrix 1: "),
+        ([], "matrix 1: "),
+        ([[1, 0], [0, 1], [1, 1]], "matrix 1: "),
+        ([[1, 0, 0], [0, 1, 0]], "matrix 1, row 0: "),
+        ([[1, 0], [0, 1, 0]], "matrix 1, row 1: "),
+        ([[1, 0], 5], "matrix 1, row 1: "),
+        ("[[1, 0], [0, 1]]", "matrix 1: "),
+    ], ids=["3x3", "1x1", "empty", "3x2", "2x3", "long row", "row not a list", "string"])
+    def test_a_matrix_that_is_not_2x2_is_refused_with_its_position(self, matrix, where):
+        bad = json.dumps({"matrices": [[[1, 0], [0, 1]], matrix]})
+        with pytest.raises(ProblemFormatError, match=f"^{re.escape(where)}expected .*2x2"):
+            parse_problem(bad)
+
+    def test_an_integer_literal_past_the_conversion_limit_is_a_format_error(self):
+        # json.loads raised a plain ValueError for more than 4300 digits
+        bad = '{"matrices": [[[1' + "0" * 5000 + ", 0], [0, 1]]]}"
+        with pytest.raises(ProblemFormatError, match="unreadable number"):
+            parse_problem(bad)
+
+    @pytest.mark.parametrize("entry", ["1_0/3", "1/1_0", "\u0967/2", "1/\u0662",
+                                       "\uff11/2", "+-1/2", "1/", "/2", "1.5/2", "0x1/2",
+                                       "1 0/3", "1/2/3", "--1/2"])
+    def test_a_malformed_rational_is_refused(self, entry):
+        # int() took underscores and non-ASCII digits: "1_0/3" read as 10/3
+        bad = '{"matrices": [[[1, "%s"], [0, 1]]]}' % entry
+        with pytest.raises(ProblemFormatError,
+                           match="matrix 0, row 0, column 1: cannot parse .* as a rational"):
+            parse_problem(bad)
+
+    @pytest.mark.parametrize("entry, value", [
+        ("-3/4", -0.75), ("+3/4", 0.75), (" 3 / -4 ", -0.75), ("007/+2", 3.5), ("-0/5", 0.0),
+    ])
+    def test_a_rational_takes_a_sign_ascii_digits_and_surrounding_spaces(self, entry, value):
+        ok = json.dumps({"matrices": [[[1, entry], [0, 1]]]})
+        got = parse_problem(ok).matrices.matrices[0].entries[0, 1]
+        assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
 
 
 class TestTraceRoundTrip:

@@ -37,8 +37,24 @@ class TestMatrixValues:
             MatrixSet(())
 
     def test_set_rejects_mixed_dims(self):
-        with pytest.raises(ValueError):
+        # refused by the member that is not 2x2
+        with pytest.raises(UnsupportedDimensionError, match=r"got shape \(3, 3\)"):
             MatrixSet((np.eye(2), np.eye(3)))
+        with pytest.raises(UnsupportedDimensionError, match=r"got shape \(1, 1\)"):
+            MatrixSet(([[2.0]], np.eye(2)))
+
+    @pytest.mark.parametrize("entries", [
+        [[-3.0]],
+        np.eye(3),
+        np.zeros((4, 4)),
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+        [1.0, 2.0, 3.0, 4.0],
+        np.ones((2, 2, 1)),
+    ], ids=["1x1", "3x3", "4x4", "2x3", "3x2", "flat", "2x2x1"])
+    def test_matrix_refuses_every_shape_but_2x2(self, entries):
+        with pytest.raises(UnsupportedDimensionError, match="must be 2x2, got shape"):
+            Matrix(entries)
 
     def test_set_rejects_all_zero(self):
         with pytest.raises(ValueError):
@@ -62,7 +78,9 @@ class TestSpectralRadius:
         assert spectral_radius(m) == pytest.approx(1.0, abs=1e-15)
 
     def test_one_by_one(self):
-        assert spectral_radius(Matrix([[-3.0]])) == 3.0
+        # a 1x1 matrix is refused when it is built
+        with pytest.raises(UnsupportedDimensionError):
+            spectral_radius(Matrix([[-3.0]]))
 
     def test_rejects_dim_three(self):
         with pytest.raises(UnsupportedDimensionError):

@@ -14,7 +14,7 @@ from jsrelax import (
     spectral_radius,
     trace_estimate,
 )
-from jsrelax.oracle import _spectral_norms, _spectral_radii
+from jsrelax.matrices import _spectral_norms, _spectral_radii
 
 from conftest import random_irreducible_pair
 
@@ -26,6 +26,21 @@ def lapack_products(mats, depth):
     for _ in range(depth - 1):
         prods = (mats[:, None] @ prods[None]).reshape(-1, 2, 2)
     return prods
+
+
+def scalar_spectral_radius(a: np.ndarray) -> float:
+    """Spectral radius of one 2x2 array by the scalar closed form, in Python
+    floats after the power-of-two prescale: the independent reference of the
+    batch form."""
+    exp = math.frexp(max(map(abs, a.ravel().tolist())))[1]
+    e = np.ldexp(a, -exp)
+    tr = float(e[0, 0] + e[1, 1])
+    det = float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        return math.ldexp(0.5 * (abs(tr) + math.sqrt(disc)), exp)
+    # complex conjugate pair; det > 0 is forced by a negative discriminant
+    return math.ldexp(math.sqrt(det), exp)
 
 
 def seeded_triple() -> MatrixSet:
@@ -146,10 +161,10 @@ class TestTraceEstimate:
             trace_estimate(example1, 40)
 
     def test_rejects_dim_three_as_product_bounds_does(self):
-        fam = MatrixSet((np.eye(3),))
+        # the family itself refuses a 3x3 member, before either call
         for call in (product_bounds, trace_estimate):
-            with pytest.raises(UnsupportedDimensionError, match="dim 2 only, got 3"):
-                call(fam, 2)
+            with pytest.raises(UnsupportedDimensionError, match=r"2x2, got shape \(3, 3\)"):
+                call(MatrixSet((np.eye(3),)), 2)
 
 
 class TestDepthSweep:
@@ -169,9 +184,8 @@ class TestDepthSweep:
         assert len(rows) == 4 and err.value.depth == 5
 
     def test_rejects_dim_three_before_any_row(self):
-        fam = MatrixSet((np.eye(3),))
         with pytest.raises(UnsupportedDimensionError):
-            next(depth_sweep(fam, 3))
+            next(depth_sweep(MatrixSet((np.eye(3),)), 3))
 
     @pytest.mark.parametrize("max_depth", [0, -2])
     def test_rejects_depth_below_one_when_called(self, example1, max_depth):
@@ -180,6 +194,19 @@ class TestDepthSweep:
             depth_sweep(example1, max_depth)
         with pytest.raises(ValueError, match=f"depth must be >= 1, got {max_depth}"):
             product_bounds(example1, max_depth)
+
+    @pytest.mark.parametrize("depth", [True, False, 2.5, 2.0, "3", None])
+    def test_rejects_a_depth_that_is_not_an_integer(self, example1, depth):
+        # a bool was taken as the depth 1 or 0, and 2.5 failed inside range()
+        for call in (depth_sweep, product_bounds, trace_estimate):
+            with pytest.raises(ValueError, match=f"depth must be an integer, got {depth!r}"):
+                call(example1, depth)
+
+    def test_numpy_integer_depth_is_an_int(self, example1):
+        bounds = product_bounds(example1, np.int64(6))
+        assert type(bounds.depth) is int and bounds == product_bounds(example1, 6)
+        rows = list(depth_sweep(example1, np.int32(3)))
+        assert [type(b.depth) for b, _ in rows] == [int] * 3
 
 
 class TestWorkCount:
@@ -207,11 +234,35 @@ class TestBatchSpectralRadii:
     def test_matches_scalar_closed_form(self):
         rng = np.random.default_rng(12)
         batch = rng.normal(size=(200, 2, 2))
-        vectorized = _spectral_radii(batch)
+        vectorized = _spectral_radii(batch.transpose(1, 2, 0))  # component-major
         for k in range(200):
             assert vectorized[k] == pytest.approx(
-                spectral_radius(Matrix(batch[k])), rel=1e-14, abs=1e-300
+                scalar_spectral_radius(batch[k]), rel=1e-14, abs=1e-300
             )
+
+    def test_spectral_radius_is_the_scalar_closed_form_bitwise(self):
+        # random entries, integer entries with signed zeros, and decimal
+        # extremes down to subnormals; a radius above the largest double
+        # overflows in both forms
+        rng = np.random.default_rng(14)
+        ints = rng.integers(-2, 3, size=(1000, 2, 2)).astype(float)
+        ints[(ints == 0.0) & rng.integers(0, 2, size=ints.shape).astype(bool)] = -0.0
+        mats = [rng.normal(size=(1000, 2, 2)), ints]
+        mats += [scale * rng.uniform(-1.0, 1.0, size=(200, 2, 2))
+                 for scale in (1.7e308, 1e300, 1e-300, 1e-308, 5e-324)]
+        checked = 0
+        for a in np.concatenate(mats):
+            if not a.any():
+                continue
+            try:
+                want = scalar_spectral_radius(a)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    spectral_radius(Matrix(a))
+                continue
+            assert spectral_radius(Matrix(a)).hex() == want.hex(), a
+            checked += 1
+        assert checked > 2500
 
 
 class TestBatchSpectralNorms:
@@ -219,4 +270,5 @@ class TestBatchSpectralNorms:
         rng = np.random.default_rng(13)
         batch = rng.normal(size=(200, 2, 2))
         expected = np.linalg.norm(batch, 2, axis=(1, 2))
-        np.testing.assert_allclose(_spectral_norms(batch), expected, rtol=1e-14, atol=0.0)
+        got = _spectral_norms(batch.transpose(1, 2, 0))  # component-major
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)

@@ -41,9 +41,11 @@ first and a second plan build of each seeded family, in a fresh process
 per tree.
 
 With --parent DIR, a checkout of the parent commit, the jsrelax package under
-DIR/src is imported as a package copy, and the `runs` rows and one
-relax_family pass (the benchmark's corpus, seed PASS_SEED) are timed for both
-trees alternately in this process, before any other section (`parent_ab`).
+DIR/src is imported as a package copy, and the `runs` rows, depth_sweep to
+--max-depth on examples 1 and 2 (`oracle`) and one relax_family pass (the
+benchmark's corpus, seed PASS_SEED) are timed for both trees alternately in
+this process, before any other section (`parent_ab`).  Each of these rows
+says whether the two trees gave the same output (`same_output`).
 
 Run from the repository root:
 
@@ -108,17 +110,18 @@ def sweep_row_times(s: MatrixSet, max_depth: int) -> list[float]:
 
 def level_times(s: MatrixSet, max_depth: int, repeats: int) -> list[list[float]]:
     """Seconds of each level build, repeats times, for depths 2..max_depth."""
-    mats, _ = next(oracle._products(s, 1, DEFAULT_PRODUCT_CAP))  # the prescaled family
-    prods = mats
+    # the depth-1 level: the prescaled family, component-major
+    first, _ = next(oracle._products(s, 1, DEFAULT_PRODUCT_CAP))
+    level = first
     times = []
     for _ in range(2, max_depth + 1):
         runs = []
         for _ in range(repeats):
             start = time.perf_counter()
-            built = oracle._extend(mats, prods)
+            built = oracle._extend(first, level)
             runs.append(time.perf_counter() - start)
         times.append(runs)
-        prods = built
+        level = built
     return times
 
 
@@ -275,8 +278,7 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
 # RUN_SERIES run() calls of one family, after one run of the same family on
 # two nodes more (so the process has imported and warmed up everything, and
 # its kept plan arrays have another shape), and of a first and a second plan
-# build made and released as a solve makes and releases it (by `reusing` in
-# a tree that has it).
+# build made and released as a solve makes and releases it.
 _FAULTS = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -290,7 +292,7 @@ def faults(call):
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
 row = {"runs": [faults(lambda: run(s, RelaxConfig(node_count=n, tol=tol))) for _ in range(series)]}
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
-build = lambda: getattr(norms._ImagePlan, "reusing", norms._ImagePlan)(s, n, (1.0, 0.0)).release()
+build = lambda: norms._ImagePlan(s, n, (1.0, 0.0)).release()
 row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
 print(json.dumps(row))
 """
@@ -362,9 +364,15 @@ def corpus_pass(tree) -> list[tuple]:
             for base, angle in zip(families, angles) for algorithm in ("lr", "mr")]
 
 
-def parent_times(parent: Path, nodes: list[int], repeats: int) -> dict:
-    """The `runs` rows and a relax_family pass, timed for the parent tree and
-    this one alternately in this process, the first tree changing each round.
+def sweep_outcome(rows) -> list[tuple]:
+    """Every float of depth_sweep's rows, as hex, to check that two trees agree."""
+    return [(b.depth, b.lower.hex(), b.upper.hex(), t.hex()) for b, t in rows]
+
+
+def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -> dict:
+    """The `runs` rows, depth_sweep to max_depth on examples 1 and 2, and a
+    relax_family pass, timed for the parent tree and this one alternately in
+    this process, the first tree changing each round.
 
     Both trees run in one process, so they share its allocator and its
     speed state; each keeps its own module state.  main() runs this section
@@ -383,6 +391,13 @@ def parent_times(parent: Path, nodes: list[int], repeats: int) -> dict:
                      for tag, t in trees.items()}
             row["same_output"] = outcome(solve["parent"]()) == outcome(solve["change"]())
             rows.append((row, solve, {tag: ([], []) for tag in TREES}))
+    sweeps = []
+    for name, mats in FAMILIES.items():
+        row = {"family": name, "max_depth": max_depth}
+        sweep = {tag: lambda t=t, s=t.MatrixSet(mats): sweep_outcome(t.depth_sweep(s, max_depth))
+                 for tag, t in trees.items()}
+        row["same_output"] = sweep["parent"]() == sweep["change"]()
+        sweeps.append((row, sweep, {tag: ([], []) for tag in TREES}))
     cases = {tag: corpus_pass(t) for tag, t in trees.items()}
     same = all(outcome(trees["parent"].run(*a)) == outcome(trees["change"].run(*b))
                for a, b in zip(cases["parent"], cases["change"]))
@@ -395,13 +410,13 @@ def parent_times(parent: Path, nodes: list[int], repeats: int) -> dict:
             passes[tag]["minflt"].append(minor_faults() - faults)
             passes[tag]["pass"].append(sum(solves))
             passes[tag]["solves"] += solves
-        for _, solve, times in rows:
+        for _, solve, times in rows + sweeps:
             for tag in order:
                 solve[tag]()
                 seconds, flt = timed(solve[tag])
                 times[tag][0].append(seconds)
                 times[tag][1].append(flt)
-    for row, _, times in rows:
+    for row, _, times in rows + sweeps:
         row.update((tag, summary(*times[tag])) for tag in TREES)
         row["change_over_parent"] = row["change"]["median_ms"] / row["parent"]["median_ms"]
     family = {"seed": PASS_SEED, "solves": len(cases["change"]), "same_output": same}
@@ -409,7 +424,8 @@ def parent_times(parent: Path, nodes: list[int], repeats: int) -> dict:
         family[tag] = {**summary(p["pass"], p["minflt"]),
                        "solve_p50_ms": 1e3 * statistics.median(p["solves"]),
                        "solve_p90_ms": 1e3 * statistics.quantiles(p["solves"], n=10)[-1]}
-    return {"runs": [row for row, _, _ in rows], "relax_family_pass": family}
+    return {"runs": [row for row, _, _ in rows], "oracle": [row for row, _, _ in sweeps],
+            "relax_family_pass": family}
 
 
 def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
@@ -458,12 +474,14 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--parent", metavar="DIR", type=Path,
-                        help="a checkout of the parent commit: also time its run rows and a "
-                             "relax_family pass against this tree's, in this process")
+                        help="a checkout of the parent commit: also time its run rows, "
+                             "oracle sweeps and a relax_family pass against this tree's, "
+                             "in this process")
     args = parser.parse_args(argv)
     if args.max_depth < 2 or args.repeats < 1 or min(args.nodes) < 8:
         parser.error("need --max-depth >= 2, --repeats >= 1 and --nodes >= 8")
-    ab = None if args.parent is None else parent_times(args.parent, args.nodes, args.repeats)
+    ab = (None if args.parent is None
+          else parent_times(args.parent, args.nodes, args.max_depth, args.repeats))
     result = bench(args.max_depth, args.nodes, args.repeats)
     trees = {"change": ROOT / "src"}
     if ab is not None:
@@ -509,6 +527,10 @@ def main(argv=None) -> int:
             print(f"parent/change {row['family']} {row['algorithm']} N={row['nodes']}: "
                   + " vs ".join(f"{row[t]['median_ms']:.2f} ms ({row[t]['minflt']} faults)"
                                 for t in TREES)
+                  + f", ratio {row['change_over_parent']:.3f}, same output {row['same_output']}")
+        for row in ab["oracle"]:
+            print(f"parent/change {row['family']} depth_sweep to depth {row['max_depth']}: "
+                  + " vs ".join(f"{row[t]['median_ms']:.1f} ms" for t in TREES)
                   + f", ratio {row['change_over_parent']:.3f}, same output {row['same_output']}")
         fam = ab["relax_family_pass"]
         for t in TREES:
