@@ -56,9 +56,8 @@ def _build_parser() -> _Parser:
     runp.add_argument("problem", help="JSON problem file")
     runp.add_argument("--algorithm", choices=("lr", "mr"), default="lr")
     runp.add_argument("--lambda", dest="lambda_value", type=float, default=0.3,
-                      help="constant relaxation weight (lr)")
-    runp.add_argument("--lambda-lo", type=float, default=0.05)
-    runp.add_argument("--lambda-hi", type=float, default=0.95)
+                      help="constant relaxation weight in [0, 1) (lr); 0 is the direct "
+                           "iteration, which has no convergence guarantee")
     runp.add_argument("--averaging", choices=tuple(_AVERAGING), default="arith",
                       help="bracket averaging (mr)")
     runp.add_argument("--nodes", type=int, default=3000)
@@ -67,8 +66,6 @@ def _build_parser() -> _Parser:
     runp.add_argument("--e", default="1,0", metavar="X,Y", help="reference vector")
     runp.add_argument("--force", action="store_true",
                       help="iterate even when the family is reducible")
-    runp.add_argument("--unsafe-direct", action="store_true",
-                      help="lambda = 0 variant, no convergence guarantee")
     runp.add_argument("--trace", metavar="PATH", help="write the iteration trace CSV")
     runp.add_argument("--norm-out", metavar="PATH", help="write the final norm CSV")
     runp.add_argument("--svg", metavar="PATH", help="write the unit-sphere SVG")
@@ -104,15 +101,12 @@ def _cmd_run(args) -> int:
     problem = _load_problem(args.problem)
     cfg = RelaxConfig(
         algorithm=args.algorithm,
-        lambda_lo=args.lambda_lo,
-        lambda_hi=args.lambda_hi,
         lambda_schedule=args.lambda_value,
         averaging=_AVERAGING[args.averaging],
         node_count=args.nodes,
         e=_parse_e(args.e),
         tol=args.tol,
         max_iters=args.max_iters,
-        unsafe_direct=args.unsafe_direct,
     )
     result = run(problem.matrices, cfg, force=args.force)
     if result.status == STATUS_REJECTED:
@@ -154,13 +148,20 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _radius_text(m) -> str:
+    try:
+        return _fmt(spectral_radius(m))
+    except OverflowError:  # the radius exceeds the largest double
+        return "inf"
+
+
 def _cmd_check(args) -> int:
     problem = _load_problem(args.problem)
     family = problem.matrices
     if problem.label:
         print(f"label: {problem.label}")
     print(f"matrices: {family.count} (dim {family.dim})")
-    radii = ", ".join(_fmt(spectral_radius(m)) for m in family)
+    radii = ", ".join(_radius_text(m) for m in family)
     print(f"member spectral radii: {radii}")
     verdict = is_irreducible(family)
     print(f"irreducible: {'yes' if verdict else 'no'}")

@@ -34,7 +34,7 @@ __all__ = [
     "read_norm",
 ]
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 _TRACE_HEADER = "n,rho_minus,rho_plus,gamma,lambda"
 _NORM_HEADER = "phi,h"
@@ -150,13 +150,15 @@ def _schedule_text(schedule) -> str:
 
 
 def write_trace(result: RelaxResult, sink: TextIO) -> None:
-    """Write the iteration trace as CSV with a '#' config header block."""
+    """Write the iteration trace as CSV with a '#' config header block.
+
+    Version 2 of the format drops version 1's lambda_lo, lambda_hi and
+    unsafe_direct header lines; read_trace reads either version.
+    """
     cfg = result.config
     lines = [
         f"# jsrelax-trace format-version={TRACE_FORMAT_VERSION}",
         f"# algorithm={cfg.algorithm}",
-        f"# lambda_lo={_fmt(cfg.lambda_lo)}",
-        f"# lambda_hi={_fmt(cfg.lambda_hi)}",
         f"# lambda_schedule={_schedule_text(cfg.lambda_schedule)}",
         f"# averaging={cfg.averaging}",
         f"# node_count={cfg.node_count}",
@@ -164,7 +166,6 @@ def write_trace(result: RelaxResult, sink: TextIO) -> None:
         f"# tol={_fmt(cfg.tol)}",
         f"# max_iters={cfg.max_iters}",
         f"# initial_norm={'euclidean' if cfg.initial_norm is None else 'explicit'}",
-        f"# unsafe_direct={'true' if cfg.unsafe_direct else 'false'}",
         f"# status={result.status}",
         _TRACE_HEADER,
     ]

@@ -544,12 +544,13 @@ def combine_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out
 
     Given the node image maxima m = max_i |A_i u_j| at the upper-half nodes,
     writes the next upper half lam * h_j + (1 - lam) * m_j / gamma into out;
-    m is overwritten.  Requires lam strictly inside (0, 1) and gamma > 0.
+    m is overwritten.  Requires lam in [0, 1) and gamma > 0; lam = 0 writes
+    m_j / gamma exactly.
     """
     lam = float(lam)
     gamma = float(gamma)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie strictly inside (0, 1), got {lam}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     # lam * upper + (1 - lam) * (m / gamma), operation by operation

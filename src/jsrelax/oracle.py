@@ -7,6 +7,8 @@ whole product batch, exact within a few ulp.  The family is divided by a
 power of two first, so its overall scale cannot overflow or underflow them.
 The trace-based estimate converges to the same limit but at finite depth is
 neither a lower nor an upper bound, so it is reported as a diagnostic only.
+A value above the largest double is refused with ValueError, not returned
+as inf.
 
 Each depth is one level, stored component-major as a (2, 2, K) array: row
 [i, j] holds the (i, j) entry of every product, so the closed forms read the
@@ -22,6 +24,7 @@ about 0.14 s, most of it the closed forms over the 2^20 products.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -138,8 +141,17 @@ def _deepest(s: MatrixSet, depth: int, cap: int) -> tuple[np.ndarray, int]:
 
 
 def _root(values: np.ndarray, depth: int, e: int) -> float:
-    """2^e * max(values)^(1/depth): a depth-n value of the unscaled family."""
-    return float(np.ldexp(float(values.max()) ** (1.0 / depth), e))
+    """2^e * max(values)^(1/depth): a depth-n value of the unscaled family.
+
+    Raises ValueError, with no warning, when that value exceeds the largest
+    double: an inf would claim a bound the family does not have.
+    """
+    try:
+        return math.ldexp(float(values.max()) ** (1.0 / depth), e)
+    except OverflowError:
+        raise ValueError(
+            f"a depth-{depth} value exceeds the double range; rescale the family"
+        ) from None
 
 
 def _bounds(level: np.ndarray, depth: int, e: int) -> ProductBounds:

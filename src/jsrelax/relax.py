@@ -3,9 +3,11 @@
 Two update rules drive a sequence of angular-profile norms toward an
 extremal norm of the family:
 
-  lr: the next profile is a convex combination of the current one and the
-      image profile scaled by 1/gamma_n, with gamma_n the image norm of the
-      reference vector e;
+  lr: the next profile is lambda_n times the current one plus 1 - lambda_n
+      times the image profile scaled by 1/gamma_n, with gamma_n the image
+      norm of the reference vector e and lambda_n in [0, 1); lambda_n = 0
+      is the direct iteration, the scaled image profile alone, which has no
+      convergence guarantee;
   mr: the next profile is the pointwise maximum of the current one and the
       image profile scaled by 1/gamma_n, renormalized at e, with gamma_n an
       average of the current bracket ends.
@@ -21,7 +23,7 @@ L_ij(h) = rad * (w0 * h[i0] + f * h[i1]) the interpolated norm of A_i u_j:
 a linear map with nonnegative weights.  So M is monotone, positively
 homogeneous and subadditive, and the bracket of h says
 rho_minus * h <= M(h) <= rho_plus * h at the nodes.  An lr step with any
-lambda in [0, 1), the unsafe_direct lambda = 0 included, gives
+lambda in [0, 1), the direct lambda = 0 included, gives
 h' = lambda * h + (1 - lambda) * M(h) / gamma, and then
   M(h') <= lambda * M(h) + (1 - lambda) * M(M(h)) / gamma <= rho_plus * h',
 since M(M(h)) <= M(rho_plus * h) = rho_plus * M(h); and at node j, with i
@@ -116,8 +118,8 @@ STATUS_MAX_ITERS = "max_iters_reached"
 STATUS_REJECTED = "not_irreducible_rejected"
 # every matrix maps some grid direction to 0 (possible for reducible families
 # only), so the next profile is undefined: lr has gamma = 0, or the image
-# profile that mr and the direct variant need vanishes at a node; or a node
-# value underflows to 0, as lr's at such a node does, lam^n times its start
+# profile that mr needs vanishes at a node; or a node value reaches 0, as
+# lr's at such a node does, lam^n times its start (0 at once for lam = 0)
 STATUS_DEGENERATE = "degenerate_image"
 
 # Every iterate must keep the reference vector at norm 1; the lr update
@@ -135,8 +137,6 @@ class RelaxConfig:
     """All iteration parameters; validated on construction."""
 
     algorithm: str = ALGORITHM_LR
-    lambda_lo: float = 0.05
-    lambda_hi: float = 0.95
     lambda_schedule: float | Sequence[float] = 0.3
     averaging: str = "arithmetic"
     node_count: int = 3000
@@ -144,31 +144,20 @@ class RelaxConfig:
     tol: float = 1e-3
     max_iters: int = 10_000
     initial_norm: AngularNorm | None = None
-    unsafe_direct: bool = False
 
     def __post_init__(self):
         if self.algorithm not in (ALGORITHM_LR, ALGORITHM_MR):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not (0.0 < self.lambda_lo <= self.lambda_hi < 1.0):
-            raise ValueError(
-                f"need 0 < lambda_lo <= lambda_hi < 1, got [{self.lambda_lo}, {self.lambda_hi}]"
-            )
-        if self.unsafe_direct and self.algorithm != ALGORITHM_LR:
-            raise ValueError("unsafe_direct applies to the lr algorithm only")
         if isinstance(self.lambda_schedule, (int, float)):
             sched: float | tuple[float, ...] = float(self.lambda_schedule)
             values = (sched,)
         else:
-            sched = tuple(float(v) for v in self.lambda_schedule)
+            sched = values = tuple(float(v) for v in self.lambda_schedule)
             if not sched:
                 raise ValueError("lambda sequence must be nonempty")
-            values = sched
-        if not self.unsafe_direct:
-            for v in values:
-                if not (self.lambda_lo <= v <= self.lambda_hi):
-                    raise ValueError(
-                        f"lambda value {v} outside [{self.lambda_lo}, {self.lambda_hi}]"
-                    )
+        for v in values:
+            if not 0.0 <= v < 1.0:  # refuses a NaN
+                raise ValueError(f"lambda value {v} outside [0, 1)")
         object.__setattr__(self, "lambda_schedule", sched)
         if self.averaging not in AVERAGING_KINDS:
             raise ValueError(f"unknown averaging {self.averaging!r}")
@@ -200,8 +189,6 @@ class RelaxConfig:
 
     def lambda_at(self, n: int) -> float:
         """Relaxation weight for step n; a short sequence repeats its last value."""
-        if self.unsafe_direct:
-            return 0.0
         if isinstance(self.lambda_schedule, float):
             return self.lambda_schedule
         return self.lambda_schedule[min(n, len(self.lambda_schedule) - 1)]
@@ -316,14 +303,7 @@ def lr_step(
         raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
     lam = cfg.lambda_at(n)
     vals = np.empty(nm.node_count)
-    upper = vals[nm.node_count // 2:]
-    if cfg.unsafe_direct:
-        # degenerate lam = 0 variant: pure image profile, no convergence guarantee
-        if lo == 0.0:
-            raise _DegenerateImage("every matrix maps a grid direction to 0")
-        np.divide(m, g, out=upper)
-    else:
-        combine_linear(nm, m, lam, g, upper)
+    combine_linear(nm, m, lam, g, vals[nm.node_count // 2:])
     nxt = _next_profile(vals)
     _require_normalized(nxt, plan, ALGORITHM_LR, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, lam)

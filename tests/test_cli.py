@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jsrelax import MatrixSet, RelaxConfig, read_trace, run, write_trace
 from jsrelax.cli import cli_main
 
 
@@ -108,10 +109,37 @@ class TestRunCommand:
         assert "maps a grid direction to 0" in capsys.readouterr().err
         assert not trace.exists()
 
-    def test_unsafe_direct_accepted(self, problem_file):
-        code = cli_main(["run", "--unsafe-direct", "--max-iters", "50", "--nodes", "512",
-                         problem_file(EX1)])
+    def test_lambda_zero_runs_the_direct_iteration(self, problem_file, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = cli_main(["run", "--lambda", "0", "--max-iters", "50", "--nodes", "512",
+                         "--trace", str(trace), problem_file(EX1)])
         assert code in (0, 2)
+        text = trace.read_text()
+        meta, records = read_trace(text)
+        assert meta["jsrelax-trace format-version"] == "2"
+        assert meta["lambda_schedule"] == "0"
+        assert not {"lambda_lo", "lambda_hi", "unsafe_direct"} & set(meta)
+        assert records and all(rec.lam == 0.0 for rec in records)
+        assert all(row.endswith(",0") for row in text.splitlines()[-len(records):])
+        # the same bytes as the library's trace of the same solve
+        cfg = RelaxConfig(lambda_schedule=0.0, node_count=512, max_iters=50)
+        sink = io.StringIO()
+        write_trace(run(MatrixSet(([[1, 1], [0, 1]], [[1, 0], [-1, 1]])), cfg), sink)
+        assert text == sink.getvalue()
+
+    @pytest.mark.parametrize("value", ["1", "1.5", "-0.1", "nan"])
+    def test_lambda_outside_zero_one_is_an_error(self, problem_file, capsys, value):
+        code = cli_main(["run", f"--lambda={value}", "--nodes", "64", problem_file(EX1)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "outside [0, 1)" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--unsafe-direct"], ["--lambda-lo", "0.1"],
+                                      ["--lambda-hi", "0.9"]], ids=lambda flag: flag[0])
+    def test_removed_lambda_flags_are_usage_errors(self, problem_file, capsys, flag):
+        assert cli_main(["run", *flag, "--nodes", "64", problem_file(EX1)]) == 1
+        assert flag[0] in capsys.readouterr().err
 
     def test_custom_reference_vector(self, problem_file):
         code = cli_main(["run", "--e", "0,1", "--nodes", "64", problem_file(EX1)])
@@ -197,6 +225,19 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == f"error: depth must be >= 1, got {depth}\n"
 
+    def test_roots_above_the_double_range_are_an_error(self, problem_file, capsys):
+        # printed rows of inf after an ldexp overflow warning, and exited 0
+        h = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["oracle", "--max-depth", "2",
+                             problem_file({"matrices": [[[h, h], [h, h]]]})])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not [ln for ln in captured.out.splitlines() if ln and ln[0].isdigit()]
+        assert captured.err == (
+            "error: a depth-1 value exceeds the double range; rescale the family\n")
+
     def test_nodes_flag_is_a_usage_error(self, problem_file, capsys):
         assert cli_main(["oracle", "--nodes", "512", problem_file(EX1)]) == 1
         assert "--nodes" in capsys.readouterr().err
@@ -213,6 +254,22 @@ def test_a_3x3_family_is_an_error_before_any_output(problem_file, capsys, comman
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("others, radii, verdict, exit_code", [
+        ([], "inf", "no", 3),
+        ([[[2, 0], [0, 2]]], "inf, 2", "no", 3),
+        ([[[0, 1], [0, 0]]], "inf, 0", "yes", 0),
+    ], ids=["alone", "with-2I", "with-nilpotent"])
+    def test_radius_above_the_double_range_prints_inf(self, problem_file, capsys, others,
+                                                      radii, verdict, exit_code):
+        # spectral_radius raised OverflowError here, a traceback after the first line
+        h = 1.7e308
+        code = cli_main(["check", problem_file({"matrices": [[[h, h], [h, h]], *others]})])
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert captured.out == (f"matrices: {1 + len(others)} (dim 2)\n"
+                                f"member spectral radii: {radii}\nirreducible: {verdict}\n")
+        assert captured.err == ""
+
     def test_irreducible_family(self, problem_file, capsys):
         code = cli_main(["check", problem_file(EX1)])
         assert code == 0

@@ -115,7 +115,7 @@ def test_iterate_yields_the_finest_level_only():
     {"algorithm": "mr", "averaging": "arithmetic"},
     {"algorithm": "mr", "averaging": "geometric"},
     {"algorithm": "mr", "averaging": "harmonic"},
-    {"unsafe_direct": True, "max_iters": 40},
+    {"lambda_schedule": 0.0, "max_iters": 40},
     {"max_iters": 1},
     {"algorithm": "mr", "max_iters": 1},
 ], ids=lambda extra: "-".join(f"{k}={v}" for k, v in extra.items()))

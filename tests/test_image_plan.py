@@ -67,7 +67,7 @@ def reference_run(s: MatrixSet, cfg: RelaxConfig):
         if cfg.algorithm == "lr":
             gamma = float(reference_image_max(nm.values, mats, ex, ey)[0])
             lam = cfg.lambda_at(n)
-            nxt = m / gamma if cfg.unsafe_direct else lam * upper + (1.0 - lam) * (m / gamma)
+            nxt = lam * upper + (1.0 - lam) * (m / gamma)
             nm = AngularNorm(np.concatenate([nxt, nxt]))
         else:
             gamma, lam = gamma_mr(lo, hi, cfg.averaging), None
@@ -111,7 +111,7 @@ CASES = [
     ("ex2", EX2, "mr", 3000, {"e": (-1.5, 0.0)}),
     ("ex1", EX1, "lr", 3000, {"initial_norm": bumpy(3000)}),
     ("ex2", EX2, "mr", 64, {"initial_norm": bumpy(64)}),
-    ("ex1", EX1, "lr", 3000, {"unsafe_direct": True, "max_iters": 40}),
+    ("ex1", EX1, "lr", 3000, {"lambda_schedule": 0.0, "max_iters": 40}),
     ("ex1", EX1, "lr", 64, {"lambda_schedule": (0.1, 0.5, 0.9)}),
     ("ex2", EX2, "mr", 3000, {"averaging": "geometric"}),
     ("ex1", EX1, "mr", 64, {"averaging": "harmonic"}),
@@ -121,10 +121,10 @@ CASES = [
     ("r1", R1, "mr", 2 * WIDTH + 2, {"averaging": "harmonic", "max_iters": 6}),
     ("r3", R3, "lr", 2 * WIDTH - 768, {"max_iters": 6, "e": node(2 * WIDTH - 768, 300)}),
     ("r5", R5, "mr", 2 * WIDTH, {"max_iters": 6, "averaging": "geometric"}),
-    ("r5", R5, "lr", 2 * WIDTH, {"max_iters": 6, "unsafe_direct": True}),
+    ("r5", R5, "lr", 2 * WIDTH, {"max_iters": 6, "lambda_schedule": 0.0}),
     ("r3", R3, "mr", 2 * WIDTH + 7002, {"max_iters": 6, "e": node(2 * WIDTH + 7002, 7)}),
     ("r5", R5, "lr", 4 * WIDTH, {"max_iters": 4, "lambda_schedule": (0.2, 0.7)}),
-    ("r33", R33, "lr", 3000, {"unsafe_direct": True, "max_iters": 6}),
+    ("r33", R33, "lr", 3000, {"lambda_schedule": 0.0, "max_iters": 6}),
     ("r33", R33, "mr", 3002, {"tol": 1e-4, "max_iters": 12, "e": node(3002, 1000, 0.5)}),
     ("r33", R33, "mr", 998, {"averaging": "harmonic", "max_iters": 12}),
 ]
@@ -298,8 +298,8 @@ def test_step_refuses_finite_before_positive(bad, message):
         def image_at_e(self, nm):
             return 1.0
 
-    # the direct variant makes the next upper half m / 1.0 = m exactly
-    cfg = RelaxConfig(node_count=16, unsafe_direct=True)
+    # lambda = 0 makes the next upper half 0 * h + m / 1.0: m, but for a zero's sign
+    cfg = RelaxConfig(node_count=16, lambda_schedule=0.0)
     plan = CraftedPlan(MatrixSet(EX1), 16, cfg.e)
     with pytest.raises(ValueError, match=message):
         relax.lr_step(relax._initial(cfg), plan, cfg, 0)

@@ -220,6 +220,61 @@ class TestTraceRoundTrip:
         assert records[0].lam == 0.2 and records[2].lam == 0.5
 
 
+# a version-1 trace, as jsrelax run --nodes 64 --max-iters 3 wrote it for
+# example 1, with the lambda_lo, lambda_hi and unsafe_direct lines of that version
+TRACE_V1 = """\
+# jsrelax-trace format-version=1
+# algorithm=lr
+# lambda_lo=0.050000000000000003
+# lambda_hi=0.94999999999999996
+# lambda_schedule=0.29999999999999999
+# averaging=arithmetic
+# node_count=64
+# e=1,0
+# tol=0.001
+# max_iters=3
+# initial_norm=euclidean
+# unsafe_direct=false
+# status=max_iters_reached
+n,rho_minus,rho_plus,gamma,lambda
+0,1.2566846596861734,1.6171645706896476,1.4142135623730951,0.29999999999999999
+1,1.3038634263255726,1.5423839936740529,1.5310612497708611,0.29999999999999999
+2,1.3377722907850287,1.4895108202707275,1.4811377957673986,0.29999999999999999
+"""
+
+
+class TestTraceVersions:
+    def test_version_one_trace_reads_as_before(self):
+        meta, records = read_trace(TRACE_V1)
+        assert meta["jsrelax-trace format-version"] == "1"
+        assert (meta["lambda_lo"], meta["lambda_hi"], meta["unsafe_direct"]) == (
+            "0.050000000000000003", "0.94999999999999996", "false")
+        assert [(r.n, r.rho_minus, r.rho_plus, r.gamma, r.lam) for r in records] == [
+            (0, 1.2566846596861734, 1.6171645706896476, 1.4142135623730951, 0.3),
+            (1, 1.3038634263255726, 1.5423839936740529, 1.5310612497708611, 0.3),
+            (2, 1.3377722907850287, 1.4895108202707275, 1.4811377957673986, 0.3),
+        ]
+
+    def test_version_two_drops_only_the_removed_lines(self, example1):
+        # this solve's version-2 trace is the version-1 text without those lines
+        cfg = RelaxConfig(node_count=64, max_iters=3)
+        sink = stringio.StringIO()
+        write_trace(run(example1, cfg), sink)
+        removed = ("# lambda_lo=", "# lambda_hi=", "# unsafe_direct=")
+        want = "".join(line for line in TRACE_V1.splitlines(keepends=True)
+                       if not line.startswith(removed)).replace("version=1", "version=2")
+        assert sink.getvalue() == want
+        assert read_trace(sink.getvalue())[1] == read_trace(TRACE_V1)[1]
+
+    def test_a_direct_iteration_trace_round_trips(self, example1):
+        result = run(example1, RelaxConfig(node_count=512, lambda_schedule=0.0, max_iters=20))
+        sink = stringio.StringIO()
+        write_trace(result, sink)
+        meta, records = read_trace(sink.getvalue())
+        assert meta["lambda_schedule"] == "0"
+        assert records == result.trace and all(r.lam == 0.0 for r in records)
+
+
 class TestNormCsv:
     def test_header_and_row_count(self):
         sink = stringio.BytesIO()

@@ -220,9 +220,16 @@ class TestCombineLinear:
         out = combined(combine_linear, nm, example1, 0.3, gamma)
         assert out.values[n // 2] == 1.0
 
+    def test_lambda_zero_writes_the_scaled_image_exactly(self, example1):
+        nm = AngularNorm(np.random.default_rng(9).uniform(0.2, 3.0, size=3000))
+        m = _ImagePlan(example1, 3000, (1.0, 0.0)).node_image_max(nm)
+        want = m / 1.7
+        out = combined(combine_linear, nm, example1, 0.0, 1.7)
+        assert out.values[1500:].tobytes() == want.tobytes()
+
     def test_rejects_bad_lambda(self, example1):
-        for lam in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
+        for lam in (1.0, -0.2, 1.3, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"in \[0, 1\)"):
                 combined(combine_linear, euclidean(64), example1, lam, 1.0)
 
     def test_rejects_bad_gamma(self, example1):

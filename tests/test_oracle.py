@@ -209,6 +209,50 @@ class TestDepthSweep:
         assert [type(b.depth) for b, _ in rows] == [int] * 3
 
 
+class TestOverflow:
+    # 2^e * max^(1/n) above the largest double warned "overflow encountered in
+    # ldexp" and returned inf, a false bound
+    HUGE = 1.7e308
+
+    def test_roots_above_the_double_range_are_refused_without_a_warning(self):
+        h = self.HUGE
+        fam = MatrixSet(([[h, h], [h, h]],))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for depth in (1, 2, 3):
+                for call in (product_bounds, trace_estimate):
+                    with pytest.raises(ValueError, match=f"depth-{depth} value exceeds the "
+                                                         "double range; rescale the family"):
+                        call(fam, depth)
+            with pytest.raises(ValueError, match="depth-1 value exceeds the double range"):
+                next(depth_sweep(fam, 2))
+
+    def test_each_call_refuses_only_its_own_root(self):
+        # radius and norm are HUGE, the trace 2 * HUGE
+        h = self.HUGE
+        fam = MatrixSet(([[h, 0.0], [0.0, h]],))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = product_bounds(fam, 1)
+            assert bounds.lower == bounds.upper == h
+            with pytest.raises(ValueError, match="depth-1 value exceeds the double range"):
+                trace_estimate(fam, 1)
+            with pytest.raises(ValueError, match="depth-1 value exceeds the double range"):
+                next(depth_sweep(fam, 1))
+
+    def test_roots_at_the_top_of_the_range_are_kept(self):
+        # radius, norm and |trace| of every depth-n product are HUGE^n
+        h = self.HUGE / 2.0
+        fam = MatrixSet(([[h, h], [h, h]],))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(depth_sweep(fam, 4))
+        assert [b.depth for b, _ in rows] == [1, 2, 3, 4]
+        for b, t in rows:
+            for value in (b.lower, b.upper, t):
+                assert value == pytest.approx(self.HUGE, rel=1e-15)
+
+
 class TestWorkCount:
     """Each depth is built by one level build from the depth before it."""
 

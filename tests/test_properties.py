@@ -93,9 +93,7 @@ def nesting_config(lam: float, n: int, algorithm: str, averaging: str) -> RelaxC
     common = dict(node_count=n, tol=1e-300, max_iters=30)
     if algorithm == "mr":
         return RelaxConfig(algorithm="mr", averaging=averaging, **common)
-    if lam == 0.0:
-        return RelaxConfig(unsafe_direct=True, **common)
-    return RelaxConfig(lambda_lo=lam, lambda_hi=lam, lambda_schedule=lam, **common)
+    return RelaxConfig(lambda_schedule=lam, **common)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

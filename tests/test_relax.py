@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -57,19 +58,25 @@ class TestConfig:
         cfg = RelaxConfig()
         assert cfg.algorithm == "lr" and cfg.node_count == 3000
 
-    def test_rejects_bad_lambda_window(self):
-        with pytest.raises(ValueError):
-            RelaxConfig(lambda_lo=0.0)
-        with pytest.raises(ValueError):
-            RelaxConfig(lambda_lo=0.6, lambda_hi=0.4)
-        with pytest.raises(ValueError):
-            RelaxConfig(lambda_hi=1.0)
-
     def test_rejects_schedule_outside_window(self):
-        with pytest.raises(ValueError):
-            RelaxConfig(lambda_schedule=0.99)
-        with pytest.raises(ValueError):
-            RelaxConfig(lambda_schedule=[0.3, 0.97])
+        for schedule in (1.0, 1.5, -0.1, -1e-300, math.nan, math.inf, -math.inf,
+                         [0.3, 1.0], [math.nan], [0.0, -0.5]):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+                RelaxConfig(lambda_schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [
+        0.0, -0.0, 0, 1e-300, 0.99, 1.0 - 2.0 ** -53, [0.0, 0.97],
+    ])
+    def test_accepts_schedule_in_window(self, schedule):
+        # the window is [0, 1) whatever the algorithm; mr ignores the schedule
+        for algorithm in ("lr", "mr"):
+            RelaxConfig(algorithm=algorithm, lambda_schedule=schedule)
+
+    def test_has_eight_fields(self):
+        assert [f.name for f in dataclasses.fields(RelaxConfig)] == [
+            "algorithm", "lambda_schedule", "averaging", "node_count", "e", "tol",
+            "max_iters", "initial_norm",
+        ]
 
     def test_sequence_schedule_repeats_last(self):
         cfg = RelaxConfig(lambda_schedule=[0.2, 0.4, 0.6])
@@ -114,10 +121,6 @@ class TestConfig:
         assert type(cfg.node_count) is int and cfg.node_count == 64
         assert type(cfg.max_iters) is int and cfg.max_iters == 3
         assert len(run(MatrixSet((rotation(0.5, 2.0),)), cfg).trace) <= 3
-
-    def test_unsafe_direct_is_lr_only(self):
-        with pytest.raises(ValueError):
-            RelaxConfig(algorithm="mr", unsafe_direct=True)
 
     def test_rejects_mismatched_initial_norm(self):
         with pytest.raises(ValueError):
@@ -340,8 +343,8 @@ class TestRun:
         res = run(example1, RelaxConfig())
         assert res.rho_lo <= res.rho_mid <= res.rho_hi
 
-    def test_unsafe_direct_runs(self, example1):
-        cfg = RelaxConfig(unsafe_direct=True, max_iters=60)
+    def test_direct_iteration_runs(self, example1):
+        cfg = RelaxConfig(lambda_schedule=0.0, max_iters=60)
         res = run(example1, cfg)
         assert all(r.lam == 0.0 for r in res.trace)
         assert res.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
@@ -385,19 +388,18 @@ class TestRun:
         assert np.array_equal(res.norm.values, euclidean(64).values)
         assert list(iterate(MatrixSet(mats), cfg)) == []
 
-    def test_unsafe_direct_degenerate_off_reference(self):
+    def test_direct_iteration_degenerate_off_reference(self):
         # e = (0, 1) has a nonzero image, but the direction (1, 0) maps to 0,
-        # so the pure image profile of the direct variant is not a norm
+        # so the pure image profile of the direct iteration is not a norm
         fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
-        cfg = RelaxConfig(node_count=64, e=(0.0, 1.0), unsafe_direct=True)
+        cfg = RelaxConfig(node_count=64, e=(0.0, 1.0), lambda_schedule=0.0)
         assert run(fam, cfg, force=True).status == STATUS_DEGENERATE
 
     def test_forced_lr_whose_node_value_underflows_ends_degenerate(self):
         # (0, 1) maps to 0, so lr keeps lam^n of its value there, which
         # underflows after 11 steps; it raised "profile values must be positive"
         lam = 8.0e-28
-        cfg = RelaxConfig(node_count=8, tol=1e-300, max_iters=30,
-                          lambda_lo=lam, lambda_hi=lam, lambda_schedule=lam)
+        cfg = RelaxConfig(node_count=8, tol=1e-300, max_iters=30, lambda_schedule=lam)
         res = run(MatrixSet(([[0.0, 0.0], [1.0, 0.0]],)), cfg, force=True)
         assert res.status == STATUS_DEGENERATE
         assert len(res.trace) == 11 and res.rho_lo == 0.0
@@ -470,11 +472,11 @@ class TestStepPath:
         assert steps > 1
         assert calls == {f"{algorithm}_step": steps, "bounds": steps, combine: steps}
 
-    def test_unsafe_direct_calls_no_combine(self, calls, example1):
-        res = run(example1, RelaxConfig(node_count=512, unsafe_direct=True, max_iters=20))
+    def test_direct_iteration_steps_through_combine_linear(self, calls, example1):
+        res = run(example1, RelaxConfig(node_count=512, lambda_schedule=0.0, max_iters=20))
         steps = len(res.trace)
         assert steps > 1
-        assert calls == {"lr_step": steps, "bounds": steps}
+        assert calls == {"lr_step": steps, "bounds": steps, "combine_linear": steps}
 
 
 class TestTraceInvariants:

@@ -44,8 +44,11 @@ With --parent DIR, a checkout of the parent commit, the jsrelax package under
 DIR/src is imported as a package copy, and the `runs` rows, depth_sweep to
 --max-depth on examples 1 and 2 (`oracle`) and one relax_family pass (the
 benchmark's corpus, seed PASS_SEED) are timed for both trees alternately in
-this process, before any other section (`parent_ab`).  Each of these rows
-says whether the two trees gave the same output (`same_output`).
+this process, before any other section (`parent_ab`).  Then, one family and
+node count at a time, so are the `steps` rows: the plan rebuild as a solve
+makes it and the four steps, each tree on its own plan.  Each of these rows
+says whether the two trees gave the same output (`same_output`); a step
+row compares the node image maxima and the next profile of every step.
 
 Run from the repository root:
 
@@ -86,7 +89,8 @@ from jsrelax import (  # noqa: E402
     write_norm,
     write_trace,
 )
-from jsrelax import norms, oracle, relax  # noqa: E402
+import jsrelax  # noqa: E402
+from jsrelax import norms, oracle  # noqa: E402
 
 FAMILIES = {
     "ex1": ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]]),
@@ -226,32 +230,45 @@ def round_robin(calls: list[tuple[dict, str, object]], repeats: int) -> None:
         row[key] = summary(runs, faults)
 
 
+def step_calls(tree, mats: np.ndarray, n: int) -> tuple[object, dict, dict]:
+    """A `steps` row on tree: the plan, the timed calls by key (the plan rebuild
+    and the four steps on that plan) and, by step key, the members the step
+    maps and its node image maxima, next profile and record."""
+    s = tree.MatrixSet(tuple(mats))
+    e = (1.0, 0.0)
+    plan = tree.norms._ImagePlan(s, n, e)
+    # as a solve builds its plan: into the arrays the untimed call released
+    calls = {"plan_rebuild": lambda: tree.norms._ImagePlan(s, n, e).release()}
+    done = {}
+    for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
+        cfg = tree.RelaxConfig(algorithm=algorithm, node_count=n)
+        converged = tree.run(s, tree.RelaxConfig(algorithm=algorithm, node_count=n,
+                                                 tol=FAMILY_TOL)).norm
+        for key, nm in ((f"{algorithm}_step", tree.relax._initial(cfg)),
+                        (f"{algorithm}_step_converged", converged)):
+            m = plan.node_image_max(nm).copy()
+            nxt, rec = step(nm, plan, cfg, 0)
+            done[key] = (plan.members_mapped(nm), m.tobytes(), nxt.values.tobytes(),
+                         (rec.n, rec.rho_minus, rec.rho_plus, rec.gamma, rec.lam))
+            calls[key] = lambda step=step, nm=nm, cfg=cfg: step(nm, plan, cfg, 0)
+    return plan, calls, done
+
+
 def relax_times(nodes: list[int], repeats: int) -> dict:
     """min and median ms of the plan build and of one step per family and node count,
     and of run() on the examples."""
     steps, calls = [], []
-    e = RelaxConfig().e
     for r, max_nodes in RELAX_FAMILIES:
         s = seeded_family(r)
         for n in (n for n in nodes if n <= max_nodes):
-            row = {"r": r, "nodes": n, "mapped": {}}
+            # the step calls hold their plan for the section: 70 MB at the default N
+            _, made, done = step_calls(jsrelax, seeded_mats(r), n)
+            row = {"r": r, "nodes": n, "mapped": {key: got[0] for key, got in done.items()}}
             steps.append(row)
-            plan = norms._ImagePlan(s, n, e)  # kept for the section: 70 MB at the default N
             # never released, so the untimed call drains the slot and the timed one allocates
-            calls.append((row, "plan_build", lambda s=s, n=n: norms._ImagePlan(s, n, e)))
-            # as a solve builds its plan: into the arrays the untimed call released
-            calls.append((row, "plan_rebuild",
-                          lambda s=s, n=n: norms._ImagePlan(s, n, e).release()))
-            for algorithm, step in (("lr", relax.lr_step), ("mr", relax.mr_step)):
-                cfg = RelaxConfig(algorithm=algorithm, node_count=n)
-                start = relax._initial(cfg)
-                converged = run(s, RelaxConfig(algorithm=algorithm, node_count=n,
-                                               tol=FAMILY_TOL)).norm
-                for key, nm in ((f"{algorithm}_step", start),
-                                (f"{algorithm}_step_converged", converged)):
-                    row["mapped"][key] = plan.members_mapped(nm)
-                    calls.append((row, key, lambda step=step, nm=nm, plan=plan, cfg=cfg:
-                                  step(nm, plan, cfg, 0)))
+            calls.append((row, "plan_build",
+                          lambda s=s, n=n: norms._ImagePlan(s, n, (1.0, 0.0))))
+            calls += [(row, key, call) for key, call in made.items()]
     runs, fine_runs = [], []
     cases = [(runs, name, MatrixSet(tuple(mats)), n, tol, {})
              for name, mats, n, tol in run_families(nodes)]
@@ -326,6 +343,8 @@ def fault_rows(trees: dict[str, Path], nodes: list[int]) -> list[dict]:
 
 
 TREES = ("parent", "change")
+# the timed calls of a parent/change `steps` row
+STEP_KEYS = ("plan_rebuild", "lr_step", "lr_step_converged", "mr_step", "mr_step_converged")
 # the relax_family pass of the parent comparison: the benchmark's 16 corpus
 # families turned by the rotations of this workload seed, lr and mr
 PASS_SEED = 1
@@ -369,6 +388,34 @@ def sweep_outcome(rows) -> list[tuple]:
     return [(b.depth, b.lower.hex(), b.upper.hex(), t.hex()) for b, t in rows]
 
 
+def parent_step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
+    """The `steps` rows for both trees, one family and node count at a time,
+    each call alternately on either tree, the first tree changing each round."""
+    rows = []
+    for r, max_nodes in RELAX_FAMILIES:
+        for n in (n for n in nodes if n <= max_nodes):
+            made = {tag: step_calls(t, seeded_mats(r), n) for tag, t in trees.items()}
+            row = {"r": r, "nodes": n, "same_output": made["parent"][2] == made["change"][2]}
+            times = {key: {tag: ([], []) for tag in TREES} for key in STEP_KEYS}
+            for k in range(repeats):
+                order = TREES if k % 2 == 0 else TREES[::-1]
+                for key, by_tree in times.items():
+                    for tag in order:
+                        call = made[tag][1][key]
+                        call()
+                        seconds, flt = timed(call)
+                        by_tree[tag][0].append(seconds)
+                        by_tree[tag][1].append(flt)
+            for key, by_tree in times.items():
+                row[key] = {tag: summary(*by_tree[tag]) for tag in TREES}
+                row[key]["change_over_parent"] = (row[key]["change"]["median_ms"]
+                                                  / row[key]["parent"]["median_ms"])
+            for plan, _, _ in made.values():
+                plan.release()
+            rows.append(row)
+    return rows
+
+
 def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -> dict:
     """The `runs` rows, depth_sweep to max_depth on examples 1 and 2, and a
     relax_family pass, timed for the parent tree and this one alternately in
@@ -379,8 +426,6 @@ def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -
     first, before the large solves of the others move the allocator's
     thresholds (see fault_rows).
     """
-    import jsrelax
-
     trees = {"parent": load_tree(parent, "jsrelax_parent"), "change": jsrelax}
     rows = []
     for name, mats, n, tol in run_families(nodes):
@@ -425,7 +470,7 @@ def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -
                        "solve_p50_ms": 1e3 * statistics.median(p["solves"]),
                        "solve_p90_ms": 1e3 * statistics.quantiles(p["solves"], n=10)[-1]}
     return {"runs": [row for row, _, _ in rows], "oracle": [row for row, _, _ in sweeps],
-            "relax_family_pass": family}
+            "relax_family_pass": family, "steps": parent_step_rows(trees, nodes, repeats)}
 
 
 def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
@@ -475,8 +520,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--parent", metavar="DIR", type=Path,
                         help="a checkout of the parent commit: also time its run rows, "
-                             "oracle sweeps and a relax_family pass against this tree's, "
-                             "in this process")
+                             "oracle sweeps, a relax_family pass and step rows against "
+                             "this tree's, in this process")
     args = parser.parse_args(argv)
     if args.max_depth < 2 or args.repeats < 1 or min(args.nodes) < 8:
         parser.error("need --max-depth >= 2, --repeats >= 1 and --nodes >= 8")
@@ -539,6 +584,12 @@ def main(argv=None) -> int:
                   f"solve p50 {got['solve_p50_ms']:.2f} ms, p90 {got['solve_p90_ms']:.2f} ms, "
                   f"{got['minflt']} faults")
         print(f"relax_family pass same output: {fam['same_output']}")
+        for row in ab["steps"]:
+            calls = ", ".join(f"{key.replace('_', ' ')} "
+                              + " vs ".join(f"{row[key][t]['median_ms']:.3f}" for t in TREES)
+                              + " ms" for key in STEP_KEYS)
+            print(f"parent/change r={row['r']} N={row['nodes']}: {calls}, "
+                  f"same output {row['same_output']}")
     return 0
 
 
