@@ -1,11 +1,13 @@
-"""Planar norms stored as piecewise-linear radial profiles on an angular grid.
+"""Planar norms stored as star-polygon profiles on an angular grid.
 
-A norm on the plane is determined by its restriction h(phi) = |(cos phi,
-sin phi)| to the unit circle.  Profiles are sampled at the uniform nodes
-phi_j = -pi + 2*pi*j/N, interpolated linearly in angle between nodes, and
-kept centrally symmetric (h_j = h_{j+N/2}, bit-exact) because a norm
-satisfies |-x| = |x|.  So the upper half (phi in [0, pi)) holds every node
-value, and the stencils below index it alone.
+A profile holds node values h_j > 0 at the uniform nodes u_j = (cos phi_j,
+sin phi_j), phi_j = -pi + 2*pi*j/N, and stands for the gauge of the star
+polygon through the points p_j = u_j / h_j: a vector y = a u_i + b u_{i+1}
+with a, b >= 0, its cone coordinates in the sector from node i to node
+i + 1, has norm a h_i + b h_{i+1}.  That polygon is the norm's unit sphere,
+which svgplot draws.  Profiles are kept centrally symmetric (h_j = h_{j+N/2},
+bit-exact) because a norm satisfies |-x| = |x|.  So the upper half (phi in
+[0, pi)) holds every node value, and the stencils below index it alone.
 
 Node sweeps go through elementwise array arithmetic rather than BLAS, and
 single vectors through Python floats with the same IEEE operations in the
@@ -16,16 +18,10 @@ of a node stencil, whose stencil and buffers every step reuses;
 combine_linear and combine_max write a step's next profile from the plan's
 node image maxima, and each step allocates only that profile.  A step maps
 only the family members that can attain those maxima: a member whose
-Euclidean image lengths stay below the longest image's by more than the
+image weight sums a + b stay below the largest image's by more than the
 profile's spread max h / min h (its dominance margin) is skipped, which
-changes no output bit (see _ImagePlan).
-
-A plan lives for one solve and serves one thread.  Its release() hands its
-stencil arrays to a one-set slot, and the next plan of the same shape
-builds into them instead of allocating; the build rewrites every entry, so
-no output bit depends on what the arrays held.  The slot keeps at most one
-set, of at most _KEPT_MAX_BYTES, so a process keeps at most that much after
-a solve returns.
+changes no output bit (see _ImagePlan, which also says how a plan's arrays
+serve the next plan of the same shape).
 """
 
 from __future__ import annotations
@@ -54,27 +50,25 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 MIN_NODES = 8
 
-# Interpolation positions within this many node units of a node collapse onto
-# it, so evaluation along a grid direction returns the stored value exactly.
-# Well above the float error of the position computation (~2e-12 for N=3000)
-# and far below anything that affects the stated tolerances.
-_NODE_SNAP = 1e-11
-
 
 class _Grid(NamedTuple):
-    angles: np.ndarray  # node angles, ascending from -pi
-    ux: np.ndarray      # unit vector x components, antipodal halves negate exactly
-    uy: np.ndarray
+    angles: np.ndarray   # node angles, ascending from -pi
+    ux: np.ndarray       # unit vector x components, antipodal halves negate exactly
+    uy: np.ndarray       # (ux and uy are read-only views of the first two rows of sectors)
+    sectors: np.ndarray  # (5, N + 1): u_i's x and y, s_i, c_i and n_i of sector i (see _grid)
+    fold: np.ndarray     # (N + 1,): i modulo N/2
 
 
 @lru_cache(maxsize=16)
 def _grid(n: int) -> _Grid:
-    """Node angles and unit vectors for an N-node grid.
+    """Node angles, unit vectors and sector constants for an N-node grid.
 
     The upper half (phi in [0, pi)) is computed directly with the cardinal
     directions pinned to exact (1,0) / (0,1); the lower half is its exact
-    negation.  This makes antipodal symmetry and evaluation at the default
-    reference vector e = (1,0) bit-exact.
+    negation, so antipodal symmetry is bit-exact.  Column i of `sectors`
+    holds u_i, s_i = u_i x u_{i+1}, c_i = u_i . u_{i+1} and n_i = |u_i|^2
+    (u_N = u_0), with _cone's products, so node vectors get exact cone
+    coordinates; column N repeats column 0, for the vectors at angle pi.
     """
     half = n // 2
     step = TWO_PI / n
@@ -89,14 +83,18 @@ def _grid(n: int) -> _Grid:
         uy_up[n // 4] = 1.0
     ux = np.concatenate([-ux_up, ux_up])
     uy = np.concatenate([-uy_up, uy_up])
-    for arr in (angles, ux, uy):
+    x1, y1 = np.roll(ux, -1), np.roll(uy, -1)
+    sectors = np.stack([ux, uy, ux * y1 - uy * x1, ux * x1 + uy * y1, ux * ux + uy * uy])
+    sectors = np.concatenate([sectors, sectors[:, :1]], axis=1)
+    fold = np.arange(n + 1) % half
+    for arr in (angles, sectors, fold):
         arr.flags.writeable = False
-    return _Grid(angles, ux, uy)
+    return _Grid(angles, sectors[0, :n], sectors[1, :n], sectors, fold)
 
 
 @dataclass(frozen=True, eq=False)
 class AngularNorm:
-    """Radial profile h_j = |(cos phi_j, sin phi_j)| on the uniform grid.
+    """Node values h_j = |u_j| on the uniform grid, of the star polygon through u_j / h_j.
 
     Construction validates positivity, finiteness and the node-count parity,
     and pins central symmetry by averaging antipodal nodes (an exact no-op
@@ -169,26 +167,46 @@ def _store(nm: AngularNorm, vals: np.ndarray) -> None:
 
 
 def euclidean(n: int) -> AngularNorm:
-    """Constant profile h = 1: the Euclidean norm, exactly, at any grid size."""
+    """Constant profile h = 1: the N-gon through the unit node vectors, whose
+    gauge f is the Euclidean length along every node direction and satisfies
+    |x| <= f(x) <= |x| / cos(pi/N) everywhere."""
     return AngularNorm(np.ones(int(n)))
 
 
-def _sector(x0, x1, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid sector index, modulo N/2, and in-sector weight f of the vectors (x0, x1).
+def _cone(y0, y1, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid sector index i0, modulo N/2, and cone coordinates (a, b) of the vectors (y0, y1).
 
-    A vector at node position t lies between nodes idx and idx + 1 (mod n),
-    at fraction f of the way; positions within _NODE_SNAP of a node snap to it.
-    idx is returned modulo N/2, which indexes either half of a symmetric profile.
+    y = a u_i + b u_{i+1} in the sector i that holds y, by the correlated
+    form b = (u_i x y) / s_i and a = (u_i . y - b c_i) / n_i (see _grid): a
+    node vector gets exactly (1, 0) or (0, 1).  A vector within about 1e-15
+    radians of a node ray u_k can get a negative coordinate, from the
+    rounding of atan2 (which finds the sector) or of its tiny coordinate; it
+    gets the sector k and the coordinates (u_k . y / n_k, 0), its projection
+    on the ray, with u_k the sector's end ray if a < 0 and its start ray if
+    b < 0.  So a, b >= 0, which the nested brackets and the member screening
+    need.  i0 indexes either half of a symmetric profile.
     """
-    t = np.arctan2(x1, x0)
-    t += math.pi
-    t *= n / TWO_PI  # t >= +0.0, so adding 0.0 below changes no bit
-    j = np.floor(t)
-    f = np.subtract(t, j, out=t)
-    hi = f >= 1.0 - _NODE_SNAP
-    j += hi
-    np.putmask(f, hi | (f <= _NODE_SNAP), 0.0)
-    return j.astype(np.intp) % (n // 2), f
+    g = _grid(n)
+    t = np.arctan2(y1, y0)
+    t *= n / TWO_PI
+    t += n // 2
+    i = t.astype(np.intp)  # t lies in [0, n] up to rounding, so this is its floor, or 0
+    ux, uy, s, c, sq = g.sectors.take(i, axis=1, mode="clip")
+    b = np.multiply(ux, y1, out=t)
+    b -= uy * y0
+    b /= s
+    a = np.multiply(ux, y0, out=ux)
+    a += np.multiply(uy, y1, out=uy)
+    a -= np.multiply(b, c, out=c)
+    a /= sq
+    if a.min() < 0.0 or b.min() < 0.0:
+        off = np.nonzero(np.minimum(a, b) < 0.0)
+        k = (i[off] + (a[off] < 0.0)) % n
+        kx, ky, _, _, ksq = g.sectors[:, k]
+        i[off] = k
+        a[off] = (kx * y0[off] + ky * y1[off]) / ksq
+        b[off] = 0.0
+    return g.fold.take(i, mode="clip"), a, b
 
 
 def _entries(mats) -> np.ndarray:
@@ -202,42 +220,36 @@ def _images(entry: np.ndarray, x0, x1) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Points:
-    """Interpolation terms of a few fixed vectors, evaluated in Python floats.
+    """Gauge terms of a few fixed vectors, evaluated in Python floats.
 
-    Each vector y keeps (i0, i1, w0 = 1 - f, f, rad = |y|_2) for its grid
-    sector, and max_norm() returns max over the vectors of
-    rad * (w0 * h[i0] + f * h[i1]): the IEEE operations of the plan's node map,
-    in the same order, without copying the profile.  The indices are taken
-    modulo N/2, so a symmetric profile's full values and its upper half give
-    the same result.
-
-    A vector that overflowed gets an infinite or NaN length, without a
-    warning; finite says whether every length is finite.
+    Each vector y keeps (i0, i1, a, b): its grid sector and its cone
+    coordinates (see _cone), and max_norm() returns max over the vectors of
+    a * h[i0] + b * h[i1]: the IEEE operations of the plan's node map, in
+    the same order, on a profile's full values or its upper half alike, with
+    no copy.  A vector that overflowed gets an infinite or NaN coordinate,
+    without a warning; finite[k] says whether vector k's are finite.
     """
 
     def __init__(self, y0, y1, n: int):
-        half = n // 2
         with np.errstate(over="ignore", invalid="ignore"):
-            i0, f = _sector(y0, y1, n)
-            rad = np.hypot(y0, y1)
-        self.finite = bool(np.isfinite(rad).all())
-        self.terms = tuple(zip(
-            i0.tolist(), ((i0 + 1) % half).tolist(),
-            (1.0 - f).tolist(), f.tolist(), rad.tolist(),
-        ))
+            i0, a, b = _cone(y0, y1, n)
+        self.finite = (np.isfinite(a) & np.isfinite(b)).tolist()
+        self.terms = tuple(zip(i0.tolist(), ((i0 + 1) % (n // 2)).tolist(), a.tolist(),
+                               b.tolist()))
 
     @classmethod
     def of_family(cls, mats, x0: float, x1: float, n: int) -> "_Points":
-        """Terms of the images A (x0, x1), one per family member."""
+        """Terms of the images A (x0, x1), one per family member, then of (x0, x1)."""
         with np.errstate(over="ignore", invalid="ignore"):
             y0, y1 = _images(_entries(mats), np.array([x0]), np.array([x1]))
-        return cls(y0.ravel(), y1.ravel(), n)
+        return cls(np.append(y0, x0), np.append(y1, x1), n)
 
-    def max_norm(self, values: np.ndarray) -> float:
-        """Largest profile norm among the vectors; NaN if any norm is NaN, as np.max."""
+    def max_norm(self, values: np.ndarray, start: int = 0, stop: int | None = None) -> float:
+        """Largest profile norm among the vectors start to stop; NaN if any
+        norm is NaN, as np.max."""
         best = -math.inf
-        for i0, i1, w0, f, rad in self.terms:
-            v = rad * (w0 * values.item(i0) + f * values.item(i1))
+        for i0, i1, a, b in self.terms[start:stop]:
+            v = a * values.item(i0) + b * values.item(i1)
             if v > best or v != v:
                 best = v
         return best
@@ -248,10 +260,10 @@ class _Points:
 # at most 16K doubles, within glibc's mmap threshold, so that freeing one does
 # not hand it back to the system and make the next allocation page-fault.
 # A map works in two preallocated block buffers; a build makes about eight
-# temporaries per block, so it takes smaller blocks, which keep a solve's
-# peak memory about 0.5 MB lower.
+# temporaries per block, one of them its five gathered sector constants per
+# entry, so it takes blocks of at most 16K / 5 entries.
 _BLOCK = 16384
-_BUILD_BLOCK = 4096
+_BUILD_BLOCK = 3072
 
 
 def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
@@ -271,9 +283,9 @@ def _tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
 
 # A member is screened out of a step when its dominance margin exceeds the
 # profile's spread max h / min h by this factor, far more than the few-ulp
-# rounding of an interpolated value.  That rounding is relative only for node
-# values in [_SCREEN_LO, _SCREEN_HI]: normal, and an interpolation of them
-# still finite.  A profile outside it maps every member.
+# rounding of a gauge value.  That rounding is relative only for node values
+# in [_SCREEN_LO, _SCREEN_HI]: normal, and a weighted sum of them still
+# finite.  A profile outside it maps every member.
 _MARGIN_SLACK = 1.0 + 1e-12
 _SCREEN_LO = 2.0 ** -1022
 _SCREEN_HI = 2.0 ** 1022
@@ -286,20 +298,19 @@ _SCREEN_HI = 2.0 ** 1022
 _SAMPLE_COLUMNS = 64
 
 
-def _margins(rad: np.ndarray) -> np.ndarray:
-    """The dominance margin of each row of rad.
-
-    Row k's margin is min over the columns j of top_j / rad_kj, with top_j
-    the largest length in column j: at least 1, exactly 1 for a row that is
-    the longest somewhere, +inf for a row of length 0 wherever top_j > 0.
-    Columns of length 0 in every row do not count.
+def _margins(a: np.ndarray, b: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The dominance margin of each row of the weight sums w = a + b, given
+    top, the largest sum in each column: min over the columns j of
+    top_j / w_kj, at least 1, exactly 1 for a row that is the largest
+    somewhere, +inf for a row of weight 0 wherever top_j > 0.  Columns of
+    weight 0 in every row do not count.
     """
-    top = np.maximum.reduce(rad, axis=0)
-    margin = np.full(rad.shape[0], math.inf)
+    margin = np.full(a.shape[0], math.inf)
     # x/0 and 0/0 give inf and NaN, with no warning; fmin skips the NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r, c in _tiles(*rad.shape, _BLOCK):
-            np.fmin(margin[r], np.fmin.reduce(top[c] / rad[r, c], axis=1), out=margin[r])
+        for r, c in _tiles(*a.shape, _BLOCK):
+            np.fmin(margin[r], np.fmin.reduce(top[c] / (a[r, c] + b[r, c]), axis=1),
+                    out=margin[r])
     return margin
 
 
@@ -308,7 +319,7 @@ def _margins(rad: np.ndarray) -> np.ndarray:
 # dict.pop, so two threads never take the same set, and put with one
 # assignment, which replaces any set there.  A set over _KEPT_MAX_BYTES is
 # not kept: the benchmark corpus's largest (32 matrices on 3000 nodes) is
-# 1.78 MB, and one of a 300000-node solve would pin tens of MB.
+# 1.41 MB, and one of a 300000-node solve would pin tens of MB.
 _KEPT_KEY = "stencil"
 _KEPT_MAX_BYTES = 4 << 20
 _kept: dict = {}
@@ -317,45 +328,43 @@ _kept: dict = {}
 class _ImagePlan:
     """The fixed vectors of one relaxation solve, and the solve's workspace.
 
-    Holds the interpolation stencil of the images y_kj = A_k u_j of every
-    upper-half node under every matrix, and the terms of the images A_i e
-    and of e itself.  Built once per solve; each step then reads the node
-    image maxima, the lr gamma max_i |A_i e| and the norm of e off it with
-    no angle work.  image_at_e and norm_at_e evaluate the terms that
-    max_image and evaluate build, so they agree bitwise.
+    Holds the stencil of the images y_kj = A_k u_j of every upper-half node
+    under every matrix, and the terms of the images A_i e and of e itself.
+    Built once per solve; each step then reads the node image maxima, the
+    lr gamma max_i |A_i e| and the norm of e off it with no angle work.
 
-    Row k, column j of the stencil stores the grid sector i0 modulo N/2,
-    the weights w0 = 1 - f and f, and the length rad = |y_kj|_2, so that
-    node_image_max evaluates max_k rad * (w0 * h[i0] + f * h[i0 + 1]) with a
-    gather and a multiply-add.  A symmetric profile repeats its upper half,
-    so h[i0] and h[i0 + 1] are values[i0] and values[1:][i0]: the map reads
+    Row k, column j of the stencil stores the grid sector i0 modulo N/2 and
+    the cone coordinates a and b of y_kj (see _cone), so that node_image_max
+    evaluates max_k a * h[i0] + b * h[i0 + 1] with a gather and a
+    multiply-add.  A symmetric profile repeats its upper half, so h[i0] and
+    h[i0 + 1] are values[i0] and values[1:][i0]: the map reads
     values[:N/2 + 1] and needs no shifted copy of the profile.  The build
-    maps all rows at once, block by block, with the same _sector and hypot
-    per entry as a map of one row at a time.
+    maps all rows at once, block by block, with the same _cone per entry as
+    a map of one row at a time.
 
-    Member screening.  Row k's value at column j is rad_kj times an
-    interpolation of h, which lies within a few ulp of [min h, max h]; the
-    longest row there, of length top_j, gives at least top_j * min h less
-    those few ulp.  So where the row's dominance margin
-    mu_k = min_j top_j / rad_kj (see _margins) exceeds the spread
-    max h / min h by _MARGIN_SLACK, its value lies below the longest row's at
+    Member screening.  Row k's value at column j is a * h[i0] + b * h[i0 + 1]
+    with a, b >= 0, which lies within a few ulp of [min h, max h] times the
+    weight sum w_kj = a + b; the row of the largest sum there, top_j, gives
+    at least top_j * min h less those few ulp.  So where the row's dominance
+    margin mu_k = min_j top_j / w_kj (see _margins) exceeds the spread
+    max h / min h by _MARGIN_SLACK, its value lies below that row's at
     every column and never attains the maximum.  The maximum is exact and
     independent of the row order, so node_image_max maps only the leading
     members_mapped() rows and returns the same bits as a map of every row.
-    The rows are stored in the order of their margins over a sample of the
-    columns, likely those with small margins first; `members` holds the
+    The rows are stored in the order of their Euclidean margins over a
+    sample of the columns, likely small margins first; `members` holds the
     family index of each row.  `margin[k]` is the least exact margin of row
     k and the rows after it, so it never decreases, and the rows after the
     first k whose margin[k] exceeds a bound all exceed it.  When every
-    margin is 1 (every member is the longest somewhere, or the last row is)
+    margin is 1 (every member is the largest somewhere, or the last row is)
     every row is mapped and no screening work is done.
 
-    Workspace and lifetime.  The stencil takes 32 bytes per entry; the
+    Workspace and lifetime.  The stencil takes 24 bytes per entry; the
     workspace is an output buffer `best` of one value per column, two block
     buffers and the bracket-ratio buffer `ratio`.  node_image_max returns
     `best` itself, and its next call overwrites it; so one plan serves one
     thread, and a caller that keeps the maxima past the next call copies
-    them.  The four stencil arrays and the block buffers (`arrays`) come
+    them.  The three stencil arrays and the block buffers (`arrays`) come
     from the slot (see _kept) when the last plan released there has the
     same (rows, cols), and are allocated otherwise: a kept set of another
     shape is freed first, and the set of a build that raises is dropped.
@@ -364,7 +373,7 @@ class _ImagePlan:
     hands the arrays back to the slot.
 
     Raises ValueError, before any step and without a warning, if e or one of
-    these images has no finite Euclidean length.
+    these images has a non-finite cone coordinate.
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
@@ -377,44 +386,40 @@ class _ImagePlan:
         if shape != (rows, cols):
             arrays = None  # a kept set of another shape is freed before the build allocates
         entry = _entries(mats)
-        # a node image that overflows gets an infinite or NaN length, refused below
+        # a node image that overflows gets an infinite or NaN coordinate, refused below
         with np.errstate(over="ignore", invalid="ignore"):
+            # the squared lengths order the rows as the lengths would, with no root
             step = max(1, cols // _SAMPLE_COLUMNS)
-            sampled = _margins(np.hypot(*_images(entry, x0[::step], x1[::step])))
+            y0, y1 = _images(entry, x0[::step], x1[::step])
+            y0 *= y0
+            y1 *= y1
+            sampled = _margins(y0, y1, np.maximum.reduce(y0 + y1, axis=0))
             self.members = np.argsort(sampled, kind="stable")
             entry = entry[self.members]
             if arrays is None:
                 r, c = _tiles(rows, cols, _BLOCK)[0]
                 arrays = (np.empty((rows, cols), dtype=np.intp), np.empty((rows, cols)),
-                          np.empty((rows, cols)), np.empty((rows, cols)),
+                          np.empty((rows, cols)),
                           np.empty((2, (r.stop - r.start) * (c.stop - c.start))))
             self.arrays = arrays
-            self.i0, self.w0, self.f, self.rad, self._buf = arrays
+            self.i0, self.a, self.b, self._buf = arrays
+            top = np.zeros(cols)  # the largest weight sum of each column
             for r, c in _tiles(rows, cols, _BUILD_BLOCK):
-                y0, y1 = _images(entry[r], x0[c], x1[c])
-                self.i0[r, c], f = _sector(y0, y1, n)
-                self.f[r, c] = f
-                np.subtract(1.0, f, out=self.w0[r, c])
-                np.hypot(y0, y1, out=self.rad[r, c])
-            # the exact margins, each lowered to the least of its row and the
-            # rows after it.  The sample's lengths are the build's at its
-            # columns, so a row's exact margin is at most its sampled one:
-            # margins all 1 there are exact.
-            if sampled.max() > 1.0:
-                self.margin = np.minimum.accumulate(_margins(self.rad)[::-1])[::-1].tolist()
-            else:
-                self.margin = [1.0] * rows
+                i0, a, b = _cone(*_images(entry[r], x0[c], x1[c]), n)
+                self.i0[r, c], self.a[r, c], self.b[r, c] = i0, a, b
+                np.maximum(top[c], np.maximum.reduce(a + b, axis=0), out=top[c])
+            # the exact margins, each lowered to the least of its row and the rows after it
+            self.margin = np.minimum.accumulate(_margins(self.a, self.b, top)[::-1])[::-1].tolist()
         self.best = np.empty(cols)
         self._blocks = {}  # the block views of each leading row count
-        self.images_of_e = _Points.of_family(mats, e0, e1, n)
-        self.e = _Points(np.array([e0]), np.array([e1]), n)
+        self.points = _Points.of_family(mats, e0, e1, n)  # A_i e, then e
         self.ratio = np.empty(cols)
-        if not math.isfinite(self.rad.max()):  # max keeps a NaN
+        if not (math.isfinite(self.a.max()) and math.isfinite(self.b.max())):  # max keeps a NaN
             raise ValueError(
                 "the family maps a grid node to a vector of non-finite length; "
                 "rescale the family"
             )
-        if not (self.e.finite and self.images_of_e.finite):
+        if not all(self.points.finite):
             raise ValueError(
                 f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
                 "length; rescale e"
@@ -428,7 +433,7 @@ class _ImagePlan:
         arrays = self.arrays
         if arrays is None:
             return
-        self.arrays = self.i0 = self.w0 = self.f = self.rad = self._buf = self._blocks = None
+        self.arrays = self.i0 = self.a = self.b = self._buf = self._blocks = None
         if sum(a.nbytes for a in arrays) <= _KEPT_MAX_BYTES:
             _kept[_KEPT_KEY] = (arrays[0].shape, arrays)
 
@@ -442,8 +447,8 @@ class _ImagePlan:
             if r.stop - r.start == 1:
                 r = r.start
             i0 = self.i0[r, c]
-            a, b = self._buf[:, :i0.size].reshape((2,) + i0.shape)
-            blocks.append((i0, self.w0[r, c], self.f[r, c], self.rad[r, c], a, b, self.best[c], first))
+            x, y = self._buf[:, :i0.size].reshape((2,) + i0.shape)
+            blocks.append((i0, self.a[r, c], self.b[r, c], x, y, self.best[c], first))
         self._blocks[rows] = blocks
         return blocks
 
@@ -466,34 +471,33 @@ class _ImagePlan:
         ahead = values[1:]  # ahead[i] = h[i + 1]
         rows = self.members_mapped(nm)
         blocks = self._blocks.get(rows) or self._views(rows)
-        for i0, w0, f, rad, a, b, best, first in blocks:
-            values.take(i0, out=a, mode="clip")
-            ahead.take(i0, out=b, mode="clip")
-            np.multiply(w0, a, out=a)
-            np.multiply(f, b, out=b)
-            np.add(a, b, out=a)
-            if a.ndim == 1:
+        for i0, a, b, x, y, best, first in blocks:
+            values.take(i0, out=x, mode="clip")
+            ahead.take(i0, out=y, mode="clip")
+            np.multiply(a, x, out=x)
+            np.multiply(b, y, out=y)
+            if x.ndim == 1:
                 if first:
-                    np.multiply(rad, a, out=best)
+                    np.add(x, y, out=best)
                 else:
-                    np.multiply(rad, a, out=a)
-                    np.maximum(best, a, out=best)
+                    np.add(x, y, out=x)
+                    np.maximum(best, x, out=best)
             else:
-                np.multiply(rad, a, out=a)
+                np.add(x, y, out=x)
                 if first:
-                    np.maximum.reduce(a, axis=0, out=best)
+                    np.maximum.reduce(x, axis=0, out=best)
                 else:
-                    np.maximum.reduce(a, axis=0, out=b[0])
-                    np.maximum(best, b[0], out=best)
+                    np.maximum.reduce(x, axis=0, out=y[0])
+                    np.maximum(best, y[0], out=best)
         return self.best
 
     def image_at_e(self, nm: AngularNorm) -> float:
         """max_i |A_i e|, bitwise equal to max_image(nm, s, e)."""
-        return self.images_of_e.max_norm(nm.values)
+        return self.points.max_norm(nm.values, stop=-1)
 
     def norm_at_e(self, nm: AngularNorm) -> float:
         """|e|, bitwise equal to evaluate(nm, e)."""
-        return self.e.max_norm(nm.values)
+        return self.points.max_norm(nm.values, start=-1)
 
 
 def _checked_vector(x) -> tuple[float, float]:
@@ -508,35 +512,29 @@ def _checked_vector(x) -> tuple[float, float]:
 def evaluate(nm: AngularNorm, x) -> float:
     """Norm of the planar vector x (0 at the origin).
 
-    Raises ValueError if x has no finite Euclidean length.
+    Raises ValueError if a cone coordinate of x is not finite (x is within
+    a factor cos(pi/N) of the double range).
     """
     x0, x1 = _checked_vector(x)
-    if x0 == 0.0 and x1 == 0.0:
-        return 0.0
-    return _vector_points(x0, x1, nm.node_count).max_norm(nm.values)
-
-
-def _vector_points(x0: float, x1: float, n: int) -> _Points:
-    """Terms of the vector (x0, x1); raises ValueError if its length is not finite."""
-    pts = _Points(np.array([x0]), np.array([x1]), n)
-    if not pts.finite:
+    pts = _Points(np.array([x0]), np.array([x1]), nm.node_count)
+    if not pts.finite[0]:
         raise ValueError(f"x = ({x0!r}, {x1!r}) has a non-finite length; rescale x")
-    return pts
+    return pts.max_norm(nm.values)
 
 
 def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
     """Largest norm among the images A x over the family.
 
-    Raises ValueError if one of the images has no finite Euclidean length.
+    Raises ValueError if a cone coordinate of one of the images is not finite.
     """
     x0, x1 = _checked_vector(x)
     pts = _Points.of_family(s.arrays(), x0, x1, nm.node_count)
-    if not pts.finite:
+    if not all(pts.finite[:-1]):
         raise ValueError(
             f"one of the images A_i x of x = ({x0!r}, {x1!r}) has a non-finite length; "
             "rescale x"
         )
-    return pts.max_norm(nm.values)
+    return pts.max_norm(nm.values, stop=-1)
 
 
 def combine_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out) -> None:

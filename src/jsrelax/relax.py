@@ -14,14 +14,17 @@ extremal norm of the family:
 
 Every step yields a grid bracket [rho_minus, rho_plus]: the bounds the
 profile's N grid directions give.  It approaches rho at about O(N^-2) but
-is not a proven bracket; at tol=1e-9 and N=3000, example 1's rho_plus lies
-5.6e-7 below a proven lower bound.  oracle.product_bounds gives the proven
-check.
+is not a proven bracket: the star gauge's supremum of f(A_i x) / f(x) may
+lie off the nodes, at the preimages A_i^-1 p_m of the polygon's vertices.
+At tol=1e-9 and N=3000 both ends of example 1's bracket lie within 9e-10 of
+its closed form (2 + sqrt(3))^(1/4).  oracle.product_bounds gives the
+proven check.
 
 Nested brackets.  Write the grid map as M(h)_j = max_i L_ij(h), with
-L_ij(h) = rad * (w0 * h[i0] + f * h[i1]) the interpolated norm of A_i u_j:
-a linear map with nonnegative weights.  So M is monotone, positively
-homogeneous and subadditive, and the bracket of h says
+L_ij(h) = a * h[i0] + b * h[i1] the star-gauge norm of A_i u_j, with its
+cone coordinates a, b >= 0 (norms._cone): a linear map with nonnegative
+weights.  So M is monotone, positively homogeneous and subadditive, and the
+bracket of h says
 rho_minus * h <= M(h) <= rho_plus * h at the nodes.  An lr step with any
 lambda in [0, 1), the direct lambda = 0 included, gives
 h' = lambda * h + (1 - lambda) * M(h) / gamma, and then
@@ -37,7 +40,7 @@ so at least rho_minus * g; and g <= (rho_plus / gamma) * h, so
 M(g) <= rho_plus * M(h) / gamma <= rho_plus * g.  So the grid brackets are
 nested, up to rounding: rho_plus never rises and rho_minus never falls from
 one step to the next.  Rounding does move them by a few ulp: at N = 3000
-and tol = 1e-6, 15 of the 16 families of the relax_family benchmark's
+and tol = 1e-6, 14 of the 16 families of the relax_family benchmark's
 corpus, unrotated or turned by its seed-1 rotations, have an mr step whose
 rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
 
@@ -57,8 +60,8 @@ Grid continuation.  The relaxation contracts at a rate set by the family,
 not by the grid, so a fine solve with no initial norm first solves on the
 coarse grids N/4, N/16, ... (each 2 * floor(n / 8) nodes, n/4 rounded down
 to even) of at least 1024 nodes, coarsest first, with e = (1, 0), and each
-grid starts from the last profile of the one before, interpolated linearly
-in angle.  A coarse grid of N_c nodes may take max_iters * N_c / N steps.
+grid starts from the last profile of the one before, that polygon's gauge
+at its nodes.  A coarse grid of N_c nodes may take max_iters * N_c / N steps.
 A solve is continued only when it has two coarse grids or more, from
 N = 16384: N = 30000 solves on 1874, 7500 and then 30000 nodes, N = 3000
 and N = 16382 on their own grid.  Coarse grids pay off when the solve
@@ -81,6 +84,7 @@ from .matrices import MatrixSet, _count, is_irreducible
 from .norms import (
     TWO_PI,
     AngularNorm,
+    _cone,
     _grid,
     _ImagePlan,
     _ZeroValue,
@@ -324,7 +328,7 @@ def mr_step(
     upper = vals[nm.node_count // 2:]
     combine_max(nm, m, g, upper)
     # |e| under the raised profile, read off its upper half
-    np.divide(upper, plan.e.max_norm(upper), out=upper)
+    np.divide(upper, plan.points.max_norm(upper, start=-1), out=upper)
     nxt = _next_profile(vals)
     _require_normalized(nxt, plan, ALGORITHM_MR, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, None)
@@ -340,17 +344,13 @@ def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
 
 
 def _refined(nm: AngularNorm, n: int) -> AngularNorm:
-    """nm interpolated linearly in angle onto the n-node grid.
-
-    Both profiles are centrally symmetric, so only the upper half (phi in
-    [0, pi)) is interpolated; its last interval ends at phi = pi, where the
-    profile takes its value at phi = 0.
-    """
-    half = nm.node_count // 2
-    xp = np.append(nm.node_angles()[half:], math.pi)
-    fp = np.append(nm.values[half:], nm.values[half])
+    """nm's polygon on the n-node grid: its gauge a * h[i0] + b * h[i0 + 1] at
+    the upper-half nodes, as the node map evaluates an image (both profiles
+    are centrally symmetric)."""
+    g = _grid(n)
+    i0, a, b = _cone(g.ux[n // 2:], g.uy[n // 2:], nm.node_count)
     vals = np.empty(n)
-    vals[n // 2:] = np.interp(_grid(n).angles[n // 2:], xp, fp)
+    vals[n // 2:] = a * nm.values[i0] + b * nm.values[i0 + 1]
     return AngularNorm._adopt(vals)
 
 

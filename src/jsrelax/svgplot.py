@@ -14,7 +14,8 @@ __all__ = ["unit_sphere_points", "render_unit_sphere"]
 
 
 def unit_sphere_points(nm: AngularNorm) -> np.ndarray:
-    """The N points u_j / h_j of the unit sphere {x : |x| = 1}, shape (N, 2).
+    """The N vertices u_j / h_j of the unit sphere {x : |x| = 1}, shape (N, 2):
+    the norm is the gauge of their polygon, which is that sphere exactly.
 
     Antipodal points negate exactly (the grid halves negate exactly and the
     profile halves are bit-equal).
@@ -30,8 +31,8 @@ def _coordinates(nm: AngularNorm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def render_unit_sphere(nm: AngularNorm, size_px: int = 512) -> str:
-    """Closed polyline through the unit sphere, with the Euclidean unit circle
-    as a guide, centered and scaled to fit with a 5% margin.  Deterministic."""
+    """The unit sphere as a closed polyline, with the Euclidean unit circle as
+    a guide, centered and scaled to fit with a 5% margin.  Deterministic."""
     size_px = int(size_px)
     if size_px < 64:
         raise ValueError(f"size must be at least 64 px, got {size_px}")

@@ -2,14 +2,13 @@
 solves on the coarse grids N/4, N/16, ... (each 2 * floor(n / 8) nodes) of
 at least 1024 nodes, coarsest first, when there are two or more of them.
 
-The chain below rebuilds it by hand from public calls: iterate on each
-coarse grid with e = (1, 0) and max_iters * N_c / N steps at most, the last
-profile interpolated linearly in angle onto the next grid (its upper half,
-which is pi-periodic), and that profile passed as the next solve's initial
-norm (which iterate and run normalize at their e).
+The chain below rebuilds it by hand: iterate on each coarse grid with
+e = (1, 0) and max_iters * N_c / N steps at most, the last profile's star
+gauge a * h[i0] + b * h[i0 + 1] evaluated at the next grid's upper-half
+nodes (the profile of the same polygon there), and that profile passed as
+the next solve's initial norm (which iterate and run normalize at their e).
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from jsrelax import (
     product_bounds,
     run,
 )
-from jsrelax.norms import _grid
+from jsrelax.norms import _cone, _grid
 
 EX1 = (((1.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (-1.0, 1.0)))
 EX2 = (((15 / 17, -16 / 17), (4 / 17, 15 / 17)), ((4 / 5, 3 / 5), (-3 / 5, 4 / 5)))
@@ -34,9 +33,9 @@ R3 = tuple(np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 2, 2)))
 
 
 def refine(nm: AngularNorm, n: int) -> AngularNorm:
-    half = nm.node_count // 2
-    upper = np.interp(_grid(n).angles[n // 2:], nm.node_angles()[half:], nm.values[half:],
-                      period=math.pi)
+    g = _grid(n)
+    i0, a, b = _cone(g.ux[n // 2:], g.uy[n // 2:], nm.node_count)
+    upper = a * nm.values[i0] + b * nm.values[(i0 + 1) % (nm.node_count // 2)]
     return AngularNorm(np.concatenate([upper, upper]))
 
 

@@ -1,13 +1,13 @@
-"""The precomputed image plan against the per-matrix image loop it replaced.
+"""The precomputed image plan against a per-matrix image loop.
 
-The reference below evaluates every family member with _eval_xy, the array
-evaluator that evaluate used before the plan's scalar terms, and takes the
-running maximum, as the image map did before it was split into a plan built
-once per solve and a gather-multiply-add per step.  The plan performs the
-same floating-point operations, so runs must agree bit for bit.  The plan
-maps only the members whose dominance margin the profile's spread reaches;
-the member-screening tests below hold it to the unscreened reference at and
-around every margin.
+The reference below evaluates every family member with _eval_xy, an array
+evaluator of the star gauge a * h[i0] + b * h[i0 + 1] on the cone
+coordinates of _cone, and takes the running maximum, as an image map with
+no plan would.  The plan performs the same floating-point operations, in a
+stencil built once per solve and a gather-multiply-add per step, so runs
+must agree bit for bit.  The plan maps only the members whose dominance
+margin the profile's spread reaches; the member-screening tests below hold
+it to the unscreened reference at and around every margin.
 """
 
 import math
@@ -28,14 +28,13 @@ from jsrelax import (
     run,
 )
 from jsrelax import norms, relax
-from jsrelax.norms import _grid, _sector
+from jsrelax.norms import _cone, _grid
 
 
 def _eval_xy(values: np.ndarray, x0, x1) -> np.ndarray:
-    """Profile norm of the vectors (x0, x1); arrays of any common shape."""
-    idx, f = _sector(x0, x1, values.size)
-    interp = (1.0 - f) * values[idx] + f * values[(idx + 1) % values.size]
-    return np.hypot(x0, x1) * interp
+    """Profile norm of the vectors (x0, x1); arrays of one shape."""
+    i0, a, b = _cone(x0, x1, values.size)
+    return a * values[i0] + b * values[(i0 + 1) % (values.size // 2)]
 
 
 def reference_image_max(values, mats, x0, x1):
@@ -150,6 +149,7 @@ def test_run_matches_reference_bitwise(name, mats, algorithm, n, extra):
 @pytest.mark.parametrize("r, n", [
     (3, 40000), (40, 3000), (1, 8), (1, 2 * WIDTH), (5, 2 * WIDTH - 2), (3, 2 * WIDTH + 2),
     (33, 3000), (33, 2 * WIDTH - 768), (5, 6 * WIDTH + 10), (3, 2 * norms._BUILD_BLOCK),
+    (3, 8192),
 ])
 def test_node_image_max_matches_reference_across_blocks(r, n):
     # 40000 nodes split each row into column blocks; 40 matrices at 3000 nodes
@@ -196,7 +196,7 @@ class TestWorkCount:
         steps = len(res.trace)
         assert steps > 1
         assert counts["plans"] == 1  # the only builder of a node stencil
-        assert counts["plan_points"] == 2  # the terms of A_i e and of e
+        assert counts["plan_points"] == 1  # the terms of A_i e and of e, from one _cone call
         assert counts["node_maps"] == steps  # nothing else maps the node grid
 
     def test_a_step_on_a_given_plan_builds_no_plan_and_no_stencil(self, counts):
@@ -305,15 +305,21 @@ def test_step_refuses_finite_before_positive(bad, message):
         relax.lr_step(relax._initial(cfg), plan, cfg, 0)
 
 
-def where_sector(x0, x1, n):
-    """_sector as first written, one new array per operation."""
-    t = (np.arctan2(x1, x0) + np.pi) * (n / norms.TWO_PI)
-    j = np.floor(t)
-    f = t - j
-    hi = f >= 1.0 - norms._NODE_SNAP
-    j = np.where(hi, j + 1.0, j)
-    f = np.where(hi | (f <= norms._NODE_SNAP), 0.0, f)
-    return j.astype(np.intp) % n, f
+def where_cone(x0, x1, n):
+    """_cone written with one new array per operation, and np.where for the
+    vectors that it projects onto a node ray."""
+    g = _grid(n)
+    t = np.arctan2(x1, x0) * (n / norms.TWO_PI) + n // 2
+    i = t.astype(np.intp)
+    ux, uy, s, c, sq = g.sectors[:, i]
+    b = (ux * x1 - uy * x0) / s
+    a = (ux * x0 + uy * x1 - b * c) / sq
+    off = np.minimum(a, b) < 0.0
+    k = (i + (a < 0.0)) % n
+    kx, ky, _, _, ksq = g.sectors[:, k]
+    a = np.where(off, (kx * x0 + ky * x1) / ksq, a)
+    b = np.where(off, 0.0, b)
+    return np.where(off, k, i) % (n // 2), a, b
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 3000, 30000, 30002, 40002])
@@ -330,15 +336,17 @@ def test_sector_matches_where_form_bitwise(n):
     x1 = np.concatenate([g.uy, 3.0 * g.uy, -g.uy, g.uy, g.uy,
                          [1.0, -1.0, 0.0, -0.0, -1.0, 1.0, 0.0, -0.0],
                          rng.normal(size=5000)])
-    i0, f = _sector(x0, x1, n)
-    ref_i0, ref_f = where_sector(x0, x1, n)
-    assert i0.tobytes() == (ref_i0 % (n // 2)).tobytes()
-    assert f.tobytes() == ref_f.tobytes()
+    got = _cone(x0, x1, n)
+    want = where_cone(x0, x1, n)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+    assert min(got[1].min(), got[2].min()) >= 0.0
 
 
 # Member screening: a step maps only the members whose dominance margin
-# mu_k = min_j top_j / |A_k u_j|_2 is within the spread max h / min h (times
-# 1 + 1e-12) of the profile, and must equal the reference map of every member.
+# mu_k = min_j top_j / w_kj, with w_kj = a + b the weight sum of A_k u_j, is
+# within the spread max h / min h (times 1 + 1e-12) of the profile, and must
+# equal the reference map of every member.
 
 # the relax_family corpus of the benchmark, before its per-seed rotations
 _rng = np.random.default_rng(2008)
@@ -346,16 +354,21 @@ CORPUS = [_rng.uniform(-2.0, 2.0, size=(r, 2, 2)) for r, count in ((2, 6), (8, 6
           for _ in range(count)]
 
 
-def reference_margins(mats, n):
-    """Each member's margin, in family order, from the reference image lengths."""
+def reference_weights(mats, n):
+    """The weight sums a + b of the images of the upper-half nodes, one row per member."""
     g = _grid(n)
     x0, x1 = g.ux[n // 2:], g.uy[n // 2:]
-    rad = np.array([np.hypot(a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1)
-                    for a in mats])
-    top = rad.max(axis=0)
-    live = top > 0.0  # columns of length 0 in every row do not count
+    return np.array([np.add(*_cone(a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1,
+                                   n)[1:]) for a in mats])
+
+
+def reference_margins(mats, n):
+    """Each member's margin, in family order, from the reference weight sums."""
+    w = reference_weights(mats, n)
+    top = w.max(axis=0)
+    live = top > 0.0  # columns of weight 0 in every row do not count
     return [min((t / v if v > 0.0 else math.inf for t, v in zip(top[live], row[live])),
-                default=math.inf) for row in rad]
+                default=math.inf) for row in w]
 
 
 def assert_unscreened(plan, s, nm):
@@ -384,12 +397,14 @@ def test_corpus_margins_and_screening_is_exact_around_each(k):
     members = plan.members.tolist()
     assert sorted(members) == list(range(s.count))
     assert plan.margin == [min(exact[i] for i in members[row:]) for row in range(s.count)]
-    top = plan.rad.max(axis=0)
+    w = plan.a + plan.b
+    assert w.tobytes() == reference_weights(s.arrays(), n)[members].tobytes()
+    top = w.max(axis=0)
     for row, member in enumerate(members):
         mu = exact[member]
         if not 1.0 + 1e-9 < mu < math.inf:
             continue
-        j = int(np.argmin(top / plan.rad[row]))
+        j = int(np.argmin(top / w[row]))
         i0 = int(plan.i0[row, j])
         # just below its margin the member is skipped, unless a later row
         # has a smaller margin; from 1e-13 below it on, it is mapped
@@ -435,8 +450,9 @@ def test_zero_member_has_infinite_margin_and_is_never_mapped():
 
 
 def test_dominated_member_is_mapped_only_past_its_margin():
-    # A/4 lies a factor 4 below A at every node (up to hypot's rounding), so
-    # the Euclidean profile maps A alone and a spread above 4 maps both
+    # A/4 lies a factor 4 below A at every node (its cone coordinates are
+    # A's over 4, exactly), so the Euclidean profile maps A alone and a
+    # spread above 4 maps both
     s = MatrixSet((np.array(A) / 4.0, A))
     plan = norms._ImagePlan(s, 512, (1.0, 0.0))
     assert plan.members.tolist() == [1, 0]
@@ -448,8 +464,8 @@ def test_dominated_member_is_mapped_only_past_its_margin():
 
 
 def test_profiles_outside_the_screening_range_map_every_member():
-    # the interpolation's rounding is relative only for normal node values
-    # whose interpolations stay finite, so other profiles map every member
+    # a gauge value's rounding is relative only for normal node values whose
+    # weighted sums stay finite, so other profiles map every member
     s = MatrixSet((np.array(A) / 256.0, np.array(A) / 64.0))
     plan = norms._ImagePlan(s, 64, (1.0, 0.0))
     assert plan.members_mapped(euclidean(64)) == 1

@@ -256,15 +256,21 @@ class TestTraceVersions:
         ]
 
     def test_version_two_drops_only_the_removed_lines(self, example1):
-        # this solve's version-2 trace is the version-1 text without those lines
+        # this solve's version-2 header is the version-1 header without those
+        # lines; its records are its own, since TRACE_V1 came from a solve
+        # with the angle-linear profile that the star gauge replaced
         cfg = RelaxConfig(node_count=64, max_iters=3)
+        result = run(example1, cfg)
         sink = stringio.StringIO()
-        write_trace(run(example1, cfg), sink)
+        write_trace(result, sink)
         removed = ("# lambda_lo=", "# lambda_hi=", "# unsafe_direct=")
-        want = "".join(line for line in TRACE_V1.splitlines(keepends=True)
-                       if not line.startswith(removed)).replace("version=1", "version=2")
-        assert sink.getvalue() == want
-        assert read_trace(sink.getvalue())[1] == read_trace(TRACE_V1)[1]
+        header = [line for line in TRACE_V1.splitlines(keepends=True)
+                  if line.startswith("#") and not line.startswith(removed)]
+        want = "".join(header).replace("version=1", "version=2")
+        text = sink.getvalue()
+        assert text[:len(want)] == want
+        assert text[len(want):].splitlines()[0] == "n,rho_minus,rho_plus,gamma,lambda"
+        assert read_trace(text)[1] == result.trace
 
     def test_a_direct_iteration_trace_round_trips(self, example1):
         result = run(example1, RelaxConfig(node_count=512, lambda_schedule=0.0, max_iters=20))

@@ -94,7 +94,12 @@ class TestConstruction:
 
 class TestEvaluate:
     def test_euclidean_three_four_five(self):
-        assert evaluate(euclidean(3000), (3.0, 4.0)) == 5.0
+        # the N-gon through the unit node vectors: exact along a node
+        # direction, and within 1/cos(pi/N) of the Euclidean length elsewhere
+        n = 3000
+        assert evaluate(euclidean(n), (5.0, 0.0)) == 5.0
+        assert evaluate(euclidean(n), (0.0, -5.0)) == 5.0
+        assert 5.0 <= evaluate(euclidean(n), (3.0, 4.0)) <= 5.0 / math.cos(math.pi / n)
 
     def test_zero_vector(self):
         assert evaluate(infinity_profile(64), (0.0, 0.0)) == 0.0
@@ -129,7 +134,8 @@ class TestEvaluate:
                 call()
 
     def test_overflowing_length_is_refused_without_a_warning(self):
-        # hypot overflowed here with a RuntimeWarning, and the norm was inf
+        # hypot overflowed here with a RuntimeWarning, and the norm was inf;
+        # now a cone coordinate overflows, without a warning, and is refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite length"):
@@ -153,8 +159,9 @@ class TestEvaluate:
             assert evaluate(nm, -x) == pytest.approx(evaluate(nm, x), rel=1e-14)
 
     def test_triangle_inequality_sampled(self):
-        # linear interpolation of the radial profile can dent convexity only at
-        # second order in the grid spacing; the slack is part of the contract
+        # the star polygon of an iterate need not be convex, but it can dent
+        # convexity only at second order in the grid spacing; the slack is
+        # part of the contract
         rng = np.random.default_rng(5)
         ex1 = MatrixSet(([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]]))
         for n in (512, 3000):
@@ -173,7 +180,10 @@ class TestEvaluate:
 class TestMaxImage:
     def test_identity(self):
         fam = MatrixSet((np.eye(2),))
-        assert max_image(euclidean(3000), fam, (3.0, 4.0)) == 5.0
+        nm = euclidean(3000)
+        assert max_image(nm, fam, (5.0, 0.0)) == 5.0
+        assert max_image(nm, fam, (3.0, 4.0)) == evaluate(nm, (3.0, 4.0))
+        assert 5.0 <= max_image(nm, fam, (3.0, 4.0)) <= 5.0 / math.cos(math.pi / 3000)
 
     def test_picks_doubling_member(self):
         fam = MatrixSet((2.0 * np.eye(2), np.eye(2)))

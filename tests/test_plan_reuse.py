@@ -98,7 +98,7 @@ def test_nan_filled_kept_arrays_are_fully_rewritten(fresh, built):
     plan = norms._ImagePlan(s, NODES, cfg.e)
     assert plan.arrays is arrays
     direct = norms._ImagePlan(s, NODES, cfg.e)  # the slot is empty: into new arrays
-    for got, want in zip(plan.arrays[:4], direct.arrays[:4]):
+    for got, want in zip(plan.arrays[:3], direct.arrays[:3]):  # i0, a and b
         assert got.tobytes() == want.tobytes()
     plan.release()
     for a in kept_arrays():
@@ -205,7 +205,7 @@ def test_a_plan_never_released_keeps_its_arrays():
     run(s, cfg)
     plan = norms._ImagePlan(s, NODES, cfg.e)  # takes the set the solve released
     assert norms._KEPT_KEY not in norms._kept
-    before = [a.copy() for a in plan.arrays[:4]]
+    before = [a.copy() for a in plan.arrays[:3]]  # i0, a and b
     following = norms._ImagePlan(s, NODES, cfg.e)  # the next plan of its shape allocates
     assert not any(np.shares_memory(x, y) for x in plan.arrays for y in following.arrays)
     for _ in range(3):
@@ -252,7 +252,7 @@ def test_a_set_over_the_cap_is_not_kept():
     assert sum(a.nbytes for a in small.arrays) <= norms._KEPT_MAX_BYTES
     small.release()
     assert norms._KEPT_KEY in norms._kept
-    large = norms._ImagePlan(s, 3 * NODES, (1.0, 0.0))  # 32 matrices x 4500 columns
+    large = norms._ImagePlan(s, 4 * NODES, (1.0, 0.0))  # 32 matrices x 6000 columns
     assert sum(a.nbytes for a in large.arrays) > norms._KEPT_MAX_BYTES
     large.release()
     assert norms._KEPT_KEY not in norms._kept

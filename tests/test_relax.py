@@ -134,9 +134,13 @@ class TestBounds:
         assert hi == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_isometry(self):
-        lo, hi = node_bounds(euclidean(64), MatrixSet((rotation(math.pi / 5),)))
+        # a turn by whole grid steps maps the 64-gon onto itself; any other
+        # turn moves each node within the 64-gon bound 1/cos(pi/64)
+        lo, hi = node_bounds(euclidean(64), MatrixSet((rotation(2.0 * math.pi * 5 / 64),)))
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
+        lo, hi = node_bounds(euclidean(64), MatrixSet((rotation(math.pi / 5),)))
+        assert 1.0 - 1e-12 <= lo <= hi <= 1.0 / math.cos(math.pi / 64) + 1e-12
 
     def test_example1_initial_bracket(self, example1):
         # closed forms: the shared 2-norm of both members is the golden ratio,
@@ -231,11 +235,19 @@ class TestSteps:
         assert np.abs(nm.values - 1.0).max() <= 1e-14
 
     def test_lr_rotation_fixed_point(self):
-        fam = MatrixSet((rotation(1.0),))
+        # the 64-gon is a fixed point of a turn by whole grid steps, and
+        # moves within the 64-gon bound under any other turn
+        fam = MatrixSet((rotation(2.0 * math.pi * 7 / 64),))
         nm, rec = lr_once(euclidean(64), fam, RelaxConfig(node_count=64), 0)
         for v in (rec.rho_minus, rec.rho_plus, rec.gamma):
             assert v == pytest.approx(1.0, abs=1e-12)
         assert np.abs(nm.values - 1.0).max() <= 1e-12
+        bound = 1.0 / math.cos(math.pi / 64)
+        fam = MatrixSet((rotation(1.0),))
+        nm, rec = lr_once(euclidean(64), fam, RelaxConfig(node_count=64), 0)
+        for v in (rec.rho_minus, rec.rho_plus, rec.gamma):
+            assert 1.0 - 1e-12 <= v <= bound + 1e-12
+        assert np.abs(nm.values - 1.0).max() <= bound - 1.0
 
     def test_lr_example1_first_record(self, example1):
         _, rec = lr_once(euclidean(3000), example1, RelaxConfig(), 0)

@@ -12,7 +12,7 @@ Relax: for seeded random families of r = 2, 8 and 32 matrices and each node
 count N it times the image plan build and one `relax.lr_step` and one
 `relax.mr_step` on that plan, from the normalized Euclidean start and from
 the profile that `run` converges to at tol=1e-4 with the same algorithm
-(r = 32 only up to N = 30000: its plan holds 32 bytes per entry, 150 MB at
+(r = 32 only up to N = 30000: its plan holds 24 bytes per entry, 115 MB at
 N = 300000).  Each row records how many of the r members each of those
 steps maps: the plan maps only the members whose dominance margin the
 profile's spread reaches.  It also times `run` on examples 1 and 2, lr and
@@ -44,7 +44,10 @@ With --parent DIR, a checkout of the parent commit, the jsrelax package under
 DIR/src is imported as a package copy, and the `runs` rows, depth_sweep to
 --max-depth on examples 1 and 2 (`oracle`) and one relax_family pass (the
 benchmark's corpus, seed PASS_SEED) are timed for both trees alternately in
-this process, before any other section (`parent_ab`).  Then, one family and
+this process, before any other section (`parent_ab`).  A `runs` row takes
+the fastest of RUN_CALLS_PER_ROUND calls in each round.  The pass also
+counts, per tree, the solves whose bracket perfbench/reference.py's proven
+product bounds contradict (`contradicted`).  Then, one family and
 node count at a time, so are the `steps` rows: the plan rebuild as a solve
 makes it and the four steps, each tree on its own plan.  Each of these rows
 says whether the two trees gave the same output (`same_output`); a step
@@ -261,7 +264,7 @@ def relax_times(nodes: list[int], repeats: int) -> dict:
     for r, max_nodes in RELAX_FAMILIES:
         s = seeded_family(r)
         for n in (n for n in nodes if n <= max_nodes):
-            # the step calls hold their plan for the section: 70 MB at the default N
+            # the step calls hold their plan for the section: 53 MB at the default N
             _, made, done = step_calls(jsrelax, seeded_mats(r), n)
             row = {"r": r, "nodes": n, "mapped": {key: got[0] for key, got in done.items()}}
             steps.append(row)
@@ -348,6 +351,9 @@ STEP_KEYS = ("plan_rebuild", "lr_step", "lr_step_converged", "mr_step", "mr_step
 # the relax_family pass of the parent comparison: the benchmark's 16 corpus
 # families turned by the rotations of this workload seed, lr and mr
 PASS_SEED = 1
+# calls of a parent/change `runs` row per round, of which the fastest counts:
+# with one call a round, rows of identical code read 0.64-1.52 change/parent
+RUN_CALLS_PER_ROUND = 5
 
 
 def load_tree(root: Path, name: str):
@@ -369,18 +375,31 @@ def outcome(result) -> tuple:
     return result.status, result.rho_lo, result.rho_hi, result.norm.values.tobytes(), rows
 
 
-def corpus_pass(tree) -> list[tuple]:
-    """(family, config) of one relax_family pass, built with tree's classes."""
+def perfbench_module(name: str):
+    """A module of perfbench/, imported read-only."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+    return importlib.import_module(name)
 
+
+def corpus_pass(tree) -> list[tuple]:
+    """(family, config) of one relax_family pass, built with tree's classes."""
+    workloads = perfbench_module("workloads")
     families = workloads.corpus()
     angles = np.random.default_rng(PASS_SEED).uniform(0.0, 2.0 * np.pi, size=len(families))
     return [(tree.MatrixSet(tuple(workloads.rotated(base, angle))),
              tree.RelaxConfig(algorithm=algorithm, node_count=workloads.FAMILY_NODES,
                               tol=workloads.FAMILY_TOL))
             for base, angle in zip(families, angles) for algorithm in ("lr", "mr")]
+
+
+def contradicted(cases: list[tuple], results: list) -> int:
+    """How many of the results of cases report a bracket that perfbench's
+    proven product bounds (reference.py) contradict."""
+    reference = perfbench_module("reference")
+    return sum(bool(reference.contradicts(r.rho_lo, r.rho_hi,
+                                          reference.reference_bounds(np.array(s.arrays()))))
+               for (s, _), r in zip(cases, results))
 
 
 def sweep_outcome(rows) -> list[tuple]:
@@ -444,8 +463,8 @@ def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -
         row["same_output"] = sweep["parent"]() == sweep["change"]()
         sweeps.append((row, sweep, {tag: ([], []) for tag in TREES}))
     cases = {tag: corpus_pass(t) for tag, t in trees.items()}
-    same = all(outcome(trees["parent"].run(*a)) == outcome(trees["change"].run(*b))
-               for a, b in zip(cases["parent"], cases["change"]))
+    results = {tag: [t.run(*case) for case in cases[tag]] for tag, t in trees.items()}
+    same = all(outcome(a) == outcome(b) for a, b in zip(results["parent"], results["change"]))
     passes = {tag: {"pass": [], "minflt": [], "solves": []} for tag in TREES}
     for k in range(repeats):
         order = TREES if k % 2 == 0 else TREES[::-1]
@@ -455,16 +474,20 @@ def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -
             passes[tag]["minflt"].append(minor_faults() - faults)
             passes[tag]["pass"].append(sum(solves))
             passes[tag]["solves"] += solves
-        for _, solve, times in rows + sweeps:
-            for tag in order:
-                solve[tag]()
-                seconds, flt = timed(solve[tag])
-                times[tag][0].append(seconds)
-                times[tag][1].append(flt)
+        for calls, group in ((RUN_CALLS_PER_ROUND, rows), (1, sweeps)):
+            for _, solve, times in group:
+                for tag in order:
+                    solve[tag]()
+                    seconds, flt = min(timed(solve[tag]) for _ in range(calls))
+                    times[tag][0].append(seconds)
+                    times[tag][1].append(flt)
     for row, _, times in rows + sweeps:
         row.update((tag, summary(*times[tag])) for tag in TREES)
         row["change_over_parent"] = row["change"]["median_ms"] / row["parent"]["median_ms"]
-    family = {"seed": PASS_SEED, "solves": len(cases["change"]), "same_output": same}
+    for row, _, _ in rows:
+        row["calls_per_round"] = RUN_CALLS_PER_ROUND
+    family = {"seed": PASS_SEED, "solves": len(cases["change"]), "same_output": same,
+              "contradicted": {tag: contradicted(cases[tag], results[tag]) for tag in TREES}}
     for tag, p in passes.items():
         family[tag] = {**summary(p["pass"], p["minflt"]),
                        "solve_p50_ms": 1e3 * statistics.median(p["solves"]),
@@ -583,7 +606,9 @@ def main(argv=None) -> int:
             print(f"{t} relax_family pass (seed {fam['seed']}): {got['median_ms']:.1f} ms median, "
                   f"solve p50 {got['solve_p50_ms']:.2f} ms, p90 {got['solve_p90_ms']:.2f} ms, "
                   f"{got['minflt']} faults")
-        print(f"relax_family pass same output: {fam['same_output']}")
+        print(f"relax_family pass same output: {fam['same_output']}, cases contradicting "
+              "the proven bounds: "
+              + ", ".join(f"{t} {fam['contradicted'][t]}/{fam['solves']}" for t in TREES))
         for row in ab["steps"]:
             calls = ", ".join(f"{key.replace('_', ' ')} "
                               + " vs ".join(f"{row[key][t]['median_ms']:.3f}" for t in TREES)
