@@ -63,7 +63,9 @@ def _build_parser() -> _Parser:
     runp.add_argument("--nodes", type=int, default=3000)
     runp.add_argument("--tol", type=float, default=1e-3)
     runp.add_argument("--max-iters", type=int, default=10_000)
-    runp.add_argument("--e", default="1,0", metavar="X,Y", help="reference vector")
+    runp.add_argument("--e", default="1,0", metavar="X,Y",
+                      help="reference vector; write --e=X,Y, since a negative X after a "
+                           "space reads as an option")
     runp.add_argument("--force", action="store_true",
                       help="iterate even when the family is reducible")
     runp.add_argument("--trace", metavar="PATH", help="write the iteration trace CSV")

@@ -1,0 +1,120 @@
+"""The timing loop of tools/bench.py, driven with fake trees of plain callables."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Clock:
+    """A fake perf_counter that only the fake calls advance."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.log = []
+
+    def __call__(self):
+        return self.now
+
+    def call(self, tag, seconds, output=None):
+        """A call that logs tag and takes the next of seconds."""
+        durations = iter(seconds)
+
+        def run(*args):
+            self.log.append(tag)
+            self.now += next(durations)
+            return output
+
+        return run
+
+
+@pytest.fixture
+def clock(bench, monkeypatch):
+    clock = Clock()
+    monkeypatch.setattr(bench, "perf_counter", clock)
+    return clock
+
+
+def test_first_tree_alternates_from_round_to_round(bench, clock):
+    calls = {"f": {tag: bench.Call(clock.call(tag, [1.0] * 9)) for tag in ("parent", "change")}}
+    bench.measure([({}, calls)], repeats=3)
+    # the untimed first run on each tree, then per round an untimed and a timed call each
+    assert clock.log == ["parent", "change",
+                         "parent", "parent", "change", "change",
+                         "change", "change", "parent", "parent",
+                         "parent", "parent", "change", "change"]
+
+
+def test_each_round_keeps_the_fastest_of_its_calls(bench, clock):
+    # per round: the untimed call, then three timed ones
+    seconds = [9.0, 9.0, 0.005, 0.002, 0.007, 9.0, 0.004, 0.009, 0.003]
+    row = {}
+    bench.measure([(row, {"f": {"change": bench.Call(clock.call("change", seconds))}})],
+                  repeats=2, calls_per_round=3)
+    assert row["f"]["change"]["min_ms"] == pytest.approx(2.0)
+    assert row["f"]["change"]["median_ms"] == pytest.approx(2.5)
+    assert row["calls_per_round"] == 3
+
+
+def test_prepare_is_not_timed(bench, clock):
+    prepare = clock.call("prepare", [5.0] * 3)
+    row = {}
+    bench.measure([(row, {"f": {"change": bench.Call(clock.call("change", [0.001] * 3),
+                                                     prepare=prepare)}})], repeats=1)
+    assert clock.log == ["prepare", "change"] * 3
+    assert row["f"]["change"]["min_ms"] == pytest.approx(1.0)
+
+
+def test_outputs_that_differ_are_reported(bench, clock):
+    def outputs(parent, change):
+        return {"parent": bench.Call(clock.call("parent", [0.001] * 3, parent)),
+                "change": bench.Call(clock.call("change", [0.001] * 3, change))}
+
+    agree, disagree = {}, {}
+    bench.measure([(agree, {"f": outputs("x", "x")}),
+                   (disagree, {"f": outputs("x", "x"), "g": outputs("x", "y")})], repeats=1)
+    assert agree["same_output"] is True
+    assert disagree["same_output"] is False
+
+
+def test_change_over_parent_is_the_ratio_of_the_medians(bench, clock):
+    parent = [1.0, 1.0, 0.002, 1.0, 0.004, 1.0, 0.009]
+    change = [1.0, 1.0, 0.003, 1.0, 0.001, 1.0, 0.005]
+    row = {}
+    bench.measure([(row, {"f": {"parent": bench.Call(clock.call("parent", parent)),
+                                "change": bench.Call(clock.call("change", change))}})],
+                  repeats=3)
+    assert row["f"]["parent"]["median_ms"] == pytest.approx(4.0)
+    assert row["f"]["change"]["median_ms"] == pytest.approx(3.0)
+    assert row["f"]["change_over_parent"] == pytest.approx(
+        statistics.median([3, 1, 5]) / statistics.median([2, 4, 9]))
+
+
+def test_one_tree_has_no_ratio_and_no_output_check(bench, clock):
+    row = {}
+    got = bench.measure([(row, {"f": {"change": bench.Call(clock.call("change", [0.001] * 5),
+                                                           output=lambda got: "out")}})],
+                        repeats=2)
+    assert sorted(row) == ["calls_per_round", "f"]
+    assert sorted(row["f"]) == ["change"]
+    assert sorted(row["f"]["change"]) == ["median_ms", "min_ms", "minflt"]
+    assert got[0]["f"]["change"].output == "out"
+
+
+def test_odd_node_count_is_refused(bench, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--nodes", "9", "--out", str(tmp_path / "bench.json")])
+    assert exit_.value.code == 2
+    assert "even --nodes" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

@@ -145,6 +145,14 @@ class TestRunCommand:
         code = cli_main(["run", "--e", "0,1", "--nodes", "64", problem_file(EX1)])
         assert code == 0
 
+    def test_negative_reference_vector_in_equals_form(self, problem_file, capsys):
+        # "--e -1,0" reads -1,0 as an option; central symmetry gives e and -e one norm
+        args = ["run", "--nodes", "64", "--tol", "1e-8", problem_file(EX1)]
+        assert cli_main([*args, "--e", "1,0"]) == 0
+        plus = capsys.readouterr().out
+        assert cli_main([*args, "--e=-1,0"]) == 0
+        assert capsys.readouterr().out == plus
+
     def test_off_grid_reference_vector_fails(self, problem_file, capsys):
         code = cli_main(["run", "--e", "1,0.3", "--nodes", "64", problem_file(EX1)])
         assert code == 1

@@ -1,57 +1,71 @@
 """Time the product oracle, the output writers and the relaxation solve; write JSON.
 
-Oracle: for each depth n it records the time depth_sweep takes to yield row n
-(build level n from level n-1, then the bounds and the trace estimate) and the
-time of the level build alone, with the product count r^n.
+Every section is a list of rows, and each timed key of a row holds, per
+loaded tree, the min and median ms of the call over the repeats and the
+median minor page faults of one call (`minflt`, from getrusage):
+{tag: {min_ms, median_ms, minflt}}.  The trees are this one (`change`) and,
+with --parent DIR, a checkout of the parent commit, the jsrelax package under
+DIR/src imported as a package copy (`parent`).  Both run in this process, so
+they share its allocator and its speed state; each keeps its own module
+state.  With two trees each timed key also holds `change_over_parent`, the
+ratio of the medians, and each row says whether the trees gave the same
+output (`same_output`).
 
-Writers: for each node count N it solves the example with `run` (lr,
-tol=1e-6, as `jsrelax run --tol 1e-6` does) and times write_norm and
-write_trace into memory and render_unit_sphere at 512 px.
+One loop, `measure`, times every section but the last.  It first runs each
+call once, untimed, on every tree and compares the outputs.  Then, for
+--repeats rounds, it runs each call once untimed and then `calls_per_round`
+times timed on each tree, the first tree alternating from round to round,
+and keeps the fastest timed call of the round.  The repeats of one call are
+spread over its section, so a host that switches speed for seconds at a
+time shows each call its fast state, and each timed call follows an untimed
+one, so it finds its data in cache as the steps of a solve do.
 
-Relax: for seeded random families of r = 2, 8 and 32 matrices and each node
-count N it times the image plan build and one `relax.lr_step` and one
-`relax.mr_step` on that plan, from the normalized Euclidean start and from
-the profile that `run` converges to at tol=1e-4 with the same algorithm
-(r = 32 only up to N = 30000: its plan holds 24 bytes per entry, 115 MB at
-N = 300000).  Each row records how many of the r members each of those
-steps maps: the plan maps only the members whose dominance margin the
-profile's spread reaches.  It also times `run` on examples 1 and 2, lr and
-mr, at tol=1e-9 for each N up to 30000, and on the seeded r = 8 and r = 32
-families, lr and mr, at N = 3000 and tol=1e-4, and, whatever --nodes says,
-on examples 1 and 2, lr and mr, at N = 30000 with tol=1e-6 and at
-N = 300000 with tol=1e-10; on the seeded r = 2, 8 and 32 families at
-tol=1e-6 and N = 16382 and 16384 (either side of the node count where grid
-continuation starts) and 30000, and for r = 8 at N = 300000; and on
-example 1 scaled by 1e300 at N = 30000 with max_iters=200, a solve that
-stalls because tol is absolute (`fine_runs`).  A fine run row also times
-the single-level solve, `run` given the Euclidean start (`run_single`).
-Each run row records its status, its iterations (the N-node grid's) and
-its grid levels: the node count and the steps of every grid the solve
-stepped on, coarsest first.  Its repeats go round robin over all of these
-calls.
+The sections, in the order they run:
 
-Each time is the minimum and the median over the repeats, and each timed
-relax call (plan build, step, run) also records the median minor page faults
-of one call (`minflt`, from getrusage).  A step row's `plan_build` is a
-build into new arrays; its `plan_rebuild` is a second build of the same
-shape as a solve makes it, into the arrays the build before it released.
-After its large solves this process no longer faults on fresh arrays, so
-`fresh_process_faults` counts the faults of a few run() calls and of a
-first and a second plan build of each seeded family, in a fresh process
-per tree.
+- runs: `run` on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to
+  30000, and on the seeded r = 2, 8 and 32 families, lr and mr, at N = 3000
+  and tol=1e-4; RUN_CALLS_PER_ROUND calls per round.
+- relax_family: one relax_family pass, the benchmark's 16 corpus families
+  turned by the rotations of workload seed PASS_SEED, lr and mr, as run
+  rows.  `relax_family_pass` sums each round's solves into a pass and
+  counts, per tree, the solves whose bracket perfbench/reference.py's proven
+  product bounds contradict (`contradicted`).
+- oracle: for each depth n, the time depth_sweep takes to yield row n
+  (build level n from level n-1, then the bounds and the trace estimate;
+  `sweep_row`) and the level build alone (`level_build`), with the product
+  count r^n; `oracle_sweeps`: the whole depth_sweep to --max-depth.
+- writers: for each node count N, write_norm and write_trace into memory and
+  render_unit_sphere at 512 px, on the norm that `run` (lr, tol=1e-6, as
+  `jsrelax run --tol 1e-6` does) converges to.
+- steps: for seeded random families of r = 2, 8 and 32 matrices and each
+  node count N, the image plan build and one `relax.lr_step` and one
+  `relax.mr_step` on that plan, from the normalized Euclidean start and from
+  the profile that `run` converges to at tol=1e-4 with the same algorithm
+  (r = 32 only up to N = 30000: its plan holds 24 bytes per entry, 115 MB
+  at N = 300000).  `mapped` says how many of the r members each step maps:
+  the plan maps only the members whose dominance margin the profile's
+  spread reaches.  `plan_build` is a build into new arrays; `plan_rebuild`
+  is a second build of the same shape as a solve makes it, into the arrays
+  the build before it released.  Each row is timed on its own, so that only
+  one row's plans are held at a time.
+- fine_runs: `run` and the single-level solve, `run` given the Euclidean
+  start (`run_single`), whatever --nodes says, on examples 1 and 2, lr and
+  mr, at N = 30000 with tol=1e-6 and at N = 300000 with tol=1e-10; on the
+  seeded r = 2, 8 and 32 families at tol=1e-6 and N = 16382 and 16384
+  (either side of the node count where grid continuation starts) and
+  30000, and for r = 8 at N = 300000; and on example 1 scaled by 1e300 at
+  N = 30000 with max_iters=200, a solve that stalls because tol is absolute.
+- fresh_process_faults: after its large solves this process no longer
+  faults on fresh arrays, so this counts the faults of a few run() calls and
+  of a first and a second plan build of each seeded family, in a fresh
+  process per tree.
 
-With --parent DIR, a checkout of the parent commit, the jsrelax package under
-DIR/src is imported as a package copy, and the `runs` rows, depth_sweep to
---max-depth on examples 1 and 2 (`oracle`) and one relax_family pass (the
-benchmark's corpus, seed PASS_SEED) are timed for both trees alternately in
-this process, before any other section (`parent_ab`).  A `runs` row takes
-the fastest of RUN_CALLS_PER_ROUND calls in each round.  The pass also
-counts, per tree, the solves whose bracket perfbench/reference.py's proven
-product bounds contradict (`contradicted`).  Then, one family and
-node count at a time, so are the `steps` rows: the plan rebuild as a solve
-makes it and the four steps, each tree on its own plan.  Each of these rows
-says whether the two trees gave the same output (`same_output`); a step
-row compares the node image maxima and the next profile of every step.
+A run row records its status, its iterations (the N-node grid's), its grid
+levels (the node count and the steps of every grid the solve stepped on,
+coarsest first) and its bracket.  The outputs compared are a run's status,
+levels, bracket, norm bytes and trace rows; a writer's bytes; the oracle's
+rows, as hex; a step's node maxima and next profile; and a fresh plan's node
+maxima at the Euclidean start.  Byte strings are compared by their SHA-256.
 
 Run from the repository root:
 
@@ -63,6 +77,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import io
 import json
@@ -72,28 +87,17 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from jsrelax import (  # noqa: E402
-    DEFAULT_PRODUCT_CAP,
-    MatrixSet,
-    RelaxConfig,
-    depth_sweep,
-    euclidean,
-    render_unit_sphere,
-    run,
-    write_norm,
-    write_trace,
-)
 import jsrelax  # noqa: E402
-from jsrelax import norms, oracle  # noqa: E402
 
 FAMILIES = {
     "ex1": ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 1.0]]),
@@ -102,84 +106,13 @@ FAMILIES = {
         [[4 / 5, 3 / 5], [-3 / 5, 4 / 5]],
     ),
 }
-
-
-def sweep_row_times(s: MatrixSet, max_depth: int) -> list[float]:
-    """Seconds from one depth_sweep row to the next, for depths 1..max_depth."""
-    times = []
-    start = time.perf_counter()
-    for _ in depth_sweep(s, max_depth):
-        now = time.perf_counter()
-        times.append(now - start)
-        start = now
-    return times
-
-
-def level_times(s: MatrixSet, max_depth: int, repeats: int) -> list[list[float]]:
-    """Seconds of each level build, repeats times, for depths 2..max_depth."""
-    # the depth-1 level: the prescaled family, component-major
-    first, _ = next(oracle._products(s, 1, DEFAULT_PRODUCT_CAP))
-    level = first
-    times = []
-    for _ in range(2, max_depth + 1):
-        runs = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            built = oracle._extend(first, level)
-            runs.append(time.perf_counter() - start)
-        times.append(runs)
-        level = built
-    return times
-
-
-def summary(runs: list[float], faults: list[int] | None = None) -> dict:
-    """min and median ms of runs, and the median minor page faults of a call if counted."""
-    row = {"min_ms": 1e3 * min(runs), "median_ms": 1e3 * statistics.median(runs)}
-    if faults is not None:
-        row["minflt"] = statistics.median_low(faults)
-    return row
-
-
-def minor_faults() -> int:
-    """Minor page faults of this process so far: fresh pages the kernel had to map."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def timed(call) -> tuple[float, int]:
-    """Seconds and minor page faults of one call."""
-    faults = minor_faults()
-    start = time.perf_counter()
-    call()
-    seconds = time.perf_counter() - start
-    return seconds, minor_faults() - faults
-
-
-def writer_times(s: MatrixSet, nodes: int, repeats: int) -> dict:
-    """min and median ms of each writer on the converged norm of s at this node count."""
-    result = run(s, RelaxConfig(node_count=nodes, tol=1e-6))
-    calls = {
-        "write_norm": lambda: write_norm(result.norm, io.BytesIO()),
-        "render_unit_sphere": lambda: render_unit_sphere(result.norm, 512),
-        "write_trace": lambda: write_trace(result, io.StringIO()),
-    }
-    times = {name: [] for name in calls}
-    for _ in range(repeats):
-        for name, call in calls.items():
-            start = time.perf_counter()
-            call()
-            times[name].append(time.perf_counter() - start)
-    row = {"nodes": nodes, "status": result.status, "iterations": len(result.trace)}
-    row.update((name, summary(runs)) for name, runs in times.items())
-    return row
-
-
 # matrices per seeded relax family, and the largest node count each is timed at
 RELAX_FAMILIES = ((2, 300000), (8, 300000), (32, 30000))
 RUN_TOL = 1e-9
 RUN_MAX_NODES = 30000
 # the converged profiles of the step rows, and the run rows of the seeded families
 FAMILY_TOL = 1e-4
-FAMILY_RUNS = ((8, 3000), (32, 3000))
+FAMILY_RUNS = ((2, 3000), (8, 3000), (32, 3000))
 # (N, tol) of the fine example runs
 FINE_RUNS = ((30000, 1e-6), (300000, 1e-10))
 # (r, N) of the fine seeded-family runs, at FINE_FAMILY_TOL
@@ -187,111 +120,303 @@ FINE_FAMILY_RUNS = (*((r, n) for r in (2, 8, 32) for n in (16382, 16384, 30000))
 FINE_FAMILY_TOL = 1e-6
 # the stalled run: example 1 times 1e300 at N = 30000 takes max_iters steps
 STALLED_MAX_ITERS = 200
+# the relax_family pass: the benchmark's 16 corpus families turned by the
+# rotations of this workload seed, lr and mr
+PASS_SEED = 1
+# calls of a `runs` row per round, of which the fastest counts: with one call
+# a round, rows of identical code read 0.64-1.52 change/parent
+RUN_CALLS_PER_ROUND = 5
+# the steps of a `steps` row
+STEP_KEYS = ("lr_step", "lr_step_converged", "mr_step", "mr_step_converged")
+# the fields of a run row, from the change tree's run
+RUN_FIELDS = ("max_iters", "status", "iterations", "levels", "rho_lo", "rho_hi")
+
+
+class Call(NamedTuple):
+    """One call on one tree: run() is timed, or run(prepare()) with prepare
+    untimed; output(what run returned) is what the trees must agree on."""
+
+    run: Callable
+    output: Callable = lambda got: got
+    prepare: Callable | None = None
+
+
+class Sample(NamedTuple):
+    """One call's output from its untimed first run, and per round the
+    seconds and minor page faults of its fastest timed call."""
+
+    output: object
+    seconds: list
+    faults: list
+
+
+def minor_faults() -> int:
+    """Minor page faults of this process so far: fresh pages the kernel had to map."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(call: Call) -> tuple[float, int, object]:
+    """Seconds and minor page faults of one call, and what it returned."""
+    args = () if call.prepare is None else (call.prepare(),)
+    faults = minor_faults()
+    start = perf_counter()
+    got = call.run(*args)
+    seconds = perf_counter() - start
+    return seconds, minor_faults() - faults, got
+
+
+def summary(seconds: list[float], faults: list[int]) -> dict:
+    """min and median ms, and the median minor page faults of a call."""
+    return {"min_ms": 1e3 * min(seconds), "median_ms": 1e3 * statistics.median(seconds),
+            "minflt": statistics.median_low(faults)}
+
+
+def measure(rows: list[tuple[dict, dict]], repeats: int,
+            calls_per_round: int = 1) -> list[dict]:
+    """Time every call of rows on every tree, as the module docstring says,
+    and write each timed key's summary into its row.
+
+    rows holds (row, calls) pairs, where calls maps each timed key to
+    {tag: Call}, with the same tags in the same order throughout.  Returns,
+    per row, {key: {tag: Sample}}.
+    """
+    got = [{key: {tag: Sample(call.output(timed(call)[2]), [], [])
+                  for tag, call in by_tree.items()}
+            for key, by_tree in calls.items()}
+           for _, calls in rows]
+    for k in range(repeats):
+        for (_, calls), samples in zip(rows, got):
+            for key, by_tree in calls.items():
+                tags = list(by_tree)
+                for tag in tags if k % 2 == 0 else tags[::-1]:
+                    call = by_tree[tag]
+                    timed(call)
+                    seconds, faults = min(timed(call)[:2] for _ in range(calls_per_round))
+                    samples[key][tag].seconds.append(seconds)
+                    samples[key][tag].faults.append(faults)
+    for (row, _), samples in zip(rows, got):
+        row["calls_per_round"] = calls_per_round
+        for key, by_tree in samples.items():
+            row[key] = {tag: summary(s.seconds, s.faults) for tag, s in by_tree.items()}
+            if len(by_tree) > 1:
+                row[key]["change_over_parent"] = (row[key]["change"]["median_ms"]
+                                                  / row[key]["parent"]["median_ms"])
+        if len(by_tree) > 1:
+            # repr, so that a NaN in both outputs reads the same
+            row["same_output"] = all(len({repr(s.output) for s in by_tree.values()}) == 1
+                                     for by_tree in samples.values())
+    return got
+
+
+def digest(data) -> str:
+    """SHA-256 of a byte string or a contiguous array."""
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(r) -> tuple:
+    """The fields of an iteration record."""
+    return r.n, r.rho_minus, r.rho_plus, r.gamma, r.lam
+
+
+def outcome(result) -> dict:
+    """A run's row fields, with its norm's bytes and its trace rows."""
+    return {"max_iters": result.config.max_iters, "status": result.status,
+            "iterations": len(result.trace),
+            "levels": [list(level) for level in result.levels],
+            "rho_lo": result.rho_lo, "rho_hi": result.rho_hi,
+            "norm": digest(result.norm.values),
+            "trace": [record(r) for r in result.trace]}
+
+
+def solve(tree, s, cfg) -> Call:
+    return Call(lambda: tree.run(s, cfg), outcome)
+
+
+def per_tree(trees: dict, make) -> dict:
+    """A row's calls, {key: {tag: Call}}, from make(tree) -> {key: Call}."""
+    made = {tag: make(t) for tag, t in trees.items()}
+    return {key: {tag: calls[key] for tag, calls in made.items()} for key in made["change"]}
 
 
 def seeded_mats(r: int) -> np.ndarray:
     return np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))
 
 
-def seeded_family(r: int) -> MatrixSet:
-    return MatrixSet(tuple(seeded_mats(r)))
+def run_calls(tree, mats, cfg: dict, single: bool) -> dict:
+    """`run` of mats under cfg with tree's classes and, if single,
+    `run_single`: the same solve given the Euclidean start."""
+    s = tree.MatrixSet(tuple(np.array(mats, dtype=float)))
+    c = tree.RelaxConfig(**cfg)
+    calls = {"run": solve(tree, s, c)}
+    if single:
+        calls["run_single"] = solve(tree, s, replace(c, initial_norm=tree.euclidean(c.node_count)))
+    return calls
 
 
-def run_families(nodes: list[int]) -> list[tuple[str, object, int, float]]:
-    """(name, matrices, N, tol) of the `runs` rows."""
-    return ([(name, mats, n, RUN_TOL) for name, mats in FAMILIES.items()
-             for n in nodes if n <= RUN_MAX_NODES]
-            + [(f"r{r}", seeded_mats(r), n, FAMILY_TOL) for r, n in FAMILY_RUNS])
+def timed_runs(trees: dict, cases: list[tuple], repeats: int, single: bool = False,
+               calls_per_round: int = 1) -> tuple[list[dict], list[dict]]:
+    """A run row per case (name, matrices, N, tol, extra config) and
+    algorithm, timed, with its fields from the change tree's run; and per
+    row, the `run` samples by tree."""
+    rows = []
+    for name, mats, n, tol, extra in cases:
+        for algorithm in ("lr", "mr"):
+            cfg = {"algorithm": algorithm, "node_count": n, "tol": tol, **extra}
+            row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": tol}
+            rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg, single))))
+    got = [samples["run"] for samples in measure(rows, repeats, calls_per_round)]
+    for (row, _), by_tree in zip(rows, got):
+        row.update((field, by_tree["change"].output[field]) for field in RUN_FIELDS)
+    return [row for row, _ in rows], got
 
 
-def run_row(family: str, cfg: RelaxConfig, result) -> dict:
-    """A run row's outcome."""
-    return {"family": family, "algorithm": cfg.algorithm, "nodes": cfg.node_count,
-            "tol": cfg.tol, "max_iters": cfg.max_iters,
-            "status": result.status, "iterations": len(result.trace),
-            "levels": [list(level) for level in result.levels],
-            "rho_lo": result.rho_lo, "rho_hi": result.rho_hi}
+def perfbench_module(name: str):
+    """A module of perfbench/, imported read-only."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module(name)
 
 
-def round_robin(calls: list[tuple[dict, str, object]], repeats: int) -> None:
-    """Time every call once per round, for repeats rounds; put its summary,
-    with its minor page faults, in row[key].
+def family_pass(trees: dict, repeats: int) -> tuple[list[dict], dict]:
+    """The relax_family rows, a solve each, and the pass they make per tree:
+    its time per round, its faults, the p50 and p90 solve, and how many of
+    its brackets the proven product bounds contradict."""
+    workloads, reference = perfbench_module("workloads"), perfbench_module("reference")
+    families = workloads.corpus()
+    angles = np.random.default_rng(PASS_SEED).uniform(0.0, 2.0 * np.pi, size=len(families))
+    mats = [workloads.rotated(base, angle) for base, angle in zip(families, angles)]
+    rows, got = timed_runs(trees, [(i, m, workloads.FAMILY_NODES, workloads.FAMILY_TOL, {})
+                                   for i, m in enumerate(mats)], repeats)
+    bounds = [reference.reference_bounds(np.array(m)) for m in mats for _ in ("lr", "mr")]
+    family = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}
+    for tag in trees:
+        solves = [by_tree[tag] for by_tree in got]
+        family["contradicted"][tag] = sum(
+            bool(reference.contradicts(s.output["rho_lo"], s.output["rho_hi"], ref))
+            for s, ref in zip(solves, bounds))
+        passes = [sum(round_) for round_ in zip(*(s.seconds for s in solves))]
+        faults = [sum(round_) for round_ in zip(*(s.faults for s in solves))]
+        seconds = [x for s in solves for x in s.seconds]
+        family[tag] = {**summary(passes, faults),
+                       "solve_p50_ms": 1e3 * statistics.median(seconds),
+                       "solve_p90_ms": 1e3 * statistics.quantiles(seconds, n=10)[-1]}
+    if len(trees) > 1:
+        family["change_over_parent"] = (family["change"]["median_ms"]
+                                        / family["parent"]["median_ms"])
+        family["same_output"] = all(row["same_output"] for row in rows)
+    return rows, family
 
-    The repeats of one call are spread over the whole section, so a host
-    that switches speed for seconds at a time shows each call its fast state.
-    Each timed call follows an untimed one, so it finds its data in cache as
-    the steps of a solve do.
-    """
-    times = [([], []) for _ in calls]
-    for _ in range(repeats):
-        for (_, _, call), (runs, faults) in zip(calls, times):
-            call()
-            seconds, flt = timed(call)
-            runs.append(seconds)
-            faults.append(flt)
-    for (row, key, _), (runs, faults) in zip(calls, times):
-        row[key] = summary(runs, faults)
+
+def sweep_outcome(rows) -> list[tuple]:
+    """Every float of depth_sweep's rows, as hex."""
+    return [(b.depth, b.lower.hex(), b.upper.hex(), t.hex()) for b, t in rows]
 
 
-def step_calls(tree, mats: np.ndarray, n: int) -> tuple[object, dict, dict]:
-    """A `steps` row on tree: the plan, the timed calls by key (the plan rebuild
-    and the four steps on that plan) and, by step key, the members the step
-    maps and its node image maxima, next profile and record."""
+def sweep_at(tree, s, depth: int):
+    """A depth_sweep of s that has yielded its rows before depth."""
+    rows = tree.depth_sweep(s, depth)
+    for _ in range(depth - 1):
+        next(rows)
+    return rows
+
+
+def levels_to(tree, s, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The depth-1 level of s and its level at depth, built as the oracle builds them."""
+    levels = tree.oracle._products(s, depth, tree.DEFAULT_PRODUCT_CAP)
+    first = level = next(levels)[0]
+    for level, _ in levels:
+        pass
+    return first, level
+
+
+def depth_calls(tree, mats, depth: int) -> dict:
+    """depth_sweep's row at depth and, above depth 1, the level build before it."""
+    s = tree.MatrixSet(mats)
+    calls = {"sweep_row": Call(next, lambda row: sweep_outcome([row]),
+                               lambda: sweep_at(tree, s, depth))}
+    if depth > 1:
+        calls["level_build"] = Call(lambda levels: tree.oracle._extend(*levels), digest,
+                                    lambda: levels_to(tree, s, depth - 1))
+    return calls
+
+
+def sweep_calls(tree, mats, max_depth: int) -> dict:
+    """The whole depth_sweep to max_depth."""
+    s = tree.MatrixSet(mats)
+    return {"sweep": Call(lambda: list(tree.depth_sweep(s, max_depth)), sweep_outcome)}
+
+
+def into(write, obj, sink):
+    """sink, after write(obj, sink)."""
+    write(obj, sink)
+    return sink
+
+
+def writer_calls(tree, result) -> dict:
+    """The three writers on the norm and trace of result, by tree."""
+    return {
+        "write_norm": Call(lambda: into(tree.write_norm, result.norm, io.BytesIO()),
+                           lambda out: digest(out.getvalue())),
+        "render_unit_sphere": Call(lambda: tree.render_unit_sphere(result.norm, 512),
+                                   lambda svg: digest(svg.encode())),
+        "write_trace": Call(lambda: into(tree.write_trace, result, io.StringIO()),
+                            lambda out: digest(out.getvalue().encode())),
+    }
+
+
+def writer_rows(trees: dict, nodes: list[int]) -> list[tuple[dict, dict]]:
+    """A row per family and node count: the writers on the norm that run()
+    converges to at tol=1e-6."""
+    rows = []
+    for name, mats in FAMILIES.items():
+        for n in nodes:
+            results = {t: t.run(t.MatrixSet(mats), t.RelaxConfig(node_count=n, tol=1e-6))
+                       for t in trees.values()}
+            done = results[jsrelax]
+            rows.append(({"family": name, "nodes": n, "status": done.status,
+                          "iterations": len(done.trace)},
+                         per_tree(trees, lambda t: writer_calls(t, results[t]))))
+    return rows
+
+
+def step_calls(tree, mats: np.ndarray, n: int) -> dict:
+    """A `steps` row's calls on tree: the plan build and rebuild, and the
+    four steps on one plan, which the calls hold."""
     s = tree.MatrixSet(tuple(mats))
     e = (1.0, 0.0)
     plan = tree.norms._ImagePlan(s, n, e)
-    # as a solve builds its plan: into the arrays the untimed call released
-    calls = {"plan_rebuild": lambda: tree.norms._ImagePlan(s, n, e).release()}
-    done = {}
+    start = tree.relax._initial(tree.RelaxConfig(node_count=n))
+    calls = {
+        # never released, so the untimed call drains the slot and the timed one allocates
+        "plan_build": Call(lambda: tree.norms._ImagePlan(s, n, e),
+                           lambda fresh: digest(fresh.node_image_max(start))),
+        # as a solve builds its plan: into the arrays the untimed call released
+        "plan_rebuild": Call(lambda: tree.norms._ImagePlan(s, n, e).release()),
+    }
     for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
         cfg = tree.RelaxConfig(algorithm=algorithm, node_count=n)
         converged = tree.run(s, tree.RelaxConfig(algorithm=algorithm, node_count=n,
                                                  tol=FAMILY_TOL)).norm
         for key, nm in ((f"{algorithm}_step", tree.relax._initial(cfg)),
                         (f"{algorithm}_step_converged", converged)):
-            m = plan.node_image_max(nm).copy()
-            nxt, rec = step(nm, plan, cfg, 0)
-            done[key] = (plan.members_mapped(nm), m.tobytes(), nxt.values.tobytes(),
-                         (rec.n, rec.rho_minus, rec.rho_plus, rec.gamma, rec.lam))
-            calls[key] = lambda step=step, nm=nm, cfg=cfg: step(nm, plan, cfg, 0)
-    return plan, calls, done
+            calls[key] = Call(
+                lambda step=step, nm=nm, cfg=cfg: step(nm, plan, cfg, 0),
+                lambda got, nm=nm: (plan.members_mapped(nm), digest(plan.node_image_max(nm)),
+                                    digest(got[0].values), record(got[1])))
+    return calls
 
 
-def relax_times(nodes: list[int], repeats: int) -> dict:
-    """min and median ms of the plan build and of one step per family and node count,
-    and of run() on the examples."""
-    steps, calls = [], []
+def step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
+    """The `steps` rows, each timed on its own, so that only its plans are held."""
+    rows = []
     for r, max_nodes in RELAX_FAMILIES:
-        s = seeded_family(r)
         for n in (n for n in nodes if n <= max_nodes):
-            # the step calls hold their plan for the section: 53 MB at the default N
-            _, made, done = step_calls(jsrelax, seeded_mats(r), n)
-            row = {"r": r, "nodes": n, "mapped": {key: got[0] for key, got in done.items()}}
-            steps.append(row)
-            # never released, so the untimed call drains the slot and the timed one allocates
-            calls.append((row, "plan_build",
-                          lambda s=s, n=n: norms._ImagePlan(s, n, (1.0, 0.0))))
-            calls += [(row, key, call) for key, call in made.items()]
-    runs, fine_runs = [], []
-    cases = [(runs, name, MatrixSet(tuple(mats)), n, tol, {})
-             for name, mats, n, tol in run_families(nodes)]
-    cases += [(fine_runs, name, MatrixSet(mats), n, tol, {})
-              for n, tol in FINE_RUNS for name, mats in FAMILIES.items()]
-    cases += [(fine_runs, f"r{r}", seeded_family(r), n, FINE_FAMILY_TOL, {})
-              for r, n in FINE_FAMILY_RUNS]
-    cases.append((fine_runs, "ex1x1e300", MatrixSet(tuple(np.array(FAMILIES["ex1"]) * 1e300)),
-                  30000, FINE_FAMILY_TOL, {"max_iters": STALLED_MAX_ITERS}))
-    for rows, name, s, n, tol, extra in cases:
-        for algorithm in ("lr", "mr"):
-            cfg = RelaxConfig(algorithm=algorithm, node_count=n, tol=tol, **extra)
-            row = run_row(name, cfg, run(s, cfg))
+            row = {"r": r, "nodes": n}
+            calls = per_tree(trees, lambda t: step_calls(t, seeded_mats(r), n))
+            (samples,) = measure([(row, calls)], repeats)
+            row["mapped"] = {key: samples[key]["change"].output[0] for key in STEP_KEYS}
             rows.append(row)
-            calls.append((row, "run", lambda s=s, cfg=cfg: run(s, cfg)))
-            if rows is fine_runs:
-                single = replace(cfg, initial_norm=euclidean(n))
-                calls.append((row, "run_single", lambda s=s, cfg=single: run(s, cfg)))
-    round_robin(calls, repeats)
-    return {"steps": steps, "runs": runs, "fine_runs": fine_runs}
+    return rows
 
 
 # Run in a fresh process by fresh_faults: the minor page faults of each of
@@ -345,17 +470,6 @@ def fault_rows(trees: dict[str, Path], nodes: list[int]) -> list[dict]:
     return rows
 
 
-TREES = ("parent", "change")
-# the timed calls of a parent/change `steps` row
-STEP_KEYS = ("plan_rebuild", "lr_step", "lr_step_converged", "mr_step", "mr_step_converged")
-# the relax_family pass of the parent comparison: the benchmark's 16 corpus
-# families turned by the rotations of this workload seed, lr and mr
-PASS_SEED = 1
-# calls of a parent/change `runs` row per round, of which the fastest counts:
-# with one call a round, rows of identical code read 0.64-1.52 change/parent
-RUN_CALLS_PER_ROUND = 5
-
-
 def load_tree(root: Path, name: str):
     """The jsrelax package of the checkout at root, imported as the package `name`."""
     init = root / "src" / "jsrelax" / "__init__.py"
@@ -369,169 +483,61 @@ def load_tree(root: Path, name: str):
     return module
 
 
-def outcome(result) -> tuple:
-    """Every output float and byte of a run, to check that two trees agree."""
-    rows = tuple((r.n, r.rho_minus, r.rho_plus, r.gamma, r.lam) for r in result.trace)
-    return result.status, result.rho_lo, result.rho_hi, result.norm.values.tobytes(), rows
-
-
-def perfbench_module(name: str):
-    """A module of perfbench/, imported read-only."""
-    if str(ROOT / "perfbench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-    return importlib.import_module(name)
-
-
-def corpus_pass(tree) -> list[tuple]:
-    """(family, config) of one relax_family pass, built with tree's classes."""
-    workloads = perfbench_module("workloads")
-    families = workloads.corpus()
-    angles = np.random.default_rng(PASS_SEED).uniform(0.0, 2.0 * np.pi, size=len(families))
-    return [(tree.MatrixSet(tuple(workloads.rotated(base, angle))),
-             tree.RelaxConfig(algorithm=algorithm, node_count=workloads.FAMILY_NODES,
-                              tol=workloads.FAMILY_TOL))
-            for base, angle in zip(families, angles) for algorithm in ("lr", "mr")]
-
-
-def contradicted(cases: list[tuple], results: list) -> int:
-    """How many of the results of cases report a bracket that perfbench's
-    proven product bounds (reference.py) contradict."""
-    reference = perfbench_module("reference")
-    return sum(bool(reference.contradicts(r.rho_lo, r.rho_hi,
-                                          reference.reference_bounds(np.array(s.arrays()))))
-               for (s, _), r in zip(cases, results))
-
-
-def sweep_outcome(rows) -> list[tuple]:
-    """Every float of depth_sweep's rows, as hex, to check that two trees agree."""
-    return [(b.depth, b.lower.hex(), b.upper.hex(), t.hex()) for b, t in rows]
-
-
-def parent_step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
-    """The `steps` rows for both trees, one family and node count at a time,
-    each call alternately on either tree, the first tree changing each round."""
-    rows = []
-    for r, max_nodes in RELAX_FAMILIES:
-        for n in (n for n in nodes if n <= max_nodes):
-            made = {tag: step_calls(t, seeded_mats(r), n) for tag, t in trees.items()}
-            row = {"r": r, "nodes": n, "same_output": made["parent"][2] == made["change"][2]}
-            times = {key: {tag: ([], []) for tag in TREES} for key in STEP_KEYS}
-            for k in range(repeats):
-                order = TREES if k % 2 == 0 else TREES[::-1]
-                for key, by_tree in times.items():
-                    for tag in order:
-                        call = made[tag][1][key]
-                        call()
-                        seconds, flt = timed(call)
-                        by_tree[tag][0].append(seconds)
-                        by_tree[tag][1].append(flt)
-            for key, by_tree in times.items():
-                row[key] = {tag: summary(*by_tree[tag]) for tag in TREES}
-                row[key]["change_over_parent"] = (row[key]["change"]["median_ms"]
-                                                  / row[key]["parent"]["median_ms"])
-            for plan, _, _ in made.values():
-                plan.release()
-            rows.append(row)
-    return rows
-
-
-def parent_times(parent: Path, nodes: list[int], max_depth: int, repeats: int) -> dict:
-    """The `runs` rows, depth_sweep to max_depth on examples 1 and 2, and a
-    relax_family pass, timed for the parent tree and this one alternately in
-    this process, the first tree changing each round.
-
-    Both trees run in one process, so they share its allocator and its
-    speed state; each keeps its own module state.  main() runs this section
-    first, before the large solves of the others move the allocator's
-    thresholds (see fault_rows).
-    """
-    trees = {"parent": load_tree(parent, "jsrelax_parent"), "change": jsrelax}
-    rows = []
-    for name, mats, n, tol in run_families(nodes):
-        for algorithm in ("lr", "mr"):
-            row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": tol}
-            solve = {tag: lambda t=t, s=t.MatrixSet(tuple(np.array(mats, dtype=float))),
-                     cfg=t.RelaxConfig(algorithm=algorithm, node_count=n, tol=tol): t.run(s, cfg)
-                     for tag, t in trees.items()}
-            row["same_output"] = outcome(solve["parent"]()) == outcome(solve["change"]())
-            rows.append((row, solve, {tag: ([], []) for tag in TREES}))
-    sweeps = []
-    for name, mats in FAMILIES.items():
-        row = {"family": name, "max_depth": max_depth}
-        sweep = {tag: lambda t=t, s=t.MatrixSet(mats): sweep_outcome(t.depth_sweep(s, max_depth))
-                 for tag, t in trees.items()}
-        row["same_output"] = sweep["parent"]() == sweep["change"]()
-        sweeps.append((row, sweep, {tag: ([], []) for tag in TREES}))
-    cases = {tag: corpus_pass(t) for tag, t in trees.items()}
-    results = {tag: [t.run(*case) for case in cases[tag]] for tag, t in trees.items()}
-    same = all(outcome(a) == outcome(b) for a, b in zip(results["parent"], results["change"]))
-    passes = {tag: {"pass": [], "minflt": [], "solves": []} for tag in TREES}
-    for k in range(repeats):
-        order = TREES if k % 2 == 0 else TREES[::-1]
-        for tag in order:
-            faults = minor_faults()
-            solves = [timed(lambda a=a: trees[tag].run(*a))[0] for a in cases[tag]]
-            passes[tag]["minflt"].append(minor_faults() - faults)
-            passes[tag]["pass"].append(sum(solves))
-            passes[tag]["solves"] += solves
-        for calls, group in ((RUN_CALLS_PER_ROUND, rows), (1, sweeps)):
-            for _, solve, times in group:
-                for tag in order:
-                    solve[tag]()
-                    seconds, flt = min(timed(solve[tag]) for _ in range(calls))
-                    times[tag][0].append(seconds)
-                    times[tag][1].append(flt)
-    for row, _, times in rows + sweeps:
-        row.update((tag, summary(*times[tag])) for tag in TREES)
-        row["change_over_parent"] = row["change"]["median_ms"] / row["parent"]["median_ms"]
-    for row, _, _ in rows:
-        row["calls_per_round"] = RUN_CALLS_PER_ROUND
-    family = {"seed": PASS_SEED, "solves": len(cases["change"]), "same_output": same,
-              "contradicted": {tag: contradicted(cases[tag], results[tag]) for tag in TREES}}
-    for tag, p in passes.items():
-        family[tag] = {**summary(p["pass"], p["minflt"]),
-                       "solve_p50_ms": 1e3 * statistics.median(p["solves"]),
-                       "solve_p90_ms": 1e3 * statistics.quantiles(p["solves"], n=10)[-1]}
-    return {"runs": [row for row, _, _ in rows], "oracle": [row for row, _, _ in sweeps],
-            "relax_family_pass": family, "steps": parent_step_rows(trees, nodes, repeats)}
-
-
-def bench(max_depth: int, nodes: list[int], repeats: int) -> dict:
-    families = {}
-    for name, mats in FAMILIES.items():
-        s = MatrixSet(mats)
-        sweeps = [sweep_row_times(s, max_depth) for _ in range(repeats)]
-        builds = level_times(s, max_depth, repeats)
-        rows = []
-        for depth in range(1, max_depth + 1):
-            row = {"depth": depth, "products": s.count ** depth,
-                   "sweep_row": summary([sweep[depth - 1] for sweep in sweeps])}
-            if depth > 1:
-                row["level_build"] = summary(builds[depth - 2])
-            rows.append(row)
-        families[name] = {
-            "sweep_total_ms": summary([sum(sweep) for sweep in sweeps]),
-            "depths": rows,
-        }
-    writers = {
-        name: [writer_times(MatrixSet(mats), n, repeats) for n in nodes]
-        for name, mats in FAMILIES.items()
-    }
-    return {
-        "benchmark": "oracle by depth; writers, relax plan and steps by node count",
+def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
+    """Every section, timed on trees, in the order of the module docstring;
+    the runs and the pass go first, before the large solves of the others
+    move the allocator's thresholds (see fault_rows)."""
+    result = {
+        "benchmark": "run, relax_family, oracle by depth, writers, plan and steps, fine runs",
         "max_depth": max_depth,
         "repeats": repeats,
+        "trees": list(trees),
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "families": families,
-        "writers": writers,
-        "relax": relax_times(nodes, repeats),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    runs = [(name, mats, n, RUN_TOL, {}) for name, mats in FAMILIES.items()
+            for n in nodes if n <= RUN_MAX_NODES]
+    runs += [(f"r{r}", seeded_mats(r), n, FAMILY_TOL, {}) for r, n in FAMILY_RUNS]
+    result["runs"], _ = timed_runs(trees, runs, repeats, calls_per_round=RUN_CALLS_PER_ROUND)
+    result["relax_family"], result["relax_family_pass"] = family_pass(trees, repeats)
+    depths = [({"family": name, "depth": d, "products": len(mats) ** d},
+               per_tree(trees, lambda t: depth_calls(t, mats, d)))
+              for name, mats in FAMILIES.items() for d in range(1, max_depth + 1)]
+    sweeps = [({"family": name, "max_depth": max_depth},
+               per_tree(trees, lambda t: sweep_calls(t, mats, max_depth)))
+              for name, mats in FAMILIES.items()]
+    measure(depths + sweeps, repeats)
+    result["oracle"] = [row for row, _ in depths]
+    result["oracle_sweeps"] = [row for row, _ in sweeps]
+    writers = writer_rows(trees, nodes)
+    measure(writers, repeats)
+    result["writers"] = [row for row, _ in writers]
+    result["steps"] = step_rows(trees, nodes, repeats)
+    fine = [(name, mats, n, tol, {}) for n, tol in FINE_RUNS for name, mats in FAMILIES.items()]
+    fine += [(f"r{r}", seeded_mats(r), n, FINE_FAMILY_TOL, {}) for r, n in FINE_FAMILY_RUNS]
+    fine.append(("ex1x1e300", np.array(FAMILIES["ex1"]) * 1e300, 30000, FINE_FAMILY_TOL,
+                 {"max_iters": STALLED_MAX_ITERS}))
+    result["fine_runs"], _ = timed_runs(trees, fine, repeats, single=True)
+    return result
+
+
+SECTIONS = ("runs", "relax_family", "oracle", "oracle_sweeps", "writers", "steps", "fine_runs")
+
+
+def line(section: str, row: dict, tags: list[str]) -> str:
+    """A row as one line: its scalar fields, then each timed key's median per tree."""
+    labels = " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in row.items()
+                      if isinstance(v, (str, int, float))
+                      and k not in ("same_output", "calls_per_round"))
+    calls = [f"{key} " + " vs ".join(f"{got[t]['median_ms']:.3f}" for t in tags) + " ms"
+             + (f" (x{got['change_over_parent']:.3f})" if "change_over_parent" in got else "")
+             for key, got in row.items() if isinstance(got, dict) and "change" in got]
+    same = f", same output {row['same_output']}" if "same_output" in row else ""
+    return f"{section} {labels}: " + ", ".join(calls) + same
 
 
 def main(argv=None) -> int:
@@ -542,79 +548,33 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--parent", metavar="DIR", type=Path,
-                        help="a checkout of the parent commit: also time its run rows, "
-                             "oracle sweeps, a relax_family pass and step rows against "
-                             "this tree's, in this process")
+                        help="a checkout of the parent commit: time every row on its "
+                             "tree too, in this process, and compare the outputs")
     args = parser.parse_args(argv)
-    if args.max_depth < 2 or args.repeats < 1 or min(args.nodes) < 8:
-        parser.error("need --max-depth >= 2, --repeats >= 1 and --nodes >= 8")
-    ab = (None if args.parent is None
-          else parent_times(args.parent, args.nodes, args.max_depth, args.repeats))
-    result = bench(args.max_depth, args.nodes, args.repeats)
-    trees = {"change": ROOT / "src"}
-    if ab is not None:
-        trees = {"parent": args.parent / "src", **trees}
-        result["parent_ab"] = ab
-    result["relax"]["fresh_process_faults"] = fault_rows(trees, args.nodes)
+    if args.max_depth < 2 or args.repeats < 1 or any(n < 8 or n % 2 for n in args.nodes):
+        parser.error("need --max-depth >= 2, --repeats >= 1 and even --nodes >= 8")
+    trees, sources = {"change": jsrelax}, {"change": ROOT / "src"}
+    if args.parent is not None:
+        trees = {"parent": load_tree(args.parent, "jsrelax_parent"), **trees}
+        sources = {"parent": args.parent / "src", **sources}
+    result = bench(trees, args.max_depth, args.nodes, args.repeats)
+    result["fresh_process_faults"] = fault_rows(sources, args.nodes)
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    for name, fam in result["families"].items():
-        deepest = fam["depths"][-1]
-        print(f"{name}: depth {deepest['depth']} row {deepest['sweep_row']['min_ms']:.2f} ms, "
-              f"level build {deepest['level_build']['min_ms']:.2f} ms, "
-              f"sweep {fam['sweep_total_ms']['min_ms']:.1f} ms")
-    for name, rows in result["writers"].items():
-        for row in rows:
-            print(f"{name} N={row['nodes']}: "
-                  + ", ".join(f"{w} {row[w]['min_ms']:.2f} ms"
-                              for w in ("write_norm", "render_unit_sphere", "write_trace")))
-    for row in result["relax"]["steps"]:
-        steps = ", ".join(f"{key.replace('_', ' ')} {row[key]['min_ms']:.3f} ms ({mapped} mapped)"
-                          for key, mapped in row["mapped"].items())
-        builds = ", ".join(f"{label} {row[key]['min_ms']:.2f} ms ({row[key]['minflt']} faults)"
-                           for key, label in (("plan_build", "plan build"),
-                                              ("plan_rebuild", "second build")) if key in row)
-        print(f"r={row['r']} N={row['nodes']}: {builds}, {steps}")
-    for row in result["relax"]["runs"] + result["relax"]["fine_runs"]:
-        levels = " / ".join(str(steps) for _, steps in row["levels"])
-        single = row.get("run_single")
-        single = f" (single-level {single['min_ms']:.1f} ms)" if single else ""
-        print(f"{row['family']} {row['algorithm']} N={row['nodes']} tol={row['tol']:g}: "
-              f"run {row['run']['min_ms']:.1f} ms ({row['run']['minflt']} faults){single}, "
-              f"{row['iterations']} iterations (steps by level {levels}), {row['status']}")
-    for row in result["relax"]["fresh_process_faults"]:
-        trees = []
-        for tag in (t for t in TREES if t in row):
-            got = row[tag]
-            builds = (f", plan build {got['plan_build']} then {got['plan_rebuild']}"
-                      if "plan_build" in got else "")
-            trees.append(f"{tag} runs {got['runs']}{builds}")
-        print(f"r={row['r']} N={row['nodes']} fresh-process faults: " + "; ".join(trees))
-    ab = result.get("parent_ab")
-    if ab:
-        for row in ab["runs"]:
-            print(f"parent/change {row['family']} {row['algorithm']} N={row['nodes']}: "
-                  + " vs ".join(f"{row[t]['median_ms']:.2f} ms ({row[t]['minflt']} faults)"
-                                for t in TREES)
-                  + f", ratio {row['change_over_parent']:.3f}, same output {row['same_output']}")
-        for row in ab["oracle"]:
-            print(f"parent/change {row['family']} depth_sweep to depth {row['max_depth']}: "
-                  + " vs ".join(f"{row[t]['median_ms']:.1f} ms" for t in TREES)
-                  + f", ratio {row['change_over_parent']:.3f}, same output {row['same_output']}")
-        fam = ab["relax_family_pass"]
-        for t in TREES:
-            got = fam[t]
-            print(f"{t} relax_family pass (seed {fam['seed']}): {got['median_ms']:.1f} ms median, "
-                  f"solve p50 {got['solve_p50_ms']:.2f} ms, p90 {got['solve_p90_ms']:.2f} ms, "
-                  f"{got['minflt']} faults")
-        print(f"relax_family pass same output: {fam['same_output']}, cases contradicting "
-              "the proven bounds: "
-              + ", ".join(f"{t} {fam['contradicted'][t]}/{fam['solves']}" for t in TREES))
-        for row in ab["steps"]:
-            calls = ", ".join(f"{key.replace('_', ' ')} "
-                              + " vs ".join(f"{row[key][t]['median_ms']:.3f}" for t in TREES)
-                              + " ms" for key in STEP_KEYS)
-            print(f"parent/change r={row['r']} N={row['nodes']}: {calls}, "
-                  f"same output {row['same_output']}")
+    for section in SECTIONS:
+        for row in result[section]:
+            print(line(section, row, list(trees)))
+    fam = result["relax_family_pass"]
+    for tag in trees:
+        got = fam[tag]
+        print(f"{tag} relax_family pass (seed {fam['seed']}): {got['median_ms']:.1f} ms median, "
+              f"solve p50 {got['solve_p50_ms']:.2f} ms, p90 {got['solve_p90_ms']:.2f} ms, "
+              f"{got['minflt']} faults, {fam['contradicted'][tag]}/{fam['solves']} brackets "
+              "contradicting the proven bounds")
+    for row in result["fresh_process_faults"]:
+        print(f"r={row['r']} N={row['nodes']} fresh-process faults: "
+              + "; ".join(f"{tag} runs {row[tag]['runs']}, plan build {row[tag]['plan_build']} "
+                          f"then {row[tag]['plan_rebuild']}" for tag in trees))
     return 0
 
 
