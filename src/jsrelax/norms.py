@@ -9,12 +9,13 @@ which svgplot draws.  Profiles are kept centrally symmetric (h_j = h_{j+N/2},
 bit-exact) because a norm satisfies |-x| = |x|.  So the upper half (phi in
 [0, pi)) holds every node value, and the stencils below index it alone.
 
-Node sweeps go through elementwise array arithmetic rather than BLAS, and
-single vectors through Python floats with the same IEEE operations in the
-same order, so the two agree bitwise; several exactness guarantees
-(normalization at a grid-aligned reference vector, scaling equivariance)
-rely on this.  A relaxation solve builds one _ImagePlan, the only builder
-of a node stencil, whose stencil and buffers every step reuses;
+Node sweeps and single vectors go through the same elementwise array
+arithmetic rather than BLAS (the node map, and _gauge for evaluate,
+max_image and the refinement of a profile onto another grid), so the two
+agree bitwise; scaling equivariance relies on this.  A relaxation solve
+builds one _ImagePlan, the only builder of a node stencil, whose stencil
+and buffers every step reuses, and which reads the reference vector's norm
+and the lr gamma off node values;
 combine_linear and combine_max write a step's next profile from the plan's
 node image maxima, and each step allocates only that profile.  A step maps
 only the family members that can attain those maxima: a member whose
@@ -219,40 +220,13 @@ def _images(entry: np.ndarray, x0, x1) -> tuple[np.ndarray, np.ndarray]:
     return entry[:, 0] * x0 + entry[:, 1] * x1, entry[:, 2] * x0 + entry[:, 3] * x1
 
 
-class _Points:
-    """Gauge terms of a few fixed vectors, evaluated in Python floats.
-
-    Each vector y keeps (i0, i1, a, b): its grid sector and its cone
-    coordinates (see _cone), and max_norm() returns max over the vectors of
-    a * h[i0] + b * h[i1]: the IEEE operations of the plan's node map, in
-    the same order, on a profile's full values or its upper half alike, with
-    no copy.  A vector that overflowed gets an infinite or NaN coordinate,
-    without a warning; finite[k] says whether vector k's are finite.
-    """
-
-    def __init__(self, y0, y1, n: int):
-        with np.errstate(over="ignore", invalid="ignore"):
-            i0, a, b = _cone(y0, y1, n)
-        self.finite = (np.isfinite(a) & np.isfinite(b)).tolist()
-        self.terms = tuple(zip(i0.tolist(), ((i0 + 1) % (n // 2)).tolist(), a.tolist(),
-                               b.tolist()))
-
-    @classmethod
-    def of_family(cls, mats, x0: float, x1: float, n: int) -> "_Points":
-        """Terms of the images A (x0, x1), one per family member, then of (x0, x1)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            y0, y1 = _images(_entries(mats), np.array([x0]), np.array([x1]))
-        return cls(np.append(y0, x0), np.append(y1, x1), n)
-
-    def max_norm(self, values: np.ndarray, start: int = 0, stop: int | None = None) -> float:
-        """Largest profile norm among the vectors start to stop; NaN if any
-        norm is NaN, as np.max."""
-        best = -math.inf
-        for i0, i1, a, b in self.terms[start:stop]:
-            v = a * values.item(i0) + b * values.item(i1)
-            if v > best or v != v:
-                best = v
-        return best
+def _gauge(values: np.ndarray, y0, y1) -> np.ndarray:
+    """The norm a * h[i0] + b * h[i0 + 1] of each vector (y0, y1) under the
+    profile `values`, with the node map's operations; an overflow gives an
+    infinite or NaN norm, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i0, a, b = _cone(y0, y1, values.size)
+        return a * values[i0] + b * values[i0 + 1]
 
 
 # Entries per block of a node map, and of a stencil build.  They keep
@@ -329,9 +303,10 @@ class _ImagePlan:
     """The fixed vectors of one relaxation solve, and the solve's workspace.
 
     Holds the stencil of the images y_kj = A_k u_j of every upper-half node
-    under every matrix, and the terms of the images A_i e and of e itself.
-    Built once per solve; each step then reads the node image maxima, the
-    lr gamma max_i |A_i e| and the norm of e off it with no angle work.
+    under every matrix, and the node of the reference vector e.  Built once
+    per solve; each step then reads the node image maxima off it with no
+    angle work, and the lr gamma max_i |A_i e| and the norm of e off those
+    maxima and the profile.
 
     Row k, column j of the stencil stores the grid sector i0 modulo N/2 and
     the cone coordinates a and b of y_kj (see _cone), so that node_image_max
@@ -372,8 +347,18 @@ class _ImagePlan:
     it reads, so no output bit depends on what the arrays held.  release()
     hands the arrays back to the slot.
 
-    Raises ValueError, before any step and without a warning, if e or one of
-    these images has a non-finite cone coordinate.
+    The reference vector.  A solve's e lies along a grid node (RelaxConfig
+    refuses any other), so the plan keeps e's upper-half node k = `node`,
+    nearest its direction, and its scale c = |u_k . e| / |u_k|^2 = `scale`.
+    at_e then reads |e| = c h_k off a profile and max_i |A_i e| = c m_k off
+    the node image maxima m, with no evaluation of its own.  For
+    e = +-2^p u_k, such as (1, 0) and (0, 1) times 2^p, c is 2^p, and both
+    values are bit for bit evaluate(nm, e) and max_image(nm, s, e); for
+    another e along u_k they differ from those by rounding only.
+
+    Raises ValueError, before any step and without a warning, if a node
+    image, or e or one of its images A_i e = c A_i u_k, has a non-finite
+    cone coordinate.
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
@@ -412,14 +397,18 @@ class _ImagePlan:
             self.margin = np.minimum.accumulate(_margins(self.a, self.b, top)[::-1])[::-1].tolist()
         self.best = np.empty(cols)
         self._blocks = {}  # the block views of each leading row count
-        self.points = _Points.of_family(mats, e0, e1, n)  # A_i e, then e
         self.ratio = np.empty(cols)
         if not (math.isfinite(self.a.max()) and math.isfinite(self.b.max())):  # max keeps a NaN
             raise ValueError(
                 "the family maps a grid node to a vector of non-finite length; "
                 "rescale the family"
             )
-        if not all(self.points.finite):
+        # e's upper-half node k, nearest its direction, and its scale along u_k
+        k = round((math.atan2(e1, e0) + math.pi) * (n / TWO_PI)) % cols
+        ux, uy, _, _, sq = g.sectors[:, cols + k].tolist()
+        self.node, self.scale = k, abs(ux * e0 + uy * e1) / sq
+        # the cone coordinates of the images A_i e = c A_i u_k, in Python floats: no warning
+        if not math.isfinite(self.scale * max(self.a[:, k].max(), self.b[:, k].max()).item()):
             raise ValueError(
                 f"e = ({e0!r}, {e1!r}) or one of its images A_i e has a non-finite "
                 "length; rescale e"
@@ -491,13 +480,11 @@ class _ImagePlan:
                     np.maximum(best, y[0], out=best)
         return self.best
 
-    def image_at_e(self, nm: AngularNorm) -> float:
-        """max_i |A_i e|, bitwise equal to max_image(nm, s, e)."""
-        return self.points.max_norm(nm.values, stop=-1)
-
-    def norm_at_e(self, nm: AngularNorm) -> float:
-        """|e|, bitwise equal to evaluate(nm, e)."""
-        return self.points.max_norm(nm.values, start=-1)
+    def at_e(self, values: np.ndarray) -> float:
+        """c * v_k, e's value read off node values v at the upper-half nodes
+        (or a profile's values, whose halves are equal): |e| for a profile,
+        and max_i |A_i e| for its node image maxima (see the class docstring)."""
+        return self.scale * values.item(self.node)
 
 
 def _checked_vector(x) -> tuple[float, float]:
@@ -512,29 +499,31 @@ def _checked_vector(x) -> tuple[float, float]:
 def evaluate(nm: AngularNorm, x) -> float:
     """Norm of the planar vector x (0 at the origin).
 
-    Raises ValueError if a cone coordinate of x is not finite (x is within
-    a factor cos(pi/N) of the double range).
+    Raises ValueError if the norm is not finite (x is within a factor
+    cos(pi/N) of the double range, or the profile's values are huge).
     """
     x0, x1 = _checked_vector(x)
-    pts = _Points(np.array([x0]), np.array([x1]), nm.node_count)
-    if not pts.finite[0]:
+    v = _gauge(nm.values, np.array([x0]), np.array([x1])).item()
+    if not math.isfinite(v):
         raise ValueError(f"x = ({x0!r}, {x1!r}) has a non-finite length; rescale x")
-    return pts.max_norm(nm.values)
+    return v
 
 
 def max_image(nm: AngularNorm, s: MatrixSet, x) -> float:
     """Largest norm among the images A x over the family.
 
-    Raises ValueError if a cone coordinate of one of the images is not finite.
+    Raises ValueError if the norm of one of the images is not finite.
     """
     x0, x1 = _checked_vector(x)
-    pts = _Points.of_family(s.arrays(), x0, x1, nm.node_count)
-    if not all(pts.finite[:-1]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0, y1 = _images(_entries(s.arrays()), x0, x1)
+    v = _gauge(nm.values, y0.ravel(), y1.ravel())
+    if not np.isfinite(v).all():
         raise ValueError(
             f"one of the images A_i x of x = ({x0!r}, {x1!r}) has a non-finite length; "
             "rescale x"
         )
-    return pts.max_norm(nm.values, stop=-1)
+    return v.max().item()
 
 
 def combine_linear(nm: AngularNorm, m: np.ndarray, lam: float, gamma: float, out) -> None:
@@ -580,11 +569,16 @@ def normalize(nm: AngularNorm, e) -> AngularNorm:
     e0, e1 = _checked_vector(e)
     if e0 == 0.0 and e1 == 0.0:
         raise ValueError("reference vector must be nonzero")
-    v = evaluate(nm, (e0, e1))
+    return _rescaled(nm, (e0, e1), evaluate(nm, (e0, e1)))
+
+
+def _rescaled(nm: AngularNorm, e: tuple[float, float], v: float) -> AngularNorm:
+    """nm over v, the norm of e under nm; raises ValueError, with no warning,
+    if a rescaled value would not be finite."""
     # division is monotone, so the largest value decides whether all stay finite
     if not (v > 0.0 and math.isfinite(float(nm.values.max()) / v)):
         raise ValueError(
-            f"e = ({e0!r}, {e1!r}) is too short: the profile rescaled to norm 1 at e "
+            f"e = ({e[0]!r}, {e[1]!r}) is too short: the profile rescaled to norm 1 at e "
             "is not finite; rescale e"
         )
     # a symmetric profile over a scalar keeps its halves equal: no fold needed

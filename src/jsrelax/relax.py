@@ -47,8 +47,10 @@ rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
 A solve builds the image plan of the family once (norms._ImagePlan), and
 each step is lr_step or mr_step on that plan: it maps the grid once, takes
 the bracket from bounds and the next profile from combine_linear or
-combine_max, all on that single map.  gamma and the norm of e come from
-scalar terms in the plan.  The plan is also the solve's workspace: a step
+combine_max, all on that single map.  e lies along a grid node u_k, as
+e = c u_k, so the plan reads the norm of e as c h_k off the profile and lr's
+gamma as c m_k off the node image maxima m of that map; the solve's start
+is normalized at the same node.  The plan is also the solve's workspace: a step
 maps the grid into the plan's buffers, and the only array it allocates is
 the next profile, whose upper half it computes in place and checks with one
 min and one max.  A plan serves one solve, so one thread: it is built when
@@ -84,9 +86,10 @@ from .matrices import MatrixSet, _count, is_irreducible
 from .norms import (
     TWO_PI,
     AngularNorm,
-    _cone,
+    _gauge,
     _grid,
     _ImagePlan,
+    _rescaled,
     _ZeroValue,
     combine_linear,
     combine_max,
@@ -257,7 +260,7 @@ class _DegenerateImage(ValueError):
 def _require_normalized(
     nm: AngularNorm, plan: _ImagePlan, algorithm: str, n: int, at: str
 ) -> None:
-    v = plan.norm_at_e(nm)
+    v = plan.at_e(nm.values)
     if abs(v - 1.0) > _NORMALIZATION_TOL:
         raise RuntimeError(
             f"norm of reference vector drifted to {v!r} at {algorithm} step {n} {at}"
@@ -302,7 +305,7 @@ def lr_step(
     Raises _DegenerateImage, a ValueError, when the next profile is undefined.
     """
     m, lo, hi = _mapped(nm, plan, n, ALGORITHM_LR)
-    g = plan.image_at_e(nm)
+    g = plan.at_e(m)
     if g == 0.0:
         raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
     lam = cfg.lambda_at(n)
@@ -328,15 +331,15 @@ def mr_step(
     upper = vals[nm.node_count // 2:]
     combine_max(nm, m, g, upper)
     # |e| under the raised profile, read off its upper half
-    np.divide(upper, plan.points.max_norm(upper, start=-1), out=upper)
+    np.divide(upper, plan.at_e(upper), out=upper)
     nxt = _next_profile(vals)
     _require_normalized(nxt, plan, ALGORITHM_MR, n, "exit")
     return nxt, IterationRecord(n, lo, hi, g, None)
 
 
 def _initial(cfg: RelaxConfig) -> AngularNorm:
-    init = cfg.initial_norm if cfg.initial_norm is not None else euclidean(cfg.node_count)
-    return normalize(init, cfg.e)
+    """The initial norm, or the Euclidean profile, normalized at e: a stepless result's norm."""
+    return normalize(cfg.initial_norm or euclidean(cfg.node_count), cfg.e)
 
 
 def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
@@ -348,9 +351,8 @@ def _refined(nm: AngularNorm, n: int) -> AngularNorm:
     the upper-half nodes, as the node map evaluates an image (both profiles
     are centrally symmetric)."""
     g = _grid(n)
-    i0, a, b = _cone(g.ux[n // 2:], g.uy[n // 2:], nm.node_count)
     vals = np.empty(n)
-    vals[n // 2:] = a * nm.values[i0] + b * nm.values[i0 + 1]
+    vals[n // 2:] = _gauge(nm.values, g.ux[n // 2:], g.uy[n // 2:])
     return AngularNorm._adopt(vals)
 
 
@@ -370,7 +372,7 @@ def _coarse_grids(cfg: RelaxConfig) -> list[int]:
 
 
 def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> AngularNorm:
-    """The normalized start of the solve cfg configures.
+    """The start of the solve cfg configures, before its normalization at e.
 
     The initial norm, or the Euclidean profile, unless cfg has coarse grids.
     Then each coarse grid in turn is solved with e = (1, 0) from the last
@@ -384,22 +386,23 @@ def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> Ang
     last = None
     for n_c in _coarse_grids(cfg):
         coarse = replace(cfg, node_count=n_c, e=(1.0, 0.0),
-                         initial_norm=None if last is None else _refined(last, n_c),
                          max_iters=max(1, cfg.max_iters * n_c // cfg.node_count))
+        start = euclidean(n_c) if last is None else _refined(last, n_c)
         last, steps = None, 0
         # each grid's plan goes with its generator, before the next grid builds one
-        for last, _ in _steps(s, coarse, _initial(coarse)):
+        for last, _ in _steps(s, coarse, start):
             steps += 1
         levels.append((n_c, steps))
     if last is None:
-        return _initial(cfg)
-    return normalize(_refined(last, cfg.node_count), cfg.e)
+        return cfg.initial_norm or euclidean(cfg.node_count)
+    return _refined(last, cfg.node_count)
 
 
 def _steps(
-    s: MatrixSet, cfg: RelaxConfig, nm: AngularNorm
+    s: MatrixSet, cfg: RelaxConfig, start: AngularNorm
 ) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """The steps on cfg's grid from the normalized profile nm, as iterate yields them.
+    """The steps on cfg's grid from start, normalized at the plan's node of
+    e, as iterate yields them.
 
     The plan is released however the steps end: converged, at the cap, at
     a degenerate image, on an error, or when the caller closes the generator.
@@ -407,6 +410,7 @@ def _steps(
     plan = _ImagePlan(s, cfg.node_count, cfg.e)
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     try:
+        nm = _rescaled(start, cfg.e, plan.at_e(start.values))
         for n in range(cfg.max_iters):
             try:
                 nm, rec = step(nm, plan, cfg, n)

@@ -1,7 +1,6 @@
 """The timing loop of tools/bench.py, driven with fake trees of plain callables."""
 
 import importlib.util
-import statistics
 from pathlib import Path
 
 import pytest
@@ -43,6 +42,8 @@ class Clock:
 def clock(bench, monkeypatch):
     clock = Clock()
     monkeypatch.setattr(bench, "perf_counter", clock)
+    # a round's time, so short that a fake call of a millisecond or more is timed once a round
+    monkeypatch.setattr(bench, "ROUND_SECONDS", 1e-6)
     return clock
 
 
@@ -57,14 +58,36 @@ def test_first_tree_alternates_from_round_to_round(bench, clock):
 
 
 def test_each_round_keeps_the_fastest_of_its_calls(bench, clock):
+    # a first run of 1/2.5 of the round's time gives three calls a round;
     # per round: the untimed call, then three timed ones
-    seconds = [9.0, 9.0, 0.005, 0.002, 0.007, 9.0, 0.004, 0.009, 0.003]
+    seconds = [bench.ROUND_SECONDS / 2.5, 9.0, 0.005, 0.002, 0.007, 9.0, 0.004, 0.009, 0.003]
     row = {}
     bench.measure([(row, {"f": {"change": bench.Call(clock.call("change", seconds))}})],
-                  repeats=2, calls_per_round=3)
+                  repeats=2)
     assert row["f"]["change"]["min_ms"] == pytest.approx(2.0)
     assert row["f"]["change"]["median_ms"] == pytest.approx(2.5)
-    assert row["calls_per_round"] == 3
+    assert row["calls_per_round"] == {"f": 3}
+
+
+def test_calls_per_round_follow_the_slowest_first_run_on_every_tree(bench, clock):
+    # first runs of 1/10 and 1/3.5 of the round's time: four calls a round on
+    # both trees; the key "g" is ten times slower and takes one
+    short = {tag: bench.ROUND_SECONDS / d for tag, d in (("parent", 10.0), ("change", 3.5))}
+    calls = {"f": {tag: bench.Call(clock.call(tag, [t] + [1e-3] * 5)) for tag, t in short.items()},
+             "g": {tag: bench.Call(clock.call(f"g-{tag}", [10 * t] + [1e-3] * 2))
+                   for tag, t in short.items()}}
+    row = {}
+    bench.measure([(row, calls)], repeats=1)
+    assert row["calls_per_round"] == {"f": 4, "g": 1}
+    assert [clock.log.count(tag) for tag in ("parent", "change")] == [6, 6]
+    assert [clock.log.count(f"g-{tag}") for tag in ("parent", "change")] == [3, 3]
+
+
+def test_calls_per_round_bounds(bench):
+    assert bench.calls_per_round(1.0) == 1
+    assert bench.calls_per_round(1.0, least=5) == 5
+    assert bench.calls_per_round(bench.ROUND_SECONDS / 7.5) == 8
+    assert bench.calls_per_round(0.0) == bench.calls_per_round(1e-12) == bench.MAX_CALLS_PER_ROUND
 
 
 def test_prepare_is_not_timed(bench, clock):
@@ -88,7 +111,8 @@ def test_outputs_that_differ_are_reported(bench, clock):
     assert disagree["same_output"] is False
 
 
-def test_change_over_parent_is_the_ratio_of_the_medians(bench, clock):
+def test_change_over_parent_is_the_median_of_the_round_ratios(bench, clock):
+    # rounds of ratio 1.5, 0.25 and 5/9: their median, not 3/4, the ratio of the medians
     parent = [1.0, 1.0, 0.002, 1.0, 0.004, 1.0, 0.009]
     change = [1.0, 1.0, 0.003, 1.0, 0.001, 1.0, 0.005]
     row = {}
@@ -97,8 +121,7 @@ def test_change_over_parent_is_the_ratio_of_the_medians(bench, clock):
                   repeats=3)
     assert row["f"]["parent"]["median_ms"] == pytest.approx(4.0)
     assert row["f"]["change"]["median_ms"] == pytest.approx(3.0)
-    assert row["f"]["change_over_parent"] == pytest.approx(
-        statistics.median([3, 1, 5]) / statistics.median([2, 4, 9]))
+    assert row["f"]["change_over_parent"] == pytest.approx(5 / 9)
 
 
 def test_one_tree_has_no_ratio_and_no_output_check(bench, clock):

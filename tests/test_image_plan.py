@@ -3,11 +3,13 @@
 The reference below evaluates every family member with _eval_xy, an array
 evaluator of the star gauge a * h[i0] + b * h[i0 + 1] on the cone
 coordinates of _cone, and takes the running maximum, as an image map with
-no plan would.  The plan performs the same floating-point operations, in a
-stencil built once per solve and a gather-multiply-add per step, so runs
-must agree bit for bit.  The plan maps only the members whose dominance
-margin the profile's spread reaches; the member-screening tests below hold
-it to the unscreened reference at and around every margin.
+no plan would; it reads the norm of e and lr's gamma off e's grid node, as
+c * h_k and c * m_k with e = c u_k.  The plan performs the same
+floating-point operations, in a stencil built once per solve and a
+gather-multiply-add per step, so runs must agree bit for bit.  The plan
+maps only the members whose dominance margin the profile's spread reaches;
+the member-screening tests below hold it to the unscreened reference at and
+around every margin.
 """
 
 import math
@@ -50,11 +52,14 @@ def reference_run(s: MatrixSet, cfg: RelaxConfig):
     n_nodes, half = cfg.node_count, cfg.node_count // 2
     g = _grid(n_nodes)
     ux, uy = g.ux[half:], g.uy[half:]
-    ex, ey = np.array([cfg.e[0]]), np.array([cfg.e[1]])
+    ex, ey = cfg.e
     mats = s.arrays()
+    # e = c u_k, with u_k the upper-half node nearest e's direction
+    k = round((math.atan2(ey, ex) + math.pi) * n_nodes / (2.0 * math.pi)) % half
+    c = abs(float(ux[k]) * ex + float(uy[k]) * ey) / float(ux[k] * ux[k] + uy[k] * uy[k])
 
     def normalized(values):
-        return AngularNorm(values / float(_eval_xy(values, ex, ey)[0]))
+        return AngularNorm(values / (c * float(values[k])))
 
     nm = normalized((cfg.initial_norm or euclidean(n_nodes)).values)
     records = []
@@ -64,7 +69,7 @@ def reference_run(s: MatrixSet, cfg: RelaxConfig):
         ratio = m / upper
         lo, hi = float(ratio.min()), float(ratio.max())
         if cfg.algorithm == "lr":
-            gamma = float(reference_image_max(nm.values, mats, ex, ey)[0])
+            gamma = c * float(m[k])
             lam = cfg.lambda_at(n)
             nxt = lam * upper + (1.0 - lam) * (m / gamma)
             nm = AngularNorm(np.concatenate([nxt, nxt]))
@@ -165,28 +170,29 @@ def test_node_image_max_matches_reference_across_blocks(r, n):
 class TestWorkCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"plans": 0, "points": 0, "plan_points": 0, "node_maps": 0}
-        plan_init, node_image_max = norms._ImagePlan.__init__, norms._ImagePlan.node_image_max
-        points_init = norms._Points.__init__
+        tally = {"plans": 0, "cones": 0, "plan_cones": 0, "node_maps": 0}
+        plan_init, node_image_max, cone = (norms._ImagePlan.__init__,
+                                           norms._ImagePlan.node_image_max, norms._cone)
 
         def counting_init(self, *args):
             tally["plans"] += 1
-            before = tally["points"]
+            before = tally["cones"]
             plan_init(self, *args)
-            tally["plan_points"] += tally["points"] - before
+            tally["plan_cones"] += tally["cones"] - before
 
         def counting_map(self, nm):
             # the plan is the only builder of a node stencil, so this counts every node map
             tally["node_maps"] += 1
             return node_image_max(self, nm)
 
-        def counting_points_init(self, *args):
-            tally["points"] += 1
-            points_init(self, *args)
+        def counting_cone(*args):
+            # the sector lookup of every vector the package evaluates off the node map
+            tally["cones"] += 1
+            return cone(*args)
 
         monkeypatch.setattr(norms._ImagePlan, "__init__", counting_init)
         monkeypatch.setattr(norms._ImagePlan, "node_image_max", counting_map)
-        monkeypatch.setattr(norms._Points, "__init__", counting_points_init)
+        monkeypatch.setattr(norms, "_cone", counting_cone)
         return tally
 
     @pytest.mark.parametrize("algorithm", ["lr", "mr"])
@@ -196,7 +202,9 @@ class TestWorkCount:
         steps = len(res.trace)
         assert steps > 1
         assert counts["plans"] == 1  # the only builder of a node stencil
-        assert counts["plan_points"] == 1  # the terms of A_i e and of e, from one _cone call
+        # the start and every step read |e| and gamma off node values: every
+        # sector lookup is the stencil build's
+        assert counts["cones"] == counts["plan_cones"] > 0
         assert counts["node_maps"] == steps  # nothing else maps the node grid
 
     def test_a_step_on_a_given_plan_builds_no_plan_and_no_stencil(self, counts):
@@ -204,21 +212,35 @@ class TestWorkCount:
         plan = relax._ImagePlan(MatrixSet(EX1), 64, lr.e)
         assert counts["plans"] == 1
         nm = relax._initial(lr)
+        cones = counts["cones"]
         for n in range(3):
             nm, _ = relax.lr_step(nm, plan, lr, n)
         for n in range(3, 6):
             nm, _ = relax.mr_step(nm, plan, mr, n)
         assert counts["plans"] == 1
         assert counts["node_maps"] == 6
+        assert counts["cones"] == cones  # no step looks up a sector
 
 
-def test_plan_one_point_stencils_match_evaluate_and_max_image():
-    s = MatrixSet(R32)
-    nm = bumpy(3000)
-    for e in ((1.0, 0.0), (0.0, -2.0), (-3.0, 0.0), (1.0, 1.0)):
-        plan = norms._ImagePlan(s, 3000, e)
-        assert plan.norm_at_e(nm) == norms.evaluate(nm, e)
-        assert plan.image_at_e(nm) == norms.max_image(nm, s, e)
+@pytest.mark.parametrize("mats", [EX1, EX2, R32], ids=["ex1", "ex2", "r32"])
+@pytest.mark.parametrize("n", [64, 3000])
+def test_values_read_at_e_match_evaluate_and_max_image(mats, n):
+    # e = c u_k: c h_k and c m_k are evaluate's and max_image's bits when c is
+    # a power of two, and agree with them up to rounding otherwise
+    s, nm = MatrixSet(mats), bumpy(n)
+
+    def read_and_evaluated(e):
+        plan = norms._ImagePlan(s, n, e)
+        return ((plan.at_e(nm.values), plan.at_e(plan.node_image_max(nm))),
+                (norms.evaluate(nm, e), norms.max_image(nm, s, e)))
+
+    for e in ((1.0, 0.0), (0.0, -2.0), (-0.5, 0.0), (0.0, 2.0 ** -40), (2.0 ** 40, 0.0),
+              node(n, 5, 2.0 ** -3)):
+        read, evaluated = read_and_evaluated(e)
+        assert read == evaluated, e
+    for e in ((-3.0, 0.0), (1.0, 1.0), (0.5, 0.5), node(n, 7)):
+        read, evaluated = read_and_evaluated(e)
+        assert read == pytest.approx(evaluated, rel=1e-13, abs=0.0), e
 
 
 def test_iterate_yields_are_not_overwritten_by_later_steps():
@@ -295,7 +317,7 @@ def test_step_refuses_finite_before_positive(bad, message):
                 m[j] = v
             return m
 
-        def image_at_e(self, nm):
+        def at_e(self, values):
             return 1.0
 
     # lambda = 0 makes the next upper half 0 * h + m / 1.0: m, but for a zero's sign

@@ -1,19 +1,20 @@
 """Invariants of the relaxation that hold bit for bit, over drawn families.
 
 Permuting the family and scaling it by a power of two change no rounding in
-the iteration, so both must leave the trace and the profiles exact.  The
-image plan's scalar evaluation of e and A_i e must agree with the array
-reference evaluator for any family and any finite e, on or off the grid.
+the iteration, so both must leave the trace and the profiles exact.  So must
+scaling the reference vector e by a power of two, or negating it: a step
+reads |e| and lr's gamma off e's grid node, scaled exactly, so the records
+stay the same and every profile scales by exactly the inverse power.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsrelax import MatrixSet, RelaxConfig, iterate, norms, run
-from test_image_plan import _eval_xy, reference_image_max
+from jsrelax import MatrixSet, RelaxConfig, iterate, run
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
@@ -63,22 +64,18 @@ def test_power_of_two_scaling_scales_records_exactly(mats, cfg, k):
         assert rec_k.gamma == math.ldexp(rec.gamma, k)
 
 
-coordinate = st.floats(-1e6, 1e6)
-
-
 @PROPERTY
-@given(
-    family(8),
-    st.tuples(coordinate, coordinate),
-    st.sampled_from([8, 16, 64, 512]),
-    st.integers(0, 2 ** 32 - 1),
-)
-def test_plan_points_match_the_array_reference(mats, e, n, seed):
-    nm = norms.AngularNorm(np.random.default_rng(seed).uniform(0.25, 4.0, size=n))
-    plan = norms._ImagePlan(MatrixSet(tuple(mats)), n, e)
-    x0, x1 = np.array([e[0]]), np.array([e[1]])
-    assert plan.norm_at_e(nm) == float(_eval_xy(nm.values, x0, x1)[0])
-    assert plan.image_at_e(nm) == float(reference_image_max(nm.values, mats, x0, x1)[0])
+@given(family(4), relax_config, st.integers(-40, 40),
+       st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]))
+def test_power_of_two_reference_vector_scales_the_profiles_exactly(mats, cfg, k, direction):
+    unit = (abs(direction[0]), abs(direction[1]))
+    base = steps(mats, replace(cfg, e=unit))
+    e = (math.ldexp(direction[0], k), math.ldexp(direction[1], k))
+    scaled = steps(mats, replace(cfg, e=e))
+    assert len(scaled) == len(base)
+    for (rec, profile), (rec_e, profile_e) in zip(base, scaled):
+        assert rec_e == rec
+        assert profile_e == np.ldexp(np.frombuffer(profile), -k).tobytes()
 
 
 # a family of up to five matrices, entries 0 or of magnitude 2^-10 .. 2, scaled

@@ -49,8 +49,9 @@ def mr_once(nm: AngularNorm, s: MatrixSet, cfg: RelaxConfig, n: int):
 
 
 def image_at_e(nm: AngularNorm, s: MatrixSet, e) -> float:
-    """The lr gamma max_i |A_i e|, as a step reads it off the plan."""
-    return _ImagePlan(s, nm.node_count, e).image_at_e(nm)
+    """The lr gamma max_i |A_i e|, as a step reads it off the node image maxima."""
+    plan = _ImagePlan(s, nm.node_count, e)
+    return plan.at_e(plan.node_image_max(nm))
 
 
 class TestConfig:

@@ -8,23 +8,35 @@ with --parent DIR, a checkout of the parent commit, the jsrelax package under
 DIR/src imported as a package copy (`parent`).  Both run in this process, so
 they share its allocator and its speed state; each keeps its own module
 state.  With two trees each timed key also holds `change_over_parent`, the
-ratio of the medians, and each row says whether the trees gave the same
-output (`same_output`).
+median over the rounds of the ratio of the trees' fastest calls in the
+round, and each row says whether the trees gave the same output
+(`same_output`).  A round times both trees back to back, so the ratio
+cancels a host speed state that lasts longer than the round: in three
+runs over the oracle rows to depth 12 and the writer rows of identical
+trees, the ratio of the trees' medians read 0.69-1.44 where the median of
+the round ratios read 0.92-1.07.
 
 One loop, `measure`, times every section but the last.  It first runs each
-call once, untimed, on every tree and compares the outputs.  Then, for
---repeats rounds, it runs each call once untimed and then `calls_per_round`
-times timed on each tree, the first tree alternating from round to round,
-and keeps the fastest timed call of the round.  The repeats of one call are
-spread over its section, so a host that switches speed for seconds at a
-time shows each call its fast state, and each timed call follows an untimed
-one, so it finds its data in cache as the steps of a solve do.
+call once, untimed, on every tree and compares the outputs.  That first run
+also sets each timed key's calls per round, the same on every tree: enough
+calls that a round of them takes about ROUND_SECONDS on the tree whose
+first run was slowest, at most MAX_CALLS_PER_ROUND, and at least the
+section's least count (RUN_MIN_CALLS for `runs`, 1 elsewhere); each row
+records them as `calls_per_round`, by key.  So a call under a millisecond
+is timed hundreds of times a round, where one call alone read 0.57-1.55
+change/parent between identical trees.  Then, for --repeats rounds, it runs
+each call once untimed and then its calls per round timed on each tree,
+the first tree alternating from round to round, and keeps the fastest
+timed call of the round.  The repeats of one call are spread over its
+section, so a host that switches speed for seconds at a time shows each
+call its fast state, and each timed call follows an untimed one, so it
+finds its data in cache as the steps of a solve do.
 
 The sections, in the order they run:
 
 - runs: `run` on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to
   30000, and on the seeded r = 2, 8 and 32 families, lr and mr, at N = 3000
-  and tol=1e-4; RUN_CALLS_PER_ROUND calls per round.
+  and tol=1e-4; at least RUN_MIN_CALLS calls per round.
 - relax_family: one relax_family pass, the benchmark's 16 corpus families
   turned by the rotations of workload seed PASS_SEED, lr and mr, as run
   rows.  `relax_family_pass` sums each round's solves into a pass and
@@ -46,8 +58,11 @@ The sections, in the order they run:
   the plan maps only the members whose dominance margin the profile's
   spread reaches.  `plan_build` is a build into new arrays; `plan_rebuild`
   is a second build of the same shape as a solve makes it, into the arrays
-  the build before it released.  Each row is timed on its own, so that only
-  one row's plans are held at a time.
+  the build before it released.  `bounds`, `combine_linear` and
+  `combine_max` are the parts of a step after its node map, on the node
+  maxima of the profile lr converges to, each on a fresh copy of them made
+  untimed (combine_linear overwrites its input).  Each row is timed on its
+  own, so that only one row's plans are held at a time.
 - fine_runs: `run` and the single-level solve, `run` given the Euclidean
   start (`run_single`), whatever --nodes says, on examples 1 and 2, lr and
   mr, at N = 30000 with tol=1e-6 and at N = 300000 with tol=1e-10; on the
@@ -58,7 +73,11 @@ The sections, in the order they run:
 - fresh_process_faults: after its large solves this process no longer
   faults on fresh arrays, so this counts the faults of a few run() calls and
   of a first and a second plan build of each seeded family, in a fresh
-  process per tree.
+  process per tree.  The first-call counts depend on the path the tree is
+  imported from, not only on its code: with byte-identical code, r = 32 at
+  N = 3000 read a first run of 325, 311 and 369 faults from three paths.
+  So only the within-tree check, `plan_rebuild` <= `plan_build`, is
+  evidence; a first-call difference between two trees is not.
 
 A run row records its status, its iterations (the N-node grid's), its grid
 levels (the node count and the steps of every grid the solve stepped on,
@@ -81,6 +100,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -123,9 +143,13 @@ STALLED_MAX_ITERS = 200
 # the relax_family pass: the benchmark's 16 corpus families turned by the
 # rotations of this workload seed, lr and mr
 PASS_SEED = 1
-# calls of a `runs` row per round, of which the fastest counts: with one call
-# a round, rows of identical code read 0.64-1.52 change/parent
-RUN_CALLS_PER_ROUND = 5
+# a timed key's calls per round (see the module docstring): about this many
+# seconds of calls, at most MAX_CALLS_PER_ROUND of them, and for a `runs` row
+# at least RUN_MIN_CALLS (with one call a round, `runs` rows of identical
+# code read 0.64-1.52 change/parent)
+ROUND_SECONDS = 0.05
+MAX_CALLS_PER_ROUND = 1000
+RUN_MIN_CALLS = 5
 # the steps of a `steps` row
 STEP_KEYS = ("lr_step", "lr_step_converged", "mr_step", "mr_step_converged")
 # the fields of a run row, from the change tree's run
@@ -171,36 +195,52 @@ def summary(seconds: list[float], faults: list[int]) -> dict:
             "minflt": statistics.median_low(faults)}
 
 
-def measure(rows: list[tuple[dict, dict]], repeats: int,
-            calls_per_round: int = 1) -> list[dict]:
+def calls_per_round(seconds: float, least: int = 1) -> int:
+    """Timed calls per round of a key whose first run took seconds."""
+    return max(least, min(MAX_CALLS_PER_ROUND, math.ceil(ROUND_SECONDS / max(seconds, 1e-9))))
+
+
+def round_ratio(change: list[float], parent: list[float]) -> float:
+    """The median over the rounds of change/parent (see the module docstring)."""
+    return statistics.median(c / p for c, p in zip(change, parent))
+
+
+def measure(rows: list[tuple[dict, dict]], repeats: int, least: int = 1) -> list[dict]:
     """Time every call of rows on every tree, as the module docstring says,
-    and write each timed key's summary into its row.
+    at least `least` calls per round, and write each timed key's summary
+    and its calls per round into its row.
 
     rows holds (row, calls) pairs, where calls maps each timed key to
     {tag: Call}, with the same tags in the same order throughout.  Returns,
     per row, {key: {tag: Sample}}.
     """
-    got = [{key: {tag: Sample(call.output(timed(call)[2]), [], [])
-                  for tag, call in by_tree.items()}
-            for key, by_tree in calls.items()}
-           for _, calls in rows]
+    got, counts = [], []
+    for _, calls in rows:
+        samples, count = {}, {}
+        for key, by_tree in calls.items():
+            first = {tag: timed(call) for tag, call in by_tree.items()}
+            samples[key] = {tag: Sample(by_tree[tag].output(returned), [], [])
+                            for tag, (_, _, returned) in first.items()}
+            count[key] = calls_per_round(max(seconds for seconds, _, _ in first.values()), least)
+        got.append(samples)
+        counts.append(count)
     for k in range(repeats):
-        for (_, calls), samples in zip(rows, got):
+        for (_, calls), samples, count in zip(rows, got, counts):
             for key, by_tree in calls.items():
                 tags = list(by_tree)
                 for tag in tags if k % 2 == 0 else tags[::-1]:
                     call = by_tree[tag]
                     timed(call)
-                    seconds, faults = min(timed(call)[:2] for _ in range(calls_per_round))
+                    seconds, faults = min(timed(call)[:2] for _ in range(count[key]))
                     samples[key][tag].seconds.append(seconds)
                     samples[key][tag].faults.append(faults)
-    for (row, _), samples in zip(rows, got):
-        row["calls_per_round"] = calls_per_round
+    for (row, _), samples, count in zip(rows, got, counts):
+        row["calls_per_round"] = count
         for key, by_tree in samples.items():
             row[key] = {tag: summary(s.seconds, s.faults) for tag, s in by_tree.items()}
             if len(by_tree) > 1:
-                row[key]["change_over_parent"] = (row[key]["change"]["median_ms"]
-                                                  / row[key]["parent"]["median_ms"])
+                row[key]["change_over_parent"] = round_ratio(by_tree["change"].seconds,
+                                                             by_tree["parent"].seconds)
         if len(by_tree) > 1:
             # repr, so that a NaN in both outputs reads the same
             row["same_output"] = all(len({repr(s.output) for s in by_tree.values()}) == 1
@@ -254,7 +294,7 @@ def run_calls(tree, mats, cfg: dict, single: bool) -> dict:
 
 
 def timed_runs(trees: dict, cases: list[tuple], repeats: int, single: bool = False,
-               calls_per_round: int = 1) -> tuple[list[dict], list[dict]]:
+               least: int = 1) -> tuple[list[dict], list[dict]]:
     """A run row per case (name, matrices, N, tol, extra config) and
     algorithm, timed, with its fields from the change tree's run; and per
     row, the `run` samples by tree."""
@@ -264,7 +304,7 @@ def timed_runs(trees: dict, cases: list[tuple], repeats: int, single: bool = Fal
             cfg = {"algorithm": algorithm, "node_count": n, "tol": tol, **extra}
             row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": tol}
             rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg, single))))
-    got = [samples["run"] for samples in measure(rows, repeats, calls_per_round)]
+    got = [samples["run"] for samples in measure(rows, repeats, least)]
     for (row, _), by_tree in zip(rows, got):
         row.update((field, by_tree["change"].output[field]) for field in RUN_FIELDS)
     return [row for row, _ in rows], got
@@ -288,21 +328,20 @@ def family_pass(trees: dict, repeats: int) -> tuple[list[dict], dict]:
     rows, got = timed_runs(trees, [(i, m, workloads.FAMILY_NODES, workloads.FAMILY_TOL, {})
                                    for i, m in enumerate(mats)], repeats)
     bounds = [reference.reference_bounds(np.array(m)) for m in mats for _ in ("lr", "mr")]
-    family = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}
+    family, passes = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}, {}
     for tag in trees:
         solves = [by_tree[tag] for by_tree in got]
         family["contradicted"][tag] = sum(
             bool(reference.contradicts(s.output["rho_lo"], s.output["rho_hi"], ref))
             for s, ref in zip(solves, bounds))
-        passes = [sum(round_) for round_ in zip(*(s.seconds for s in solves))]
+        passes[tag] = [sum(round_) for round_ in zip(*(s.seconds for s in solves))]
         faults = [sum(round_) for round_ in zip(*(s.faults for s in solves))]
         seconds = [x for s in solves for x in s.seconds]
-        family[tag] = {**summary(passes, faults),
+        family[tag] = {**summary(passes[tag], faults),
                        "solve_p50_ms": 1e3 * statistics.median(seconds),
                        "solve_p90_ms": 1e3 * statistics.quantiles(seconds, n=10)[-1]}
     if len(trees) > 1:
-        family["change_over_parent"] = (family["change"]["median_ms"]
-                                        / family["parent"]["median_ms"])
+        family["change_over_parent"] = round_ratio(passes["change"], passes["parent"])
         family["same_output"] = all(row["same_output"] for row in rows)
     return rows, family
 
@@ -379,9 +418,16 @@ def writer_rows(trees: dict, nodes: list[int]) -> list[tuple[dict, dict]]:
     return rows
 
 
+def combined(combine, nm, m: np.ndarray, args: tuple, out: np.ndarray) -> np.ndarray:
+    """out, after combine(nm, m, *args, out)."""
+    combine(nm, m, *args, out)
+    return out
+
+
 def step_calls(tree, mats: np.ndarray, n: int) -> dict:
-    """A `steps` row's calls on tree: the plan build and rebuild, and the
-    four steps on one plan, which the calls hold."""
+    """A `steps` row's calls on tree: the plan build and rebuild, the four
+    steps on one plan, which the calls hold, and the bounds and combines on
+    the node maxima of the lr-converged profile."""
     s = tree.MatrixSet(tuple(mats))
     e = (1.0, 0.0)
     plan = tree.norms._ImagePlan(s, n, e)
@@ -393,16 +439,27 @@ def step_calls(tree, mats: np.ndarray, n: int) -> dict:
         # as a solve builds its plan: into the arrays the untimed call released
         "plan_rebuild": Call(lambda: tree.norms._ImagePlan(s, n, e).release()),
     }
+    converged = {}
     for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
         cfg = tree.RelaxConfig(algorithm=algorithm, node_count=n)
-        converged = tree.run(s, tree.RelaxConfig(algorithm=algorithm, node_count=n,
-                                                 tol=FAMILY_TOL)).norm
+        converged[algorithm] = tree.run(s, tree.RelaxConfig(algorithm=algorithm, node_count=n,
+                                                            tol=FAMILY_TOL)).norm
         for key, nm in ((f"{algorithm}_step", tree.relax._initial(cfg)),
-                        (f"{algorithm}_step_converged", converged)):
+                        (f"{algorithm}_step_converged", converged[algorithm])):
             calls[key] = Call(
                 lambda step=step, nm=nm, cfg=cfg: step(nm, plan, cfg, 0),
                 lambda got, nm=nm: (plan.members_mapped(nm), digest(plan.node_image_max(nm)),
                                     digest(got[0].values), record(got[1])))
+    nm = converged["lr"]
+    m = plan.node_image_max(nm).copy()
+    out = np.empty_like(m)
+    lo, hi = tree.relax.bounds(nm, m, out)
+    calls["bounds"] = Call(lambda m: tree.relax.bounds(nm, m, out), prepare=m.copy)
+    lam, gamma = tree.RelaxConfig().lambda_at(0), tree.max_image(nm, s, e)
+    for key, args in (("combine_linear", (lam, gamma)),
+                      ("combine_max", (tree.relax.gamma_mr(lo, hi),))):
+        calls[key] = Call(lambda m, combine=getattr(tree.norms, key), args=args:
+                          combined(combine, nm, m, args, out), digest, m.copy)
     return calls
 
 
@@ -502,7 +559,7 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     runs = [(name, mats, n, RUN_TOL, {}) for name, mats in FAMILIES.items()
             for n in nodes if n <= RUN_MAX_NODES]
     runs += [(f"r{r}", seeded_mats(r), n, FAMILY_TOL, {}) for r, n in FAMILY_RUNS]
-    result["runs"], _ = timed_runs(trees, runs, repeats, calls_per_round=RUN_CALLS_PER_ROUND)
+    result["runs"], _ = timed_runs(trees, runs, repeats, least=RUN_MIN_CALLS)
     result["relax_family"], result["relax_family_pass"] = family_pass(trees, repeats)
     depths = [({"family": name, "depth": d, "products": len(mats) ** d},
                per_tree(trees, lambda t: depth_calls(t, mats, d)))
@@ -532,7 +589,7 @@ def line(section: str, row: dict, tags: list[str]) -> str:
     """A row as one line: its scalar fields, then each timed key's median per tree."""
     labels = " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in row.items()
                       if isinstance(v, (str, int, float))
-                      and k not in ("same_output", "calls_per_round"))
+                      and k != "same_output")
     calls = [f"{key} " + " vs ".join(f"{got[t]['median_ms']:.3f}" for t in tags) + " ms"
              + (f" (x{got['change_over_parent']:.3f})" if "change_over_parent" in got else "")
              for key, got in row.items() if isinstance(got, dict) and "change" in got]
