@@ -32,7 +32,6 @@ from .oracle import (
 from .relax import (
     ALGORITHM_LR,
     ALGORITHM_MR,
-    AVERAGING_KINDS,
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
@@ -79,7 +78,6 @@ __all__ = [
     "trace_estimate",
     "ALGORITHM_LR",
     "ALGORITHM_MR",
-    "AVERAGING_KINDS",
     "STATUS_CONVERGED",
     "STATUS_DEGENERATE",
     "STATUS_MAX_ITERS",

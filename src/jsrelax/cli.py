@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .io import ProblemFile, parse_problem, write_norm, write_trace
 from .matrices import is_irreducible, spectral_radius
-from .oracle import depth_sweep
+from .oracle import EnumerationBudgetError, depth_sweep
 from .relax import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
@@ -32,8 +32,6 @@ EXIT_REJECTED = 3
 EXIT_DEGENERATE = 4
 
 _SVG_SIZE = 512
-
-_AVERAGING = {"arith": "arithmetic", "geom": "geometric", "harm": "harmonic"}
 
 
 class _UsageError(Exception):
@@ -58,8 +56,6 @@ def _build_parser() -> _Parser:
     runp.add_argument("--lambda", dest="lambda_value", type=float, default=0.3,
                       help="constant relaxation weight in [0, 1) (lr); 0 is the direct "
                            "iteration, which has no convergence guarantee")
-    runp.add_argument("--averaging", choices=tuple(_AVERAGING), default="arith",
-                      help="bracket averaging (mr)")
     runp.add_argument("--nodes", type=int, default=3000)
     runp.add_argument("--tol", type=float, default=1e-3)
     runp.add_argument("--max-iters", type=int, default=10_000)
@@ -104,7 +100,6 @@ def _cmd_run(args) -> int:
     cfg = RelaxConfig(
         algorithm=args.algorithm,
         lambda_schedule=args.lambda_value,
-        averaging=_AVERAGING[args.averaging],
         node_count=args.nodes,
         e=_parse_e(args.e),
         tol=args.tol,
@@ -145,8 +140,16 @@ def _cmd_oracle(args) -> int:
     print("# upper bound norm: euclidean")
     print("# trace_estimate is a diagnostic, not a bound")
     print("depth,lower,upper,trace_estimate")
-    for b, t in rows:
-        print(f"{b.depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
+    try:
+        for b, t in rows:
+            print(f"{b.depth},{_fmt(b.lower)},{_fmt(b.upper)},{_fmt(t)}")
+    except EnumerationBudgetError as exc:
+        # the library's remedy, a larger cap, has no flag here; the rows printed fit
+        fits = (f"use --max-depth {exc.depth - 1} or less" if exc.depth > 1
+                else "the family is too large to enumerate")
+        print(f"error: depth {exc.depth} needs {exc.required} products, above the cap "
+              f"of {exc.cap}; {fits}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 

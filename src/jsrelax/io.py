@@ -34,7 +34,7 @@ __all__ = [
     "read_norm",
 ]
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 _TRACE_HEADER = "n,rho_minus,rho_plus,gamma,lambda"
 _NORM_HEADER = "phi,h"
@@ -143,24 +143,18 @@ def parse_problem(text: bytes | str) -> ProblemFile:
     return ProblemFile(family, label)
 
 
-def _schedule_text(schedule) -> str:
-    if isinstance(schedule, float):
-        return _fmt(schedule)
-    return ";".join(_fmt(v) for v in schedule)
-
-
 def write_trace(result: RelaxResult, sink: TextIO) -> None:
     """Write the iteration trace as CSV with a '#' config header block.
 
     Version 2 of the format drops version 1's lambda_lo, lambda_hi and
-    unsafe_direct header lines; read_trace reads either version.
+    unsafe_direct header lines, and version 3 its averaging line, with
+    lambda_schedule always one number; read_trace reads every version.
     """
     cfg = result.config
     lines = [
         f"# jsrelax-trace format-version={TRACE_FORMAT_VERSION}",
         f"# algorithm={cfg.algorithm}",
-        f"# lambda_schedule={_schedule_text(cfg.lambda_schedule)}",
-        f"# averaging={cfg.averaging}",
+        f"# lambda_schedule={_fmt(cfg.lambda_schedule)}",
         f"# node_count={cfg.node_count}",
         f"# e={_fmt(cfg.e[0])},{_fmt(cfg.e[1])}",
         f"# tol={_fmt(cfg.tol)}",

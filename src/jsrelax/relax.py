@@ -3,14 +3,14 @@
 Two update rules drive a sequence of angular-profile norms toward an
 extremal norm of the family:
 
-  lr: the next profile is lambda_n times the current one plus 1 - lambda_n
+  lr: the next profile is lambda times the current one plus 1 - lambda
       times the image profile scaled by 1/gamma_n, with gamma_n the image
-      norm of the reference vector e and lambda_n in [0, 1); lambda_n = 0
-      is the direct iteration, the scaled image profile alone, which has no
-      convergence guarantee;
+      norm of the reference vector e and lambda one weight in [0, 1) for
+      every step; lambda = 0 is the direct iteration, the scaled image
+      profile alone, which has no convergence guarantee;
   mr: the next profile is the pointwise maximum of the current one and the
-      image profile scaled by 1/gamma_n, renormalized at e, with gamma_n an
-      average of the current bracket ends.
+      image profile scaled by 1/gamma_n, renormalized at e, with gamma_n the
+      arithmetic mean of the current bracket ends.
 
 Every step yields a grid bracket [rho_minus, rho_plus]: the bounds the
 profile's N grid directions give.  It approaches rho at about O(N^-2) but
@@ -77,7 +77,8 @@ families timed there, five (N = 300000) 20-37% less.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +101,6 @@ from .norms import (
 __all__ = [
     "ALGORITHM_LR",
     "ALGORITHM_MR",
-    "AVERAGING_KINDS",
     "STATUS_CONVERGED",
     "STATUS_DEGENERATE",
     "STATUS_MAX_ITERS",
@@ -118,7 +118,6 @@ __all__ = [
 
 ALGORITHM_LR = "lr"
 ALGORITHM_MR = "mr"
-AVERAGING_KINDS = ("arithmetic", "geometric", "harmonic")
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -144,8 +143,9 @@ class RelaxConfig:
     """All iteration parameters; validated on construction."""
 
     algorithm: str = ALGORITHM_LR
-    lambda_schedule: float | Sequence[float] = 0.3
-    averaging: str = "arithmetic"
+    # lr's one relaxation weight in [0, 1), the same at every step of every grid;
+    # the name is the trace header's key
+    lambda_schedule: float = 0.3
     node_count: int = 3000
     e: tuple[float, float] = (1.0, 0.0)
     tol: float = 1e-3
@@ -155,19 +155,13 @@ class RelaxConfig:
     def __post_init__(self):
         if self.algorithm not in (ALGORITHM_LR, ALGORITHM_MR):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if isinstance(self.lambda_schedule, (int, float)):
-            sched: float | tuple[float, ...] = float(self.lambda_schedule)
-            values = (sched,)
-        else:
-            sched = values = tuple(float(v) for v in self.lambda_schedule)
-            if not sched:
-                raise ValueError("lambda sequence must be nonempty")
-        for v in values:
-            if not 0.0 <= v < 1.0:  # refuses a NaN
-                raise ValueError(f"lambda value {v} outside [0, 1)")
-        object.__setattr__(self, "lambda_schedule", sched)
-        if self.averaging not in AVERAGING_KINDS:
-            raise ValueError(f"unknown averaging {self.averaging!r}")
+        lam = self.lambda_schedule
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ValueError(f"lambda_schedule must be one number, got {lam!r}")
+        lam = float(lam)
+        if not 0.0 <= lam < 1.0:  # refuses a NaN
+            raise ValueError(f"lambda_schedule {lam} outside [0, 1)")
+        object.__setattr__(self, "lambda_schedule", lam)
         n = _count(self.node_count, "node count")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"node count must be even and >= 8, got {n}")
@@ -193,12 +187,6 @@ class RelaxConfig:
             raise ValueError(
                 f"initial norm has {self.initial_norm.node_count} nodes, config wants {n}"
             )
-
-    def lambda_at(self, n: int) -> float:
-        """Relaxation weight for step n; a short sequence repeats its last value."""
-        if isinstance(self.lambda_schedule, float):
-            return self.lambda_schedule
-        return self.lambda_schedule[min(n, len(self.lambda_schedule) - 1)]
 
 
 @dataclass(frozen=True)
@@ -232,8 +220,8 @@ class RelaxResult:
     levels: tuple[tuple[int, int], ...]
 
 
-def gamma_mr(rho_minus: float, rho_plus: float, kind: str = "arithmetic") -> float:
-    """Average of the bracket ends: arithmetic, geometric, or harmonic.
+def gamma_mr(rho_minus: float, rho_plus: float) -> float:
+    """Arithmetic mean of the bracket ends.
 
     The result is clamped into [rho_minus, rho_plus] so the bracket inclusion
     holds exactly even when the last floating-point rounding would nudge it
@@ -242,15 +230,7 @@ def gamma_mr(rho_minus: float, rho_plus: float, kind: str = "arithmetic") -> flo
     t, s = float(rho_minus), float(rho_plus)
     if not (0.0 < t <= s):
         raise ValueError(f"need 0 < rho_minus <= rho_plus, got ({t}, {s})")
-    if kind == "arithmetic":
-        g = 0.5 * (t + s)
-    elif kind == "geometric":
-        g = math.sqrt(t * s)
-    elif kind == "harmonic":
-        g = 2.0 * t * s / (t + s)
-    else:
-        raise ValueError(f"unknown averaging {kind!r}")
-    return min(max(g, t), s)
+    return min(max(0.5 * (t + s), t), s)
 
 
 class _DegenerateImage(ValueError):
@@ -308,7 +288,7 @@ def lr_step(
     g = plan.at_e(m)
     if g == 0.0:
         raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
-    lam = cfg.lambda_at(n)
+    lam = cfg.lambda_schedule
     vals = np.empty(nm.node_count)
     combine_linear(nm, m, lam, g, vals[nm.node_count // 2:])
     nxt = _next_profile(vals)
@@ -326,7 +306,7 @@ def mr_step(
     m, lo, hi = _mapped(nm, plan, n, ALGORITHM_MR)
     if lo == 0.0:
         raise _DegenerateImage("every matrix maps a grid direction to 0 (rho_minus = 0)")
-    g = gamma_mr(lo, hi, cfg.averaging)
+    g = gamma_mr(lo, hi)
     vals = np.empty(nm.node_count)
     upper = vals[nm.node_count // 2:]
     combine_max(nm, m, g, upper)

@@ -83,12 +83,19 @@ class TestRunCommand:
             assert lines[1] == f"iterations: {finest}"
 
     def test_mr_algorithm(self, problem_file, capsys):
-        code = cli_main(["run", "--algorithm", "mr", "--averaging", "geom",
-                         problem_file(EX2)])
+        code = cli_main(["run", "--algorithm", "mr", problem_file(EX2)])
         out = capsys.readouterr().out
         assert code == 0
         mid = float(re.search(r"rho midpoint: (\S+)", out).group(1))
         assert abs(mid - 1.192) < 2e-3
+
+    def test_averaging_flag_is_a_usage_error(self, problem_file, capsys):
+        # mr's scaling is the arithmetic mean of the bracket ends, with no choice
+        code = cli_main(["run", "--algorithm", "mr", "--averaging", "geom", problem_file(EX2)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--averaging" in captured.err
 
     def test_reducible_rejected(self, problem_file, capsys):
         code = cli_main(["run", problem_file(REDUCIBLE)])
@@ -116,9 +123,9 @@ class TestRunCommand:
         assert code in (0, 2)
         text = trace.read_text()
         meta, records = read_trace(text)
-        assert meta["jsrelax-trace format-version"] == "2"
+        assert meta["jsrelax-trace format-version"] == "3"
         assert meta["lambda_schedule"] == "0"
-        assert not {"lambda_lo", "lambda_hi", "unsafe_direct"} & set(meta)
+        assert not {"lambda_lo", "lambda_hi", "unsafe_direct", "averaging"} & set(meta)
         assert records and all(rec.lam == 0.0 for rec in records)
         assert all(row.endswith(",0") for row in text.splitlines()[-len(records):])
         # the same bytes as the library's trace of the same solve
@@ -224,6 +231,17 @@ class TestOracleCommand:
         rows = [ln for ln in captured.out.splitlines() if ln and ln[0].isdigit()]
         assert [r.split(",")[0] for r in rows] == ["1"]
         assert "depth 2" in captured.err
+
+    def test_depth_above_cap_names_the_deepest_depth_that_fits(self, problem_file, capsys):
+        # the library's remedy, "rerun with cap >= 2097152", names no flag of the CLI
+        code = cli_main(["oracle", "--max-depth", "21", problem_file(EX1)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = [ln for ln in captured.out.splitlines() if ln and ln[0].isdigit()]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(1, 21))
+        assert captured.err == (
+            "error: depth 21 needs 2097152 products, above the cap of 1048576; "
+            "use --max-depth 20 or less\n")
 
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_depth_below_one_is_an_error(self, problem_file, capsys, depth):

@@ -54,9 +54,9 @@ def chain(s: MatrixSet, cfg: RelaxConfig, coarse: tuple[int, ...]):
 
 @pytest.mark.parametrize("mats, extra, coarse", [
     (EX2, {"node_count": 30000, "tol": 1e-6}, (1874, 7500)),
-    (EX1, {"node_count": 16384, "algorithm": "mr", "averaging": "harmonic", "e": (0.0, 2.0)},
+    (EX1, {"node_count": 16384, "algorithm": "mr", "e": (0.0, 2.0)},
      (1024, 4096)),
-    (R3, {"node_count": 16392, "lambda_schedule": (0.1, 0.5, 0.9), "tol": 1e-5},
+    (R3, {"node_count": 16392, "lambda_schedule": 0.9, "tol": 1e-5},
      (1024, 4098)),
     (tuple(np.array(EX1) * 1e300), {"node_count": 30000, "max_iters": 40}, (1874, 7500)),
 ], ids=["ex2-lr-30000", "ex1-mr-16384-e", "r3-lr-16392-schedule", "ex1x1e300-stalled"])
@@ -110,10 +110,8 @@ def test_iterate_yields_the_finest_level_only():
 @pytest.mark.parametrize("extra", [
     {"e": (0.0, 1.0)},
     {"e": (-3.0, 0.0), "algorithm": "mr"},
-    {"lambda_schedule": (0.05, 0.5, 0.95)},
-    {"algorithm": "mr", "averaging": "arithmetic"},
-    {"algorithm": "mr", "averaging": "geometric"},
-    {"algorithm": "mr", "averaging": "harmonic"},
+    {"lambda_schedule": 0.95},
+    {"algorithm": "mr"},
     {"lambda_schedule": 0.0, "max_iters": 40},
     {"max_iters": 1},
     {"algorithm": "mr", "max_iters": 1},

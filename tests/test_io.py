@@ -211,14 +211,6 @@ class TestTraceRoundTrip:
         with pytest.raises(TraceFormatError):
             read_trace("0,1,2,1.5,\n")
 
-    def test_sequence_schedule_recorded(self, example1):
-        result = run(example1, RelaxConfig(lambda_schedule=[0.2, 0.3, 0.5]))
-        sink = stringio.StringIO()
-        write_trace(result, sink)
-        meta, records = read_trace(sink.getvalue())
-        assert meta["lambda_schedule"].count(";") == 2
-        assert records[0].lam == 0.2 and records[2].lam == 0.5
-
 
 # a version-1 trace, as jsrelax run --nodes 64 --max-iters 3 wrote it for
 # example 1, with the lambda_lo, lambda_hi and unsafe_direct lines of that version
@@ -242,6 +234,26 @@ n,rho_minus,rho_plus,gamma,lambda
 2,1.3377722907850287,1.4895108202707275,1.4811377957673986,0.29999999999999999
 """
 
+# a version-2 trace, as run wrote it for example 1 with lambda_schedule=(0.1, 0.5),
+# averaging="geometric", node_count=64 and max_iters=3, before version 3
+# dropped the averaging line and the lambda sequences
+TRACE_V2 = """\
+# jsrelax-trace format-version=2
+# algorithm=lr
+# lambda_schedule=0.10000000000000001;0.5
+# averaging=geometric
+# node_count=64
+# e=1,0
+# tol=0.001
+# max_iters=3
+# initial_norm=euclidean
+# status=max_iters_reached
+n,rho_minus,rho_plus,gamma,lambda
+0,1.257326569156588,1.6191148627021517,1.4142135623730949,0.10000000000000001
+1,1.2880515858852621,1.5690708915691707,1.5658220312553277,0.5
+2,1.3376796902998249,1.5140267256387943,1.4977870421298725,0.5
+"""
+
 
 class TestTraceVersions:
     def test_version_one_trace_reads_as_before(self):
@@ -255,18 +267,41 @@ class TestTraceVersions:
             (2, 1.3377722907850287, 1.4895108202707275, 1.4811377957673986, 0.3),
         ]
 
-    def test_version_two_drops_only_the_removed_lines(self, example1):
-        # this solve's version-2 header is the version-1 header without those
-        # lines; its records are its own, since TRACE_V1 came from a solve
-        # with the angle-linear profile that the star gauge replaced
+    def test_version_two_trace_reads_as_before(self):
+        meta, records = read_trace(TRACE_V2)
+        assert meta["jsrelax-trace format-version"] == "2"
+        assert meta["averaging"] == "geometric"
+        assert meta["lambda_schedule"] == "0.10000000000000001;0.5"
+        assert [(r.n, r.rho_minus, r.rho_plus, r.gamma, r.lam) for r in records] == [
+            (0, 1.257326569156588, 1.6191148627021517, 1.4142135623730949, 0.1),
+            (1, 1.2880515858852621, 1.5690708915691707, 1.5658220312553277, 0.5),
+            (2, 1.3376796902998249, 1.5140267256387943, 1.4977870421298725, 0.5),
+        ]
+
+    def test_version_three_drops_only_the_removed_lines(self, example1):
+        # this solve's version-3 header is the version-1 header without
+        # version 1's lambda_lo, lambda_hi and unsafe_direct lines and version
+        # 2's averaging line; its records are its own, since TRACE_V1 came
+        # from a solve with the angle-linear profile that the star gauge replaced
         cfg = RelaxConfig(node_count=64, max_iters=3)
         result = run(example1, cfg)
         sink = stringio.StringIO()
         write_trace(result, sink)
-        removed = ("# lambda_lo=", "# lambda_hi=", "# unsafe_direct=")
+        removed = ("# lambda_lo=", "# lambda_hi=", "# unsafe_direct=", "# averaging=")
         header = [line for line in TRACE_V1.splitlines(keepends=True)
                   if line.startswith("#") and not line.startswith(removed)]
-        want = "".join(header).replace("version=1", "version=2")
+        want = "".join(header).replace("version=1", "version=3")
+        assert want == """\
+# jsrelax-trace format-version=3
+# algorithm=lr
+# lambda_schedule=0.29999999999999999
+# node_count=64
+# e=1,0
+# tol=0.001
+# max_iters=3
+# initial_norm=euclidean
+# status=max_iters_reached
+"""
         text = sink.getvalue()
         assert text[:len(want)] == want
         assert text[len(want):].splitlines()[0] == "n,rho_minus,rho_plus,gamma,lambda"

@@ -86,10 +86,10 @@ scaled_family = st.tuples(family(5), st.floats(-3.0, 3.0)).map(
 )
 
 
-def nesting_config(lam: float, n: int, algorithm: str, averaging: str) -> RelaxConfig:
+def nesting_config(lam: float, n: int, algorithm: str) -> RelaxConfig:
     common = dict(node_count=n, tol=1e-300, max_iters=30)
     if algorithm == "mr":
-        return RelaxConfig(algorithm="mr", averaging=averaging, **common)
+        return RelaxConfig(algorithm="mr", **common)
     return RelaxConfig(lambda_schedule=lam, **common)
 
 
@@ -99,12 +99,11 @@ def nesting_config(lam: float, n: int, algorithm: str, averaging: str) -> RelaxC
     st.floats(0.0, 1.0, exclude_max=True),
     st.integers(4, 1500).map(lambda k: 2 * k),
     st.sampled_from(["lr", "mr"]),
-    st.sampled_from(["arithmetic", "geometric", "harmonic"]),
 )
-def test_grid_brackets_are_nested(mats, lam, n, algorithm, averaging):
+def test_grid_brackets_are_nested(mats, lam, n, algorithm):
     # the relax module docstring proves it for lr at any lambda in [0, 1) and
     # for mr; a step may move an end by a few ulp of rounding
-    res = run(MatrixSet(tuple(mats)), nesting_config(lam, n, algorithm, averaging), force=True)
+    res = run(MatrixSet(tuple(mats)), nesting_config(lam, n, algorithm), force=True)
     for before, after in zip(res.trace, res.trace[1:]):
         assert after.rho_plus <= before.rho_plus * (1.0 + 1e-12), (before, after)
         assert after.rho_minus >= before.rho_minus * (1.0 - 1e-12), (before, after)

@@ -455,7 +455,7 @@ def step_calls(tree, mats: np.ndarray, n: int) -> dict:
     out = np.empty_like(m)
     lo, hi = tree.relax.bounds(nm, m, out)
     calls["bounds"] = Call(lambda m: tree.relax.bounds(nm, m, out), prepare=m.copy)
-    lam, gamma = tree.RelaxConfig().lambda_at(0), tree.max_image(nm, s, e)
+    lam, gamma = tree.RelaxConfig().lambda_schedule, tree.max_image(nm, s, e)
     for key, args in (("combine_linear", (lam, gamma)),
                       ("combine_max", (tree.relax.gamma_mr(lo, hi),))):
         calls[key] = Call(lambda m, combine=getattr(tree.norms, key), args=args:
