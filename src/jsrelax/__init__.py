@@ -9,13 +9,11 @@ from .matrices import (
     Matrix,
     MatrixSet,
     UnsupportedDimensionError,
-    apply,
     is_irreducible,
     spectral_radius,
 )
 from .norms import (
     AngularNorm,
-    eccentricity,
     euclidean,
     evaluate,
     max_image,
@@ -61,11 +59,9 @@ __all__ = [
     "Matrix",
     "MatrixSet",
     "UnsupportedDimensionError",
-    "apply",
     "is_irreducible",
     "spectral_radius",
     "AngularNorm",
-    "eccentricity",
     "euclidean",
     "evaluate",
     "max_image",

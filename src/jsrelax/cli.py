@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/converged, 1 usage or I/O error, 2 iteration cap
 reached before convergence, 3 precondition (irreducibility) rejected, 4 a
-forced run stopped because every matrix maps some grid direction to 0.
+forced run stopped because every matrix maps some grid direction to 0, or a
+node value would leave the double range.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def _cmd_run(args) -> int:
         print("family is reducible; rerun with --force to iterate anyway", file=sys.stderr)
         return EXIT_REJECTED
     if result.status == STATUS_DEGENERATE:
-        print("every matrix maps a grid direction to 0; no relaxation step is defined",
-              file=sys.stderr)
+        print("no relaxation step is defined: every matrix maps a grid direction to 0, "
+              "or a node value would leave the double range", file=sys.stderr)
         return EXIT_DEGENERATE
     if args.trace:
         with open(args.trace, "w", newline="\n") as sink:

@@ -13,7 +13,6 @@ __all__ = [
     "MatrixSet",
     "UnsupportedDimensionError",
     "spectral_radius",
-    "apply",
     "is_irreducible",
 ]
 
@@ -133,14 +132,6 @@ def _unit_scaled(e: np.ndarray) -> tuple[np.ndarray, int]:
     """
     exp = math.frexp(max(map(abs, e.ravel().tolist())))[1]
     return np.ldexp(e, -exp), exp
-
-
-def apply(a: Matrix, x) -> np.ndarray:
-    """Matrix-vector product y = A x."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (a.dim,):
-        raise ValueError(f"vector shape {vec.shape} does not match matrix dim {a.dim}")
-    return a.entries @ vec
 
 
 def _eigendirections(e: np.ndarray) -> list[np.ndarray] | None:

@@ -45,7 +45,6 @@ __all__ = [
     "combine_linear",
     "combine_max",
     "normalize",
-    "eccentricity",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -347,22 +346,26 @@ class _ImagePlan:
     it reads, so no output bit depends on what the arrays held.  release()
     hands the arrays back to the slot.
 
-    The reference vector.  A solve's e lies along a grid node (RelaxConfig
-    refuses any other), so the plan keeps e's upper-half node k = `node`,
-    nearest its direction, and its scale c = |u_k . e| / |u_k|^2 = `scale`.
-    at_e then reads |e| = c h_k off a profile and max_i |A_i e| = c m_k off
-    the node image maxima m, with no evaluation of its own.  For
+    The reference vector.  e lies along a grid node, and the plan keeps its
+    upper-half node k = `node` and its scale c = `scale` from _node_of, as
+    RelaxConfig's check and a solve's start do.  at_e then reads |e| = c h_k
+    off a profile and max_i |A_i e| = c m_k off the node image maxima m,
+    with no evaluation of its own.  For
     e = +-2^p u_k, such as (1, 0) and (0, 1) times 2^p, c is 2^p, and both
     values are bit for bit evaluate(nm, e) and max_image(nm, s, e); for
     another e along u_k they differ from those by rounding only.
 
-    Raises ValueError, before any step and without a warning, if a node
-    image, or e or one of its images A_i e = c A_i u_k, has a non-finite
-    cone coordinate.
+    `weight`, the largest weight sum a + b of the stencil, bounds the map:
+    each node image maximum is at most weight * max h, up to a few ulp.
+
+    Raises ValueError, before any step and without a warning, if e lies
+    along no grid node, or a node image, or e or one of its images
+    A_i e = c A_i u_k, has a non-finite cone coordinate.
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
         e0, e1 = _checked_vector(e)
+        self.node, self.scale = _node_of((e0, e1), n)
         mats = s.arrays()
         g = _grid(n)
         x0, x1 = g.ux[n // 2:], g.uy[n // 2:]
@@ -395,6 +398,7 @@ class _ImagePlan:
                 np.maximum(top[c], np.maximum.reduce(a + b, axis=0), out=top[c])
             # the exact margins, each lowered to the least of its row and the rows after it
             self.margin = np.minimum.accumulate(_margins(self.a, self.b, top)[::-1])[::-1].tolist()
+        self.weight = float(top.max())
         self.best = np.empty(cols)
         self._blocks = {}  # the block views of each leading row count
         self.ratio = np.empty(cols)
@@ -403,10 +407,7 @@ class _ImagePlan:
                 "the family maps a grid node to a vector of non-finite length; "
                 "rescale the family"
             )
-        # e's upper-half node k, nearest its direction, and its scale along u_k
-        k = round((math.atan2(e1, e0) + math.pi) * (n / TWO_PI)) % cols
-        ux, uy, _, _, sq = g.sectors[:, cols + k].tolist()
-        self.node, self.scale = k, abs(ux * e0 + uy * e1) / sq
+        k = self.node
         # the cone coordinates of the images A_i e = c A_i u_k, in Python floats: no warning
         if not math.isfinite(self.scale * max(self.a[:, k].max(), self.b[:, k].max()).item()):
             raise ValueError(
@@ -485,6 +486,20 @@ class _ImagePlan:
         (or a profile's values, whose halves are equal): |e| for a profile,
         and max_i |A_i e| for its node image maxima (see the class docstring)."""
         return self.scale * values.item(self.node)
+
+
+def _node_of(e: tuple[float, float], n: int) -> tuple[int, float]:
+    """The upper-half node k of the N-node grid along the finite vector e,
+    and e's scale c = |u_k . e| / |u_k|^2: e = c u_k up to rounding, so
+    |e| = c h_k.  Raises ValueError if e is off every node by over 1e-9 of
+    a grid step."""
+    e0, e1 = e
+    t = (math.atan2(e1, e0) + math.pi) * (n / TWO_PI)
+    if abs(t - round(t)) > 1e-9:
+        raise ValueError(f"e must point along a grid node direction, got {e}")
+    k = round(t) % (n // 2)
+    ux, uy, _, _, sq = _grid(n).sectors[:, n // 2 + k].tolist()
+    return k, abs(ux * e0 + uy * e1) / sq
 
 
 def _checked_vector(x) -> tuple[float, float]:
@@ -583,13 +598,3 @@ def _rescaled(nm: AngularNorm, e: tuple[float, float], v: float) -> AngularNorm:
         )
     # a symmetric profile over a scalar keeps its halves equal: no fold needed
     return AngularNorm._adopt(nm.values / v)
-
-
-def eccentricity(n1: AngularNorm, n2: AngularNorm) -> float:
-    """Spread of the node-value ratio h1/h2: max ratio over min ratio (>= 1)."""
-    if n1.node_count != n2.node_count:
-        raise ValueError(
-            f"node counts differ: {n1.node_count} vs {n2.node_count}"
-        )
-    ratio = n1.values / n2.values
-    return float(ratio.max() / ratio.min())

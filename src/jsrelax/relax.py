@@ -44,26 +44,33 @@ and tol = 1e-6, 14 of the 16 families of the relax_family benchmark's
 corpus, unrotated or turned by its seed-1 rotations, have an mr step whose
 rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
 
-A solve builds the image plan of the family once (norms._ImagePlan), and
-each step is lr_step or mr_step on that plan: it maps the grid once, takes
-the bracket from bounds and the next profile from combine_linear or
-combine_max, all on that single map.  e lies along a grid node u_k, as
-e = c u_k, so the plan reads the norm of e as c h_k off the profile and lr's
-gamma as c m_k off the node image maxima m of that map; the solve's start
-is normalized at the same node.  The plan is also the solve's workspace: a step
-maps the grid into the plan's buffers, and the only array it allocates is
-the next profile, whose upper half it computes in place and checks with one
-min and one max.  A plan serves one solve, so one thread: it is built when
-the grid's steps start and released when they end, however they end, and
-its stencil arrays then serve the next solve of the same shape in the
-process (see norms).
+A solve builds the image plan of the family once per grid
+(norms._ImagePlan), and each step is lr_step or mr_step on that plan: it
+maps its profile once, takes that profile's bracket from bounds and the next
+profile from combine_linear or combine_max, all on that single map.  e lies
+along a grid node u_k, as e = c u_k (norms._node_of), so the plan reads the
+norm of e as c h_k off the profile and lr's gamma as c m_k off the node image
+maxima m of that map; each grid's start is normalized at the same node.  A
+step checks its profile once, at the map: its normalization and its range
+(see _HUGE).  The plan is also
+the solve's workspace: a step maps the grid into the plan's buffers, and
+the only array it allocates is the next profile, whose upper half it
+computes in place and checks with one min and one max.  A plan serves one
+solve, so one thread: it is built when the grid's steps start and released
+when they end, however they end, and its stencil arrays then serve the next
+solve of the same shape in the process (see norms).
+
+One profile, one bracket.  A step's record is the bracket of its input, so
+the solve yields each profile with that record, and a result's norm, the
+last profile yielded, is the one whose bracket rho_lo, rho_hi and the last
+trace row hold; the last step's next profile is dropped.
 
 Grid continuation.  The relaxation contracts at a rate set by the family,
 not by the grid, so a fine solve with no initial norm first solves on the
 coarse grids N/4, N/16, ... (each 2 * floor(n / 8) nodes, n/4 rounded down
 to even) of at least 1024 nodes, coarsest first, with e = (1, 0), and each
-grid starts from the last profile of the one before, that polygon's gauge
-at its nodes.  A coarse grid of N_c nodes may take max_iters * N_c / N steps.
+grid starts from the last profile the one before yielded, that polygon's
+gauge at its nodes.  A coarse grid of N_c nodes may take max_iters * N_c / N steps.
 A solve is continued only when it has two coarse grids or more, from
 N = 16384: N = 30000 solves on 1874, 7500 and then 30000 nodes, N = 3000
 and N = 16382 on their own grid.  Coarse grids pay off when the solve
@@ -85,17 +92,16 @@ import numpy as np
 
 from .matrices import MatrixSet, _count, is_irreducible
 from .norms import (
-    TWO_PI,
     AngularNorm,
     _gauge,
     _grid,
     _ImagePlan,
+    _node_of,
     _rescaled,
     _ZeroValue,
     combine_linear,
     combine_max,
     euclidean,
-    normalize,
 )
 
 __all__ = [
@@ -122,16 +128,25 @@ ALGORITHM_MR = "mr"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
 STATUS_REJECTED = "not_irreducible_rejected"
-# every matrix maps some grid direction to 0 (possible for reducible families
-# only), so the next profile is undefined: lr has gamma = 0, or the image
-# profile that mr needs vanishes at a node; or a node value reaches 0, as
-# lr's at such a node does, lam^n times its start (0 at once for lam = 0)
+# the next profile is undefined: lr's gamma or mr's rho_minus is 0, as every
+# matrix maps some grid direction to 0 (reducible families only); or a node
+# value leaves the double range relative to |e| = 1, in either direction: it
+# reaches 0 (lr's lam^n at such a node), or it or a bracket ratio would
+# overflow, as off e's invariant line where a larger diagonal entry grows the
+# other direction, or for a given initial norm that spans the whole range
 STATUS_DEGENERATE = "degenerate_image"
 
 # Every iterate must keep the reference vector at norm 1; the lr update
 # preserves this identity by construction, so drift past this bound means an
 # implementation bug and is raised rather than silently rescaled.
 _NORMALIZATION_TOL = 1e-12
+
+# A step maps a profile only while its largest value h, W h with W the plan's
+# largest stencil weight, and W h over its least value (and over gamma, for
+# lr) stay below _HUGE.  Then the node map m <= W h, the bracket's ratios
+# m / h, lr's m / gamma and its blend, and mr's max(h, m / gamma), at most 2h
+# before its renormalization, are finite, with room for their rounding.
+_HUGE = 2.0 ** 1022
 
 # The least node count of a coarse grid; a solve needs two such grids to be
 # continued (see the module docstring).
@@ -173,9 +188,7 @@ class RelaxConfig:
             raise ValueError("e must be finite")
         if e == (0.0, 0.0):
             raise ValueError("e must be nonzero")
-        t = (math.atan2(e[1], e[0]) + math.pi) * (n / TWO_PI)
-        if abs(t - round(t)) > 1e-9:
-            raise ValueError(f"e must point along a grid node direction, got {e}")
+        _node_of(e, n)
         object.__setattr__(self, "e", e)
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -191,7 +204,7 @@ class RelaxConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One trace row: bracket ends and the scaling used at step n."""
+    """One trace row: the bracket of profile n, and the scaling step n used on it."""
 
     n: int
     rho_minus: float
@@ -204,10 +217,11 @@ class IterationRecord:
 class RelaxResult:
     """Final bracket, midpoint estimate, converged norm, and the trace of the solve.
 
-    The trace, and so the bracket and the norm, are those of the N-node grid.
-    levels holds (node count, steps) for every grid the solve stepped on,
-    coarsest first, and ends with (N, len(trace)); a solve with no coarse
-    level has the one entry, and a rejected family none.
+    The trace, and so the bracket and the norm, are those of the N-node grid,
+    and the bracket, the trace's last row, is the norm's own.  levels holds
+    (node count, steps) for every grid of the solve, 0 for a grid that took
+    none, coarsest first, and ends with (N, len(trace)); a solve with no
+    coarse level has the one entry, and a rejected family none.
     """
 
     rho_lo: float
@@ -234,17 +248,7 @@ def gamma_mr(rho_minus: float, rho_plus: float) -> float:
 
 
 class _DegenerateImage(ValueError):
-    """Every matrix maps a grid direction to 0, so the step is undefined."""
-
-
-def _require_normalized(
-    nm: AngularNorm, plan: _ImagePlan, algorithm: str, n: int, at: str
-) -> None:
-    v = plan.at_e(nm.values)
-    if abs(v - 1.0) > _NORMALIZATION_TOL:
-        raise RuntimeError(
-            f"norm of reference vector drifted to {v!r} at {algorithm} step {n} {at}"
-        )
+    """The step is undefined: an image vanishes, or a node value leaves the double range."""
 
 
 def bounds(nm: AngularNorm, m: np.ndarray, out: np.ndarray) -> tuple[float, float]:
@@ -261,8 +265,15 @@ def bounds(nm: AngularNorm, m: np.ndarray, out: np.ndarray) -> tuple[float, floa
 def _mapped(
     nm: AngularNorm, plan: _ImagePlan, n: int, algorithm: str
 ) -> tuple[np.ndarray, float, float]:
-    """Checks nm at entry, maps the grid once: the node image maxima and the bracket."""
-    _require_normalized(nm, plan, algorithm, n, "entry")
+    """Checks nm's normalization and range (see _HUGE), its one check, and
+    maps the grid once: the node image maxima and nm's bracket."""
+    v = plan.at_e(nm.values)
+    if abs(v - 1.0) > _NORMALIZATION_TOL:
+        raise RuntimeError(f"norm of reference vector drifted to {v!r} at {algorithm} step {n}")
+    least, top = nm._extremes
+    reach = top * plan.weight
+    if not (top < _HUGE and reach < _HUGE and reach < _HUGE * least):
+        raise _DegenerateImage("a node value or a bracket ratio would overflow")
     m = plan.node_image_max(nm)
     lo, hi = bounds(nm, m, plan.ratio)
     return m, lo, hi
@@ -280,26 +291,27 @@ def _next_profile(vals: np.ndarray) -> AngularNorm:
 def lr_step(
     nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
-    """One linear-relaxation step on the solve's plan; the iterate stays normalized at e.
+    """One linear-relaxation step on the solve's plan: the next profile, still
+    normalized at e, and the bracket of nm.
 
     Raises _DegenerateImage, a ValueError, when the next profile is undefined.
     """
     m, lo, hi = _mapped(nm, plan, n, ALGORITHM_LR)
     g = plan.at_e(m)
-    if g == 0.0:
-        raise _DegenerateImage("every matrix maps the reference vector to 0 (gamma = 0)")
+    # m / g is at most weight * max h / g
+    if not nm._extremes[1] * plan.weight < _HUGE * g:
+        raise _DegenerateImage("gamma = max_i |A_i e| is 0, or m / gamma would overflow")
     lam = cfg.lambda_schedule
     vals = np.empty(nm.node_count)
     combine_linear(nm, m, lam, g, vals[nm.node_count // 2:])
-    nxt = _next_profile(vals)
-    _require_normalized(nxt, plan, ALGORITHM_LR, n, "exit")
-    return nxt, IterationRecord(n, lo, hi, g, lam)
+    return _next_profile(vals), IterationRecord(n, lo, hi, g, lam)
 
 
 def mr_step(
     nm: AngularNorm, plan: _ImagePlan, cfg: RelaxConfig, n: int
 ) -> tuple[AngularNorm, IterationRecord]:
-    """One max-relaxation step on the solve's plan; renormalizes at e after the maximum.
+    """One max-relaxation step on the solve's plan: the next profile,
+    renormalized at e after the maximum, and the bracket of nm.
 
     Raises _DegenerateImage, a ValueError, when the next profile is undefined.
     """
@@ -312,14 +324,16 @@ def mr_step(
     combine_max(nm, m, g, upper)
     # |e| under the raised profile, read off its upper half
     np.divide(upper, plan.at_e(upper), out=upper)
-    nxt = _next_profile(vals)
-    _require_normalized(nxt, plan, ALGORITHM_MR, n, "exit")
-    return nxt, IterationRecord(n, lo, hi, g, None)
+    return _next_profile(vals), IterationRecord(n, lo, hi, g, None)
 
 
-def _initial(cfg: RelaxConfig) -> AngularNorm:
-    """The initial norm, or the Euclidean profile, normalized at e: a stepless result's norm."""
-    return normalize(cfg.initial_norm or euclidean(cfg.node_count), cfg.e)
+def _initial(cfg: RelaxConfig, start: AngularNorm | None = None) -> AngularNorm:
+    """start, by default the initial norm or the Euclidean profile, over its
+    norm of e, c h_k (see norms._node_of): a grid's first profile, and a
+    stepless result's norm."""
+    nm = start or cfg.initial_norm or euclidean(cfg.node_count)
+    k, c = _node_of(cfg.e, cfg.node_count)
+    return _rescaled(nm, cfg.e, c * nm.values.item(k))
 
 
 def _converged(rec: IterationRecord, cfg: RelaxConfig) -> bool:
@@ -336,119 +350,104 @@ def _refined(nm: AngularNorm, n: int) -> AngularNorm:
     return AngularNorm._adopt(vals)
 
 
-def _coarse_grids(cfg: RelaxConfig) -> list[int]:
-    """Node counts of the grids a solve steps on before cfg's, coarsest first.
+def _grids(cfg: RelaxConfig) -> list[RelaxConfig]:
+    """The config of each grid a solve steps on, coarsest first, ending with cfg.
 
-    N_c = 2 * floor(N / 8) (N/4 rounded down to even), the same of N_c, and
-    so on down to the last of at least _COARSE_MIN_NODES nodes; none for a
-    solve with an initial norm or with fewer than two such grids.
+    The coarse grids, none for a solve with an initial norm or with fewer
+    than two, have N_c = 2 * floor(N / 8) nodes (then the same of N_c, down
+    to _COARSE_MIN_NODES), e = (1, 0) and at most max_iters * N_c / N steps,
+    so a stalled solve spends (N_c / N)^2 of its N-node grid's node-steps on
+    each.
     """
-    grids, n = [], cfg.node_count
+    counts, n = [], cfg.node_count
     while (n := 2 * (n // 8)) >= _COARSE_MIN_NODES:
-        grids.append(n)
-    if cfg.initial_norm is not None or len(grids) < 2:
-        return []
-    return grids[::-1]
-
-
-def _start(s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]) -> AngularNorm:
-    """The start of the solve cfg configures, before its normalization at e.
-
-    The initial norm, or the Euclidean profile, unless cfg has coarse grids.
-    Then each coarse grid in turn is solved with e = (1, 0) from the last
-    profile of the grid before, refined, and the last profile, refined onto
-    cfg's grid, is the start; each grid's (node count, steps) is appended to
-    levels.  A grid of N_c nodes may take max_iters * N_c / N steps, so a
-    solve that stalls spends at most (N_c / N)^2 of its N-node grid's
-    node-steps there, 1/15 on all of them together.  A grid that yields no
-    step leaves the next one the Euclidean start.
-    """
-    last = None
-    for n_c in _coarse_grids(cfg):
-        coarse = replace(cfg, node_count=n_c, e=(1.0, 0.0),
-                         max_iters=max(1, cfg.max_iters * n_c // cfg.node_count))
-        start = euclidean(n_c) if last is None else _refined(last, n_c)
-        last, steps = None, 0
-        # each grid's plan goes with its generator, before the next grid builds one
-        for last, _ in _steps(s, coarse, start):
-            steps += 1
-        levels.append((n_c, steps))
-    if last is None:
-        return cfg.initial_norm or euclidean(cfg.node_count)
-    return _refined(last, cfg.node_count)
-
-
-def _steps(
-    s: MatrixSet, cfg: RelaxConfig, start: AngularNorm
-) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """The steps on cfg's grid from start, normalized at the plan's node of
-    e, as iterate yields them.
-
-    The plan is released however the steps end: converged, at the cap, at
-    a degenerate image, on an error, or when the caller closes the generator.
-    """
-    plan = _ImagePlan(s, cfg.node_count, cfg.e)
-    step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
-    try:
-        nm = _rescaled(start, cfg.e, plan.at_e(start.values))
-        for n in range(cfg.max_iters):
-            try:
-                nm, rec = step(nm, plan, cfg, n)
-            except _DegenerateImage:
-                return
-            yield nm, rec
-            if _converged(rec, cfg):
-                return
-    finally:
-        plan.release()
+        counts.append(n)
+    if cfg.initial_norm is not None or len(counts) < 2:
+        return [cfg]
+    return [replace(cfg, node_count=n, e=(1.0, 0.0),
+                    max_iters=max(1, cfg.max_iters * n // cfg.node_count))
+            for n in reversed(counts)] + [cfg]
 
 
 def _solve(
-    s: MatrixSet, cfg: RelaxConfig, levels: list[tuple[int, int]]
-) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """iterate's steps; the coarse grids' (node count, steps) go into levels."""
-    yield from _steps(s, cfg, _start(s, cfg, levels))
+    s: MatrixSet, cfg: RelaxConfig
+) -> Iterator[tuple[int, AngularNorm, IterationRecord]]:
+    """(node count, profile, record) for every step of every grid of _grids(cfg).
+
+    The record is the bracket of the profile, the step's input, yielded once
+    the step has made the next one.  A grid ends after a record within tol,
+    after max_iters, or, yielding nothing for it, at a step whose next
+    profile is undefined.  It starts from the last profile the grid before
+    yielded, refined, else from _initial.  Each plan is released however its
+    grid ends, even when the caller closes the generator.
+    """
+    step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
+    last = None
+    for grid in _grids(cfg):
+        n_nodes = grid.node_count
+        nm = _initial(grid, None if last is None else _refined(last, n_nodes))
+        last = None
+        plan = _ImagePlan(s, n_nodes, grid.e)
+        try:
+            for n in range(grid.max_iters):
+                try:
+                    nxt, rec = step(nm, plan, grid, n)
+                except _DegenerateImage:
+                    break
+                yield n_nodes, nm, rec
+                last = nm
+                if _converged(rec, grid):
+                    break
+                nm = nxt
+        finally:
+            plan.release()
 
 
 def iterate(
     s: MatrixSet, cfg: RelaxConfig | None = None
 ) -> Iterator[tuple[AngularNorm, IterationRecord]]:
-    """Yield the norm and the trace record after each step of the configured scheme.
+    """Yield each profile n of the N-node grid, the input of step n, with its
+    trace record, that profile's bracket.
 
-    Starts from the normalized initial norm and builds the image plan of the
-    family once.  With no initial norm and N >= 16384 nodes it first solves
-    on the coarse grids N/4, N/16, ... of 1024 nodes or more (see the module
-    docstring) and starts from the last profile refined onto the N-node
-    grid; it yields the steps of the N-node grid only.
-    Stops after the first step whose bracket half-width is within tol,
-    after max_iters steps, or, yielding nothing for it, at a step whose
-    image profile degenerates.  Does not test irreducibility; run does.
+    Starts from the normalized initial norm.  With no initial norm and
+    N >= 16384 nodes it first solves on the coarse grids N/4, N/16, ... of
+    1024 nodes or more (see the module docstring) and starts from the last
+    profile refined onto the N-node grid; it yields the N-node grid only.
+    Stops after the first record whose bracket half-width is within tol,
+    after max_iters steps, or, yielding nothing for it, at a step whose next
+    profile is undefined.  Does not test irreducibility; run does.
     """
-    return _solve(s, RelaxConfig() if cfg is None else cfg, [])
+    cfg = RelaxConfig() if cfg is None else cfg
+    return ((nm, rec) for n, nm, rec in _solve(s, cfg) if n == cfg.node_count)
 
 
 def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) -> RelaxResult:
     """Iterate the configured scheme until the bracket half-width reaches tol.
 
-    Reducible families are rejected with a distinct status unless force is
-    set; forced runs keep valid brackets but may stall at the iteration cap,
-    and end with STATUS_DEGENERATE and the records so far if every image of
-    some direction vanishes, or a node value underflows to 0.  A grid of
-    16384 nodes or more with no initial norm is solved by continuation from
-    coarse grids, as iterate does; the trace and the status are the N-node
-    grid's, and levels lists every grid's steps.  Pass
-    initial_norm=euclidean(N) for a single-level solve.
+    The result's norm is the last profile iterate yields, and rho_lo, rho_hi
+    and the trace's last row are that profile's bracket.  Reducible families
+    are rejected with a distinct status unless force is set; forced runs
+    keep valid brackets but may stall at the iteration cap, and end with
+    STATUS_DEGENERATE and the records so far if every image of some
+    direction vanishes, or a node value underflows to 0 or would overflow.
+    A grid of 16384 nodes or more with no initial norm is solved by
+    continuation from coarse grids, as iterate does; the trace and the
+    status are the N-node grid's, and levels lists every grid's steps, 0
+    for a grid that took none.  Pass initial_norm=euclidean(N) for a
+    single-level solve.
     """
     if cfg is None:
         cfg = RelaxConfig()
     nan = float("nan")
     if not force and not is_irreducible(s):
         return RelaxResult(nan, nan, nan, _initial(cfg), (), STATUS_REJECTED, cfg, ())
+    steps = dict.fromkeys((grid.node_count for grid in _grids(cfg)), 0)
     records: list[IterationRecord] = []
-    levels: list[tuple[int, int]] = []
-    for nm, rec in _solve(s, cfg, levels):
-        records.append(rec)
-    levels.append((cfg.node_count, len(records)))
+    for n, nm, rec in _solve(s, cfg):
+        steps[n] += 1
+        if n == cfg.node_count:
+            records.append(rec)
+    levels = tuple(steps.items())
     if records and _converged(records[-1], cfg):
         status = STATUS_CONVERGED
     elif len(records) == cfg.max_iters:
@@ -456,9 +455,7 @@ def run(s: MatrixSet, cfg: RelaxConfig | None = None, *, force: bool = False) ->
     else:
         status = STATUS_DEGENERATE
     if not records:
-        return RelaxResult(nan, nan, nan, _initial(cfg), (), status, cfg, tuple(levels))
+        return RelaxResult(nan, nan, nan, _initial(cfg), (), status, cfg, levels)
     last = records[-1]
     mid = 0.5 * (last.rho_minus + last.rho_plus)
-    return RelaxResult(
-        last.rho_minus, last.rho_plus, mid, nm, tuple(records), status, cfg, tuple(levels)
-    )
+    return RelaxResult(last.rho_minus, last.rho_plus, mid, nm, tuple(records), status, cfg, levels)

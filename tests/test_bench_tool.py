@@ -109,6 +109,24 @@ def test_outputs_that_differ_are_reported(bench, clock):
                    (disagree, {"f": outputs("x", "x"), "g": outputs("x", "y")})], repeats=1)
     assert agree["same_output"] is True
     assert disagree["same_output"] is False
+    assert agree["same"] == {"f": True}
+    assert disagree["same"] == {"f": True, "g": False}
+
+
+def test_a_run_outcome_is_compared_field_by_field(bench, clock):
+    # a run row's `same` says which outcome fields held: here only the norm moved
+    base = {"max_iters": 9, "status": "converged", "iterations": 3, "levels": [[64, 3]],
+            "rho_lo": 1.0, "rho_hi": 2.0, "norm": "aa", "trace": [(0, 1.0, 2.0, 1.5, None)]}
+    moved = {**base, "norm": "bb"}
+    row = {}
+    bench.measure([(row, {"run": {"parent": bench.Call(clock.call("parent", [0.001] * 3, base)),
+                                  "change": bench.Call(clock.call("change", [0.001] * 3, moved))}})],
+                  repeats=1)
+    assert row["same"] == {"run": {"status": True, "levels": True, "bracket": True,
+                                   "trace": True, "norm": False}}
+    assert row["same_output"] is False
+    assert bench.line("runs", row, ["parent", "change"]).endswith(
+        "same output False (run.norm differ)")
 
 
 def test_change_over_parent_is_the_median_of_the_round_ratios(bench, clock):

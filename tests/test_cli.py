@@ -116,6 +116,21 @@ class TestRunCommand:
         assert "maps a grid direction to 0" in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["lr", "mr"])
+    @pytest.mark.parametrize("mats", [
+        [[[1, 1], [0, 1.5]], [[0.5, -2], [0, 1.2]]],
+        [[[1, 1], [0, 1.5]]],
+        [[[1, 0], [0, 3]], [[2, 0], [0, 1]]],
+    ], ids=["tri-pair", "tri-one", "diag-pair"])
+    def test_forced_run_that_would_overflow_exits_4(self, problem_file, capsys, mats, algorithm):
+        # it printed overflow warnings and "error: profile values must be finite", exit 1
+        code = cli_main(["run", "--force", "--algorithm", algorithm,
+                         problem_file({"matrices": mats})])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "leave the double range" in err
+
     def test_lambda_zero_runs_the_direct_iteration(self, problem_file, tmp_path):
         trace = tmp_path / "trace.csv"
         code = cli_main(["run", "--lambda", "0", "--max-iters", "50", "--nodes", "512",

@@ -48,7 +48,8 @@ def reference_image_max(values, mats, x0, x1):
 
 
 def reference_run(s: MatrixSet, cfg: RelaxConfig):
-    """run() rebuilt on the reference image map, for irreducible families."""
+    """run() rebuilt on the reference image map, for irreducible families:
+    the profile whose bracket the last record holds, and the records."""
     n_nodes, half = cfg.node_count, cfg.node_count // 2
     g = _grid(n_nodes)
     ux, uy = g.ux[half:], g.uy[half:]
@@ -72,15 +73,15 @@ def reference_run(s: MatrixSet, cfg: RelaxConfig):
             gamma = c * float(m[k])
             lam = cfg.lambda_schedule
             nxt = lam * upper + (1.0 - lam) * (m / gamma)
-            nm = AngularNorm(np.concatenate([nxt, nxt]))
+            nxt = AngularNorm(np.concatenate([nxt, nxt]))
         else:
             gamma, lam = gamma_mr(lo, hi), None
             nxt = np.maximum(upper, m / gamma)
-            nm = normalized(AngularNorm(np.concatenate([nxt, nxt])).values)
+            nxt = normalized(AngularNorm(np.concatenate([nxt, nxt])).values)
         records.append(IterationRecord(n, lo, hi, gamma, lam))
-        if 0.5 * (hi - lo) <= cfg.tol:
-            break
-    return nm, tuple(records)
+        if 0.5 * (hi - lo) <= cfg.tol or n + 1 == cfg.max_iters:
+            return nm, tuple(records)
+        nm = nxt
 
 
 EX1 = (((1.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (-1.0, 1.0)))

@@ -8,7 +8,6 @@ from jsrelax import (
     Matrix,
     MatrixSet,
     UnsupportedDimensionError,
-    apply,
     is_irreducible,
     spectral_radius,
 )
@@ -102,22 +101,6 @@ class TestSpectralRadius:
             assert spectral_radius(Matrix(a)) == pytest.approx(
                 spectral_radius(Matrix(a.T)), rel=1e-12
             )
-
-
-class TestApply:
-    def test_identity(self):
-        assert apply(Matrix(np.eye(2)), (3.0, 4.0)).tolist() == [3.0, 4.0]
-
-    def test_shear(self):
-        assert apply(Matrix([[1.0, 1.0], [0.0, 1.0]]), (1.0, 1.0)).tolist() == [2.0, 1.0]
-
-    def test_zero_matrix(self):
-        fam = Matrix(np.zeros((2, 2)))
-        assert apply(fam, (5.0, -2.0)).tolist() == [0.0, 0.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(Matrix(np.eye(2)), (1.0, 2.0, 3.0))
 
 
 class TestIrreducibility:

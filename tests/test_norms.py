@@ -7,7 +7,6 @@ import pytest
 from jsrelax import (
     AngularNorm,
     MatrixSet,
-    eccentricity,
     euclidean,
     evaluate,
     max_image,
@@ -320,34 +319,3 @@ class TestNormalize:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^e = \(.+\) is too short"):
                 normalize(nm, e)
-
-
-class TestEccentricity:
-    def test_self_is_one(self):
-        nm = infinity_profile(64)
-        assert eccentricity(nm, nm) == 1.0
-
-    def test_infinity_vs_euclidean(self):
-        value = eccentricity(infinity_profile(3000), euclidean(3000))
-        assert value == pytest.approx(math.sqrt(2.0), abs=1e-6)
-
-    def test_scale_invariance(self):
-        nm = infinity_profile(64)
-        scaled = AngularNorm(7.0 * nm.values)
-        assert eccentricity(scaled, nm) == pytest.approx(1.0, abs=1e-12)
-
-    def test_at_least_one(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a = AngularNorm(rng.uniform(0.2, 3.0, size=64))
-            b = AngularNorm(rng.uniform(0.2, 3.0, size=64))
-            assert eccentricity(a, b) >= 1.0
-
-    def test_strictly_above_one_when_not_proportional(self):
-        values = np.ones(64)
-        values[5] = values[5 + 32] = 1.5
-        assert eccentricity(AngularNorm(values), euclidean(64)) == 1.5
-
-    def test_rejects_node_count_mismatch(self):
-        with pytest.raises(ValueError):
-            eccentricity(euclidean(64), euclidean(128))

@@ -16,7 +16,6 @@ from jsrelax import (
     STATUS_MAX_ITERS,
     STATUS_REJECTED,
     UnsupportedDimensionError,
-    eccentricity,
     euclidean,
     evaluate,
     gamma_mr,
@@ -272,6 +271,14 @@ class TestSteps:
         assert rec.rho_minus <= final.rho_mid + 1e-6
 
 
+# reducible families whose forced runs leave the double range (rho 1.5, 1.5, 3)
+OVERFLOWING = [
+    ([[1.0, 1.0], [0.0, 1.5]], [[0.5, -2.0], [0.0, 1.2]]),
+    ([[1.0, 1.0], [0.0, 1.5]],),
+    ([[1.0, 0.0], [0.0, 3.0]], [[2.0, 0.0], [0.0, 1.0]]),
+]
+
+
 class TestRun:
     def test_scalar_family_converges_immediately(self):
         res = run(MatrixSet((2.0 * np.eye(2),)), RelaxConfig(node_count=64), force=True)
@@ -407,6 +414,40 @@ class TestRun:
         assert res.status == STATUS_DEGENERATE
         assert len(res.trace) == 11 and res.rho_lo == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["lr", "mr"])
+    @pytest.mark.parametrize("mats", OVERFLOWING, ids=["tri-pair", "tri-one", "diag-pair"])
+    def test_forced_run_whose_profile_would_overflow_ends_degenerate(self, mats, algorithm):
+        # the larger diagonal entry grows the direction off e's invariant line,
+        # so the profile there grows like (mu / lambda)^n; it overflowed in the
+        # node map, with a warning, and raised "profile values must be finite"
+        res = run(MatrixSet(mats), RelaxConfig(algorithm=algorithm), force=True)
+        assert res.status == STATUS_DEGENERATE
+        assert len(res.trace) > 1000
+        assert math.isfinite(res.norm._extremes[1])
+        rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))).max() for m in mats)
+        assert res.rho_lo - 1e-9 <= rho <= res.rho_hi + 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_forced_lr_whose_gamma_would_overflow_the_blend_ends_degenerate(self):
+        # e's image is 1e-200 of (0, 1)'s, so m / gamma reaches 1e200 in one
+        # step and would overflow in the next
+        cfg = RelaxConfig(node_count=64, max_iters=50)
+        res = run(MatrixSet(([[1e-200, 0.0], [0.0, 1.0]],)), cfg, force=True)
+        assert res.status == STATUS_DEGENERATE
+        assert len(res.trace) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_initial_norm_whose_bracket_ratio_would_overflow_ends_degenerate(self, example1):
+        # node values 1 and 1e-310 after the normalization at e: m / h
+        # overflowed in bounds, with a warning
+        values = np.full(64, 1e10)
+        values[5] = values[37] = 1e-300
+        cfg = RelaxConfig(node_count=64, initial_norm=AngularNorm(values))
+        res = run(example1, cfg)
+        assert res.status == STATUS_DEGENERATE
+        assert res.trace == ()
+
     def test_steps_still_raise_on_degenerate_input(self):
         fam = MatrixSet(([[0.0, 1.0], [0.0, 0.0]],))
         with pytest.raises(ValueError):
@@ -519,10 +560,15 @@ class TestTraceInvariants:
             assert float(np.abs(n3.values / n1.values - 1.0).max()) <= 1e-12
 
     def test_eccentricity_diagnostic_nonincreasing(self, example1):
+        # the spread max / min of the node-value ratio to the final profile
+        def spread(nm, final):
+            ratio = nm.values / final.values
+            return float(ratio.max() / ratio.min())
+
         cfg = RelaxConfig()
         final = run(example1, cfg).norm
-        previous = eccentricity(normalize(euclidean(cfg.node_count), cfg.e), final)
+        previous = spread(normalize(euclidean(cfg.node_count), cfg.e), final)
         for nm, _ in iterate(example1, cfg):
-            current = eccentricity(nm, final)
+            current = spread(nm, final)
             assert current <= previous + 1e-4
             previous = current

@@ -10,7 +10,9 @@ they share its allocator and its speed state; each keeps its own module
 state.  With two trees each timed key also holds `change_over_parent`, the
 median over the rounds of the ratio of the trees' fastest calls in the
 round, and each row says whether the trees gave the same output
-(`same_output`).  A round times both trees back to back, so the ratio
+(`same_output`) and, in `same`, which outputs held: a verdict per timed key,
+and for a run's outcome one per field, its status, levels, bracket, trace
+and norm.  A round times both trees back to back, so the ratio
 cancels a host speed state that lasts longer than the round: in three
 runs over the oracle rows to depth 12 and the writer rows of identical
 trees, the ratio of the trees' medians read 0.69-1.44 where the median of
@@ -154,6 +156,9 @@ RUN_MIN_CALLS = 5
 STEP_KEYS = ("lr_step", "lr_step_converged", "mr_step", "mr_step_converged")
 # the fields of a run row, from the change tree's run
 RUN_FIELDS = ("max_iters", "status", "iterations", "levels", "rho_lo", "rho_hi")
+# the fields of a run's outcome that a row's `same` compares one by one
+SAME_FIELDS = {"status": ("status",), "levels": ("levels",), "bracket": ("rho_lo", "rho_hi"),
+               "trace": ("trace",), "norm": ("norm",)}
 
 
 class Call(NamedTuple):
@@ -200,6 +205,21 @@ def calls_per_round(seconds: float, least: int = 1) -> int:
     return max(least, min(MAX_CALLS_PER_ROUND, math.ceil(ROUND_SECONDS / max(seconds, 1e-9))))
 
 
+def agree(outputs: list) -> bool:
+    """Whether every tree's output reads the same (by repr, so that a NaN in
+    each reads the same)."""
+    return len({repr(out) for out in outputs}) == 1
+
+
+def same(outputs: list) -> bool | dict:
+    """Whether the trees' outputs agree: field by field for a run's outcome
+    (see SAME_FIELDS), else whole."""
+    if isinstance(outputs[0], dict):
+        return {name: agree([[out[f] for f in fields] for out in outputs])
+                for name, fields in SAME_FIELDS.items()}
+    return agree(outputs)
+
+
 def round_ratio(change: list[float], parent: list[float]) -> float:
     """The median over the rounds of change/parent (see the module docstring)."""
     return statistics.median(c / p for c, p in zip(change, parent))
@@ -242,9 +262,9 @@ def measure(rows: list[tuple[dict, dict]], repeats: int, least: int = 1) -> list
                 row[key]["change_over_parent"] = round_ratio(by_tree["change"].seconds,
                                                              by_tree["parent"].seconds)
         if len(by_tree) > 1:
-            # repr, so that a NaN in both outputs reads the same
-            row["same_output"] = all(len({repr(s.output) for s in by_tree.values()}) == 1
-                                     for by_tree in samples.values())
+            outputs = {key: [s.output for s in by_tree.values()] for key, by_tree in samples.items()}
+            row["same"] = {key: same(got) for key, got in outputs.items()}
+            row["same_output"] = all(agree(got) for got in outputs.values())
     return got
 
 
@@ -593,8 +613,16 @@ def line(section: str, row: dict, tags: list[str]) -> str:
     calls = [f"{key} " + " vs ".join(f"{got[t]['median_ms']:.3f}" for t in tags) + " ms"
              + (f" (x{got['change_over_parent']:.3f})" if "change_over_parent" in got else "")
              for key, got in row.items() if isinstance(got, dict) and "change" in got]
-    same = f", same output {row['same_output']}" if "same_output" in row else ""
-    return f"{section} {labels}: " + ", ".join(calls) + same
+    if "same_output" not in row:
+        return f"{section} {labels}: " + ", ".join(calls)
+    differ = []
+    for key, verdict in row["same"].items():
+        if isinstance(verdict, dict):
+            differ += [f"{key}.{name}" for name, held in verdict.items() if not held]
+        elif not verdict:
+            differ.append(key)
+    held = f"same output {row['same_output']}" + (f" ({', '.join(differ)} differ)" if differ else "")
+    return f"{section} {labels}: " + ", ".join(calls) + ", " + held
 
 
 def main(argv=None) -> int:
