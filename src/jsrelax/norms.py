@@ -13,16 +13,16 @@ Node sweeps and single vectors go through the same elementwise array
 arithmetic rather than BLAS (the node map, and _gauge for evaluate,
 max_image and the refinement of a profile onto another grid), so the two
 agree bitwise; scaling equivariance relies on this.  A relaxation solve
-builds one _ImagePlan, the only builder of a node stencil, whose stencil
-and buffers every step reuses, and which reads the reference vector's norm
-and the lr gamma off node values;
+takes one _ImagePlan per grid, the only builder of a node stencil, whose
+stencil and buffers every step reuses, and which reads the reference
+vector's norm and the lr gamma off node values;
 combine_linear and combine_max write a step's next profile from the plan's
 node image maxima, and each step allocates only that profile.  A step maps
 only the family members that can attain those maxima: a member whose
 image weight sums a + b stay below the largest image's by more than the
 profile's spread max h / min h (its dominance margin) is skipped, which
-changes no output bit (see _ImagePlan, which also says how a plan's arrays
-serve the next plan of the same shape).
+changes no output bit (see _ImagePlan; _plan keeps a finished plan whole
+for the next solve of the same family, N and e, such as mr after lr).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import MatrixSet
+from .matrices import MatrixSet, _real
 
 __all__ = [
     "AngularNorm",
@@ -287,15 +287,28 @@ def _margins(a: np.ndarray, b: np.ndarray, top: np.ndarray) -> np.ndarray:
     return margin
 
 
-# The slot of released plan arrays: at most one entry, under _KEPT_KEY,
-# (shape, arrays) of the last plan released.  A set is taken with one
-# dict.pop, so two threads never take the same set, and put with one
-# assignment, which replaces any set there.  A set over _KEPT_MAX_BYTES is
-# not kept: the benchmark corpus's largest (32 matrices on 3000 nodes) is
-# 1.41 MB, and one of a 300000-node solve would pin tens of MB.
-_KEPT_KEY = "stencil"
+# The slot of the last plan released, under _KEPT_KEY (see _plan).  One
+# dict.pop takes the plan and one assignment puts it, so two threads never
+# share it.  A plan over _KEPT_MAX_BYTES is not kept: the benchmark corpus's
+# largest (32 matrices on 3000 nodes) is 1.41 MB, and one of a 300000-node
+# solve would pin tens of MB.
+_KEPT_KEY = "plan"
 _KEPT_MAX_BYTES = 4 << 20
 _kept: dict = {}
+
+
+def _key(s: MatrixSet, n: int, e) -> tuple:
+    """The inputs a plan is a function of: entry bytes in order, N, e as two floats."""
+    return _entries(s.arrays()).tobytes(), n, _checked_vector(e)
+
+
+def _plan(s: MatrixSet, n: int, e) -> _ImagePlan:
+    """The kept plan if its key is equal, else a new build, made once the kept plan is freed."""
+    kept = _kept.pop(_KEPT_KEY, None)
+    if kept is not None and kept.key == _key(s, n, e):
+        return kept
+    del kept
+    return _ImagePlan(s, n, e)
 
 
 class _ImagePlan:
@@ -338,13 +351,8 @@ class _ImagePlan:
     buffers and the bracket-ratio buffer `ratio`.  node_image_max returns
     `best` itself, and its next call overwrites it; so one plan serves one
     thread, and a caller that keeps the maxima past the next call copies
-    them.  The three stencil arrays and the block buffers (`arrays`) come
-    from the slot (see _kept) when the last plan released there has the
-    same (rows, cols), and are allocated otherwise: a kept set of another
-    shape is freed first, and the set of a build that raises is dropped.
-    The build rewrites every stencil entry, and the map every buffer entry
-    it reads, so no output bit depends on what the arrays held.  release()
-    hands the arrays back to the slot.
+    them.  Each plan allocates its own arrays, and `key` holds its inputs:
+    a solve takes its plan from _plan and hands it back with release().
 
     The reference vector.  e lies along a grid node, and the plan keeps its
     upper-half node k = `node` and its scale c = `scale` from _node_of, as
@@ -364,16 +372,13 @@ class _ImagePlan:
     """
 
     def __init__(self, s: MatrixSet, n: int, e):
-        e0, e1 = _checked_vector(e)
+        self.key = _key(s, n, e)
+        entry = np.frombuffer(self.key[0]).reshape(-1, 4, 1)  # the build reads its key
+        e0, e1 = self.key[2]
         self.node, self.scale = _node_of((e0, e1), n)
-        mats = s.arrays()
         g = _grid(n)
         x0, x1 = g.ux[n // 2:], g.uy[n // 2:]
-        rows, cols = len(mats), n // 2
-        shape, arrays = _kept.pop(_KEPT_KEY, (None, None))
-        if shape != (rows, cols):
-            arrays = None  # a kept set of another shape is freed before the build allocates
-        entry = _entries(mats)
+        rows, cols = len(entry), n // 2
         # a node image that overflows gets an infinite or NaN coordinate, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             # the squared lengths order the rows as the lengths would, with no root
@@ -384,13 +389,10 @@ class _ImagePlan:
             sampled = _margins(y0, y1, np.maximum.reduce(y0 + y1, axis=0))
             self.members = np.argsort(sampled, kind="stable")
             entry = entry[self.members]
-            if arrays is None:
-                r, c = _tiles(rows, cols, _BLOCK)[0]
-                arrays = (np.empty((rows, cols), dtype=np.intp), np.empty((rows, cols)),
-                          np.empty((rows, cols)),
-                          np.empty((2, (r.stop - r.start) * (c.stop - c.start))))
-            self.arrays = arrays
-            self.i0, self.a, self.b, self._buf = arrays
+            self.i0 = np.empty((rows, cols), dtype=np.intp)
+            self.a, self.b = np.empty((rows, cols)), np.empty((rows, cols))
+            r, c = _tiles(rows, cols, _BLOCK)[0]
+            self._buf = np.empty((2, (r.stop - r.start) * (c.stop - c.start)))
             top = np.zeros(cols)  # the largest weight sum of each column
             for r, c in _tiles(rows, cols, _BUILD_BLOCK):
                 i0, a, b = _cone(*_images(entry[r], x0[c], x1[c]), n)
@@ -416,16 +418,10 @@ class _ImagePlan:
             )
 
     def release(self) -> None:
-        """End the plan: keep its arrays for the next plan of the same shape,
-        if they are at most _KEPT_MAX_BYTES, and unlink them and every view
-        of them from this plan, which cannot map again.  A second call does
-        nothing."""
-        arrays = self.arrays
-        if arrays is None:
-            return
-        self.arrays = self.i0 = self.a = self.b = self._buf = self._blocks = None
-        if sum(a.nbytes for a in arrays) <= _KEPT_MAX_BYTES:
-            _kept[_KEPT_KEY] = (arrays[0].shape, arrays)
+        """Keep the plan in the slot for the next solve of its key, if its stencil
+        and block buffers are at most _KEPT_MAX_BYTES; once per take."""
+        if sum(x.nbytes for x in (self.i0, self.a, self.b, self._buf)) <= _KEPT_MAX_BYTES:
+            _kept[_KEPT_KEY] = self
 
     def _views(self, rows: int) -> list[tuple]:
         """Per block of the leading rows: its stencil views, two scratch views
@@ -502,12 +498,12 @@ def _node_of(e: tuple[float, float], n: int) -> tuple[int, float]:
     return k, abs(ux * e0 + uy * e1) / sq
 
 
-def _checked_vector(x) -> tuple[float, float]:
+def _checked_vector(x, name: str = "a planar vector") -> tuple[float, float]:
     if len(x) != 2:
-        raise ValueError(f"a planar vector has two entries, got {len(x)}")
-    x0, x1 = float(x[0]), float(x[1])
+        raise ValueError(f"{name} must have two entries, got {len(x)}")
+    x0, x1 = (_real(c, f"each entry of {name}") for c in x)
     if not (math.isfinite(x0) and math.isfinite(x1)):
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{name} must be finite")
     return x0, x1
 
 

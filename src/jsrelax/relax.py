@@ -24,9 +24,8 @@ Nested brackets.  Write the grid map as M(h)_j = max_i L_ij(h), with
 L_ij(h) = a * h[i0] + b * h[i1] the star-gauge norm of A_i u_j, with its
 cone coordinates a, b >= 0 (norms._cone): a linear map with nonnegative
 weights.  So M is monotone, positively homogeneous and subadditive, and the
-bracket of h says
-rho_minus * h <= M(h) <= rho_plus * h at the nodes.  An lr step with any
-lambda in [0, 1), the direct lambda = 0 included, gives
+bracket of h says rho_minus * h <= M(h) <= rho_plus * h at the nodes.  An
+lr step with any lambda in [0, 1), the direct lambda = 0 included, gives
 h' = lambda * h + (1 - lambda) * M(h) / gamma, and then
   M(h') <= lambda * M(h) + (1 - lambda) * M(M(h)) / gamma <= rho_plus * h',
 since M(M(h)) <= M(rho_plus * h) = rho_plus * M(h); and at node j, with i
@@ -44,21 +43,20 @@ and tol = 1e-6, 14 of the 16 families of the relax_family benchmark's
 corpus, unrotated or turned by its seed-1 rotations, have an mr step whose
 rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
 
-A solve builds the image plan of the family once per grid
-(norms._ImagePlan), and each step is lr_step or mr_step on that plan: it
-maps its profile once, takes that profile's bracket from bounds and the next
-profile from combine_linear or combine_max, all on that single map.  e lies
-along a grid node u_k, as e = c u_k (norms._node_of), so the plan reads the
-norm of e as c h_k off the profile and lr's gamma as c m_k off the node image
-maxima m of that map; each grid's start is normalized at the same node.  A
-step checks its profile once, at the map: its normalization and its range
-(see _HUGE).  The plan is also
-the solve's workspace: a step maps the grid into the plan's buffers, and
-the only array it allocates is the next profile, whose upper half it
-computes in place and checks with one min and one max.  A plan serves one
-solve, so one thread: it is built when the grid's steps start and released
-when they end, however they end, and its stencil arrays then serve the next
-solve of the same shape in the process (see norms).
+A solve takes the image plan of the family once per grid (norms._plan),
+and each step is lr_step or mr_step on that plan: it maps its profile once,
+takes that profile's bracket from bounds and the next profile from
+combine_linear or combine_max, all on that single map.  e lies along a grid
+node u_k, as e = c u_k (norms._node_of), so the plan reads the norm of e as
+c h_k off the profile and lr's gamma as c m_k off the node image maxima m of
+that map; each grid's start is normalized at the same node.  A step checks
+its profile once, at the map: its normalization and its range (see _HUGE).
+The plan is also the solve's workspace: a step maps the grid into the
+plan's buffers, and the only array it allocates is the next profile, whose
+upper half it computes in place and checks with one min and one max.  A
+plan serves one solve at a time, so one thread: it is taken when the grid's
+steps start and released when they end, however they end, and kept whole
+for the next solve of the same family, N and e, such as mr after lr.
 
 One profile, one bracket.  A step's record is the bracket of its input, so
 the solve yields each profile with that record, and a result's norm, the
@@ -84,19 +82,20 @@ families timed there, five (N = 300000) 20-37% less.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrices import MatrixSet, _count, is_irreducible
+from .matrices import MatrixSet, _count, _real, is_irreducible
 from .norms import (
     AngularNorm,
     _gauge,
+    _checked_vector,
     _grid,
     _ImagePlan,
     _node_of,
+    _plan,
     _rescaled,
     _ZeroValue,
     combine_linear,
@@ -170,10 +169,7 @@ class RelaxConfig:
     def __post_init__(self):
         if self.algorithm not in (ALGORITHM_LR, ALGORITHM_MR):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        lam = self.lambda_schedule
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise ValueError(f"lambda_schedule must be one number, got {lam!r}")
-        lam = float(lam)
+        lam = _real(self.lambda_schedule, "lambda_schedule")
         if not 0.0 <= lam < 1.0:  # refuses a NaN
             raise ValueError(f"lambda_schedule {lam} outside [0, 1)")
         object.__setattr__(self, "lambda_schedule", lam)
@@ -181,17 +177,15 @@ class RelaxConfig:
         if n < 8 or n % 2 != 0:
             raise ValueError(f"node count must be even and >= 8, got {n}")
         object.__setattr__(self, "node_count", n)
-        if len(self.e) != 2:
-            raise ValueError(f"e must have two entries, got {len(self.e)}")
-        e = (float(self.e[0]), float(self.e[1]))
-        if not all(math.isfinite(c) for c in e):
-            raise ValueError("e must be finite")
+        e = _checked_vector(self.e, "e")
         if e == (0.0, 0.0):
             raise ValueError("e must be nonzero")
         _node_of(e, n)
         object.__setattr__(self, "e", e)
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        tol = _real(self.tol, "tol")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be positive, got {tol}")
+        object.__setattr__(self, "tol", tol)
         iters = _count(self.max_iters, "max_iters")
         if iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {iters}")
@@ -378,8 +372,8 @@ def _solve(
     the step has made the next one.  A grid ends after a record within tol,
     after max_iters, or, yielding nothing for it, at a step whose next
     profile is undefined.  It starts from the last profile the grid before
-    yielded, refined, else from _initial.  Each plan is released however its
-    grid ends, even when the caller closes the generator.
+    yielded, refined, else from _initial.  Each plan is released once, however
+    its grid ends, even when the caller closes the generator.
     """
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
     last = None
@@ -387,7 +381,7 @@ def _solve(
         n_nodes = grid.node_count
         nm = _initial(grid, None if last is None else _refined(last, n_nodes))
         last = None
-        plan = _ImagePlan(s, n_nodes, grid.e)
+        plan = _plan(s, n_nodes, grid.e)
         try:
             for n in range(grid.max_iters):
                 try:
@@ -401,6 +395,7 @@ def _solve(
                 nm = nxt
         finally:
             plan.release()
+            plan = None  # leave the slot the only reference, which _plan frees before a build
 
 
 def iterate(

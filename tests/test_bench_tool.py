@@ -88,6 +88,7 @@ def test_calls_per_round_bounds(bench):
     assert bench.calls_per_round(1.0, least=5) == 5
     assert bench.calls_per_round(bench.ROUND_SECONDS / 7.5) == 8
     assert bench.calls_per_round(0.0) == bench.calls_per_round(1e-12) == bench.MAX_CALLS_PER_ROUND
+    assert bench.calls_per_round(0.0, most=1) == bench.calls_per_round(1.0, most=1) == 1
 
 
 def test_prepare_is_not_timed(bench, clock):

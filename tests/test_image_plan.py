@@ -192,6 +192,7 @@ class TestWorkCount:
         monkeypatch.setattr(norms._ImagePlan, "__init__", counting_init)
         monkeypatch.setattr(norms._ImagePlan, "node_image_max", counting_map)
         monkeypatch.setattr(norms, "_cone", counting_cone)
+        monkeypatch.setattr(norms, "_kept", {})  # an empty slot of kept plans
         return tally
 
     @pytest.mark.parametrize("algorithm", ["lr", "mr"])
@@ -203,8 +204,14 @@ class TestWorkCount:
         assert counts["plans"] == 1  # the only builder of a node stencil
         # the start and every step read |e| and gamma off node values: every
         # sector lookup is the stencil build's
-        assert counts["cones"] == counts["plan_cones"] > 0
+        cones = counts["cones"]
+        assert cones == counts["plan_cones"] > 0
         assert counts["node_maps"] == steps  # nothing else maps the node grid
+        # the other algorithm on an equal family takes the kept plan: no build
+        other = "mr" if algorithm == "lr" else "lr"
+        again = run(MatrixSet(mats), RelaxConfig(algorithm=other, node_count=512, tol=1e-4))
+        assert counts["plans"] == 1 and counts["cones"] == cones
+        assert counts["node_maps"] == steps + len(again.trace)
 
     def test_a_step_on_a_given_plan_builds_no_plan_and_no_stencil(self, counts):
         lr, mr = RelaxConfig(node_count=64), RelaxConfig(algorithm="mr", node_count=64)

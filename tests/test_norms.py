@@ -132,6 +132,15 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="two entries, got"):
                 call()
 
+    @pytest.mark.parametrize("x", [(True, 0.0), ("1", "0"), (1.0, None)], ids=repr)
+    def test_a_bool_or_non_real_entry_is_refused(self, x):
+        # ("1", "0") was read as (1.0, 0.0), and True as 1.0
+        s, nm = MatrixSet((((1.0, 0.0), (0.0, 1.0)),)), euclidean(64)
+        for call in (lambda: evaluate(nm, x), lambda: max_image(nm, s, x),
+                     lambda: normalize(nm, x), lambda: _ImagePlan(s, 64, x)):
+            with pytest.raises(ValueError, match="each entry of a planar vector must be one number"):
+                call()
+
     def test_overflowing_length_is_refused_without_a_warning(self):
         # hypot overflowed here with a RuntimeWarning, and the norm was inf;
         # now a cone coordinate overflows, without a warning, and is refused

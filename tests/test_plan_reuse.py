@@ -1,9 +1,10 @@
-"""The slot of released image-plan arrays: a solve's plan builds into the
-arrays of the last finished plan of the same shape, and no output bit may
-depend on it.
+"""The slot of the last finished image plan: a solve takes the kept plan whole
+when its family's entries, N and e equal the plan's, and builds a new one
+otherwise; no output bit may depend on it.
 
 Each test starts with an empty slot.  The corpus is that of the relax_family
-benchmark: seeded random families of 2, 8 and 32 matrices at N = 3000.
+benchmark: seeded random families of 2, 8 and 32 matrices at N = 3000, each
+solved with lr and then with mr.
 """
 
 import sys
@@ -27,6 +28,7 @@ def corpus() -> list[MatrixSet]:
 
 CASES = [(s, RelaxConfig(algorithm=algorithm, node_count=NODES, tol=1e-4))
          for s in corpus() for algorithm in ("lr", "mr")]
+R32 = 2 * 13  # the lr case of an r = 32 family; its mr case follows it
 
 
 def outcome(res) -> tuple:
@@ -37,6 +39,22 @@ def outcome(res) -> tuple:
 
 def steps(s: MatrixSet, cfg: RelaxConfig) -> list:
     return [(rec, nm.values.tobytes()) for nm, rec in iterate(s, cfg)]
+
+
+def arrays(plan) -> tuple:
+    return plan.i0, plan.a, plan.b, plan._buf, plan.best, plan.ratio
+
+
+def shares(plan, other) -> bool:
+    return any(np.shares_memory(x, y) for x in arrays(plan) for y in arrays(other))
+
+
+def stencil_bytes(plan) -> int:
+    return sum(x.nbytes for x in (plan.i0, plan.a, plan.b, plan._buf))
+
+
+def kept():
+    return norms._kept.get(norms._KEPT_KEY)
 
 
 @pytest.fixture(scope="module")
@@ -70,94 +88,148 @@ def built(monkeypatch) -> list:
     return plans
 
 
-def kept_arrays():
-    return norms._kept[norms._KEPT_KEY][1]
-
-
 def test_corpus_solved_twice_matches_fresh_solves(fresh):
     for _ in range(2):
         assert [outcome(run(s, cfg)) for s, cfg in CASES] == fresh
 
 
+def test_a_second_solve_of_the_same_inputs_takes_the_kept_plan(fresh, built):
+    # mr after lr, on a new MatrixSet of equal entries: one plan, kept whole,
+    # and bit for bit a fresh build's
+    s, lr = CASES[R32]
+    assert outcome(run(s, lr)) == fresh[R32]
+    plan = kept()
+    equal = MatrixSet(tuple(np.array(s.arrays())))
+    assert outcome(run(equal, CASES[R32 + 1][1])) == fresh[R32 + 1]
+    assert built == [plan] and kept() is plan
+    direct = norms._ImagePlan(s, NODES, lr.e)
+    for p in (plan, direct):
+        assert p.node_image_max(norms.euclidean(NODES)) is p.best
+    assert (plan.key, plan.node, plan.scale, plan.weight, plan.margin) == (
+        direct.key, direct.node, direct.scale, direct.weight, direct.margin)
+    for got, want in zip((plan.members, *arrays(plan)[:3], plan.best),
+                         (direct.members, *arrays(direct)[:3], direct.best)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_second_solve_of_a_shape_builds_into_the_kept_arrays(built):
+    # the same inputs again: the solve takes the kept plan and its arrays,
+    # builds nothing, and hands them back
     s, cfg = CASES[0]
     run(s, cfg)
-    arrays = kept_arrays()
+    plan = kept()
+    stencil = arrays(plan)
     run(s, cfg)
-    assert len(built) == 2 and built[1].arrays is None  # released, and unlinked
-    assert kept_arrays() is arrays
+    assert built == [plan] and kept() is plan
+    assert all(x is y for x, y in zip(arrays(kept()), stencil))
 
 
 def test_nan_filled_kept_arrays_are_fully_rewritten(fresh, built):
+    # the workspace of a kept plan (block buffers, `best` and `ratio`) holds
+    # nothing a solve reads before it writes it
     k = 2 * 13  # an r = 32 family, lr
     s, cfg = CASES[k]
     run(s, cfg)
-    for a in kept_arrays():
-        a.fill(-1 if a.dtype.kind == "i" else np.nan)
-    arrays = kept_arrays()
-    plan = norms._ImagePlan(s, NODES, cfg.e)
-    assert plan.arrays is arrays
-    direct = norms._ImagePlan(s, NODES, cfg.e)  # the slot is empty: into new arrays
-    for got, want in zip(plan.arrays[:3], direct.arrays[:3]):  # i0, a and b
-        assert got.tobytes() == want.tobytes()
-    plan.release()
-    for a in kept_arrays():
-        a.fill(-1 if a.dtype.kind == "i" else np.nan)
+    plan = kept()
+    for a in (plan._buf, plan.best, plan.ratio):
+        a.fill(np.nan)
     assert outcome(run(s, cfg)) == fresh[k]
+    assert built == [plan] and kept() is plan
+    for a in (plan._buf, plan.best, plan.ratio):
+        a.fill(np.nan)
+    assert outcome(run(s, CASES[k + 1][1])) == fresh[k + 1]  # and mr after it
+
+
+def one_ulp(s: MatrixSet) -> MatrixSet:
+    mats = np.array(s.arrays())
+    mats[5, 1, 0] = np.nextafter(mats[5, 1, 0], np.inf)
+    return MatrixSet(tuple(mats))
+
+
+@pytest.mark.parametrize("change", [
+    lambda s, cfg: (one_ulp(s), cfg),
+    lambda s, cfg: (s, RelaxConfig(node_count=NODES, tol=1e-4, e=(0.0, 1.0))),
+    lambda s, cfg: (s, RelaxConfig(node_count=NODES, tol=1e-4, e=(2.0, 0.0))),
+    lambda s, cfg: (s, RelaxConfig(node_count=NODES + 2, tol=1e-4)),
+], ids=["entry one ulp up", "e on another node", "e on the same node, scaled", "N + 2"])
+def test_another_input_builds_a_new_plan(built, change):
+    s, cfg = CASES[2 * 6]  # an r = 8 family, lr
+    run(s, cfg)
+    other = change(s, cfg)
+    norms._kept.clear()
+    want = outcome(run(*other))
+    run(s, cfg)
+    assert outcome(run(*other)) == want
+    assert len(built) == 4 and kept() is built[-1]
 
 
 def test_interleaved_solves_of_one_shape_share_no_arrays(built):
-    (a, cfg_a), (b, cfg_b) = CASES[2 * 13], CASES[2 * 14 + 1]  # two r = 32 families
-    want_a, want_b = steps(a, cfg_a), steps(b, cfg_b)
+    # lr and mr on one family, in lockstep: the first takes the kept plan,
+    # the second finds the slot empty and builds its own
+    (s, lr), (_, mr) = CASES[R32], CASES[R32 + 1]
+    want = [steps(s, lr), steps(s, mr)]
     norms._kept.clear()
-    run(a, cfg_a)  # leaves a set of this shape in the slot
-    arrays = kept_arrays()
-    live = [(iterate(a, cfg_a), []), (iterate(b, cfg_b), [])]
-    got_a, got_b = (got for _, got in live)
+    run(s, lr)
+    plan = kept()
+    live = [(iterate(s, lr), []), (iterate(s, mr), [])]
+    got = [yields for _, yields in live]
     checked = False
     while live:
-        for gen, got in list(live):
+        for gen, yields in list(live):
             try:
                 nm, rec = next(gen)
             except StopIteration:
-                live.remove((gen, got))
+                live.remove((gen, yields))
                 continue
-            got.append((rec, nm.values.tobytes()))
+            yields.append((rec, nm.values.tobytes()))
         if not checked:  # both plans are live after the first round
-            plan_a, plan_b = built[-2:]
-            assert plan_a.arrays is arrays
-            assert not any(np.shares_memory(x, y)
-                           for x in plan_a.arrays for y in plan_b.arrays)
+            assert norms._KEPT_KEY not in norms._kept
+            assert built[-1] is not plan and not shares(plan, built[-1])
             checked = True
-    assert (got_a, got_b) == (want_a, want_b)
+    assert got == want
 
 
 def test_a_kept_set_of_another_shape_is_freed_before_the_build(monkeypatch):
     s, cfg = CASES[0]  # 2 matrices
     run(s, cfg)
-    kept = weakref.ref(kept_arrays()[0])
+    plan, stencil = weakref.ref(kept()), weakref.ref(kept().i0)
     alive = []
-    entries = norms._entries
+    init = norms._ImagePlan.__init__
 
-    def spy(mats):
-        alive.append(kept() is not None)
-        return entries(mats)
+    def spy(self, *args):
+        alive.append(plan() is not None or stencil() is not None)
+        init(self, *args)
 
-    # the plan's one call starts its build
-    monkeypatch.setattr(norms, "_entries", spy)
+    monkeypatch.setattr(norms._ImagePlan, "__init__", spy)
     run(CASES[-1][0], cfg)  # 32 matrices
     assert alive == [False]
 
 
+@pytest.mark.parametrize("solves", [
+    [CASES[0], CASES[2]],  # two families of 2 matrices: the same shape
+    [CASES[0], (CASES[0][0], RelaxConfig(node_count=30000, tol=1e-6))],  # 3000, then 1874 to 30000
+], ids=["same shape", "coarse to fine"])
+def test_a_kept_plan_is_freed_before_the_next_build(monkeypatch, solves):
+    refs, alive = [], []
+    init = norms._ImagePlan.__init__
+
+    def spy(self, *args):
+        alive.append(any(ref() is not None for ref in refs))
+        init(self, *args)
+        refs.extend((weakref.ref(self), weakref.ref(self.i0)))
+
+    monkeypatch.setattr(norms._ImagePlan, "__init__", spy)
+    grids = sum(len(run(s, cfg).levels) for s, cfg in solves)
+    assert alive == [False] * grids
+
+
 def test_closing_a_solve_early_hands_its_arrays_back(built):
-    s, cfg = CASES[2 * 13]
+    s, cfg = CASES[R32]
     gen = iterate(s, cfg)
     next(gen)
-    arrays = built[0].arrays
     assert norms._KEPT_KEY not in norms._kept
     gen.close()
-    assert kept_arrays() is arrays
-    assert built[0].arrays is None
+    assert kept() is built[0]
 
 
 def test_a_build_that_raises_leaves_the_slot_usable(fresh, built):
@@ -167,15 +239,16 @@ def test_a_build_that_raises_leaves_the_slot_usable(fresh, built):
     huge = MatrixSet(tuple(mats * (1.5e308 / np.abs(mats).max())))  # same shape, images overflow
     with pytest.raises(ValueError, match="non-finite length"):
         run(huge, cfg)
+    assert norms._KEPT_KEY not in norms._kept  # the kept plan was dropped, and nothing kept
     assert outcome(run(s, cfg)) == fresh[0]
-    arrays = kept_arrays()
+    plan = kept()
     assert outcome(run(s, cfg)) == fresh[0]
-    assert built[-1].arrays is None and kept_arrays() is arrays
+    assert len(built) == 3 and kept() is plan
 
 
 def test_threads_give_the_sequential_results(fresh):
     # more threads than cores, switching often: two threads that took the
-    # same set would corrupt each other's stencil and change a result
+    # same plan would corrupt each other's buffers and change a result
     cases = list(enumerate(CASES))[-16:]  # the r = 8 and r = 32 families
     workers = 4
     results: dict[int, list] = {t: [] for t in range(workers)}
@@ -203,56 +276,59 @@ def test_threads_give_the_sequential_results(fresh):
 def test_a_plan_never_released_keeps_its_arrays():
     s, cfg = CASES[0]
     run(s, cfg)
-    plan = norms._ImagePlan(s, NODES, cfg.e)  # takes the set the solve released
-    assert norms._KEPT_KEY not in norms._kept
-    before = [a.copy() for a in plan.arrays[:3]]  # i0, a and b
-    following = norms._ImagePlan(s, NODES, cfg.e)  # the next plan of its shape allocates
-    assert not any(np.shares_memory(x, y) for x in plan.arrays for y in following.arrays)
+    solves = kept()
+    plan = norms._ImagePlan(s, NODES, cfg.e)  # built directly: never from the slot
+    assert kept() is solves and plan is not solves and not shares(plan, solves)
+    before = [a.copy() for a in arrays(plan)[:3]]  # i0, a and b
     for _ in range(3):
         run(s, cfg)
-        assert not any(np.shares_memory(x, y) for x in kept_arrays() for y in plan.arrays)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(plan.arrays, before))
+        assert kept() is solves
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(plan), before))
 
 
-def test_a_second_release_does_nothing():
+def test_a_solve_releases_each_plan_it_takes_once(monkeypatch):
+    released = []
+    release = norms._ImagePlan.release
+
+    def spy(self):
+        released.append(self)
+        release(self)
+
+    monkeypatch.setattr(norms._ImagePlan, "release", spy)
     s, cfg = CASES[0]
-    plan = norms._ImagePlan(s, NODES, cfg.e)
-    arrays = plan.arrays
-    plan.release()
-    plan.release()
-    assert kept_arrays() is arrays
-    taken = norms._ImagePlan(s, NODES, cfg.e)
-    assert taken.arrays is arrays
-    plan.release()  # hands nothing back: the arrays are taken's
-    assert norms._KEPT_KEY not in norms._kept
+    res = run(s, RelaxConfig(node_count=30000, tol=1e-6))  # three grids, a plan each
+    assert len(res.levels) == len(released) == len({id(p) for p in released}) == 3
+    released.clear()
+    run(s, cfg)
+    run(s, cfg)  # takes the plan the solve before released
+    gen = iterate(s, cfg)
+    next(gen)
+    gen.close()  # and so does this one
+    assert len(released) == 3 and all(p is released[0] for p in released)
 
 
-def test_every_construction_takes_the_kept_set_of_its_shape():
-    # plans of one (rows, cols) share the set whatever their family and e:
-    # two families of 2 matrices, two of 8, then one of 8 on two nodes more
-    shapes = [(CASES[0][0], NODES, (1.0, 0.0)), (CASES[2][0], NODES, (0.0, -2.0)),
-              (CASES[12][0], NODES, (1.0, 0.0)), (CASES[14][0], NODES, (-3.0, 0.0)),
-              (CASES[14][0], NODES + 2, (1.0, 0.0))]
-    last = None
-    for s, n, e in shapes:
-        for _ in range(2):
-            plan = norms._ImagePlan(s, n, e)
-            if last is not None and last[0].shape == (s.count, n // 2):
-                assert plan.arrays is last
-            else:
-                assert not any(np.shares_memory(x, y) for x in plan.arrays for y in last or ())
-            assert norms._KEPT_KEY not in norms._kept
-            last = plan.arrays
-            plan.release()
+def test_a_direct_construction_never_takes_the_kept_plan():
+    # each of these keys once, then _plan finds it: families of 2 and 8
+    # matrices, e on two nodes, and N + 2
+    for s, n, e in [(CASES[0][0], NODES, (1.0, 0.0)), (CASES[2][0], NODES, (0.0, -2.0)),
+                    (CASES[12][0], NODES, (1.0, 0.0)), (CASES[14][0], NODES + 2, (-3.0, 0.0))]:
+        plan = norms._ImagePlan(s, n, e)
+        plan.release()
+        again = norms._ImagePlan(s, n, e)
+        assert kept() is plan and again is not plan and not shares(plan, again)
+        assert norms._plan(s, n, e) is plan
+        assert norms._KEPT_KEY not in norms._kept
 
 
 def test_a_set_over_the_cap_is_not_kept():
     s = CASES[-1][0]  # 32 matrices
     small = norms._ImagePlan(s, NODES, (1.0, 0.0))
-    assert sum(a.nbytes for a in small.arrays) <= norms._KEPT_MAX_BYTES
+    assert stencil_bytes(small) <= norms._KEPT_MAX_BYTES
     small.release()
-    assert norms._KEPT_KEY in norms._kept
+    assert kept() is small
     large = norms._ImagePlan(s, 4 * NODES, (1.0, 0.0))  # 32 matrices x 6000 columns
-    assert sum(a.nbytes for a in large.arrays) > norms._KEPT_MAX_BYTES
+    assert stencil_bytes(large) > norms._KEPT_MAX_BYTES
     large.release()
+    assert kept() is small
+    norms._plan(s, 4 * NODES, (1.0, 0.0)).release()  # as a solve takes it: small is dropped
     assert norms._KEPT_KEY not in norms._kept

@@ -87,6 +87,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="lambda_schedule must be one number"):
             RelaxConfig(lambda_schedule=schedule)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", True), ("tol", np.True_), ("tol", "1e-3"), ("tol", None),
+        ("e", ("1", "0")), ("e", (True, 0)), ("e", (1.0, None)),
+    ], ids=repr)
+    def test_rejects_a_bool_or_non_real_tol_or_e_entry(self, field, value):
+        name = "tol" if field == "tol" else "each entry of e"
+        with pytest.raises(ValueError, match=f"{name} must be one number"):
+            RelaxConfig(**{field: value})
+
+    @pytest.mark.parametrize("tol", [1, np.int64(2), np.float32(0.25), 1e-9], ids=repr)
+    def test_tol_is_stored_as_a_float(self, tol):
+        cfg = RelaxConfig(tol=tol)
+        assert type(cfg.tol) is float and cfg.tol == tol
+
     def test_rejects_off_grid_reference(self):
         with pytest.raises(ValueError):
             RelaxConfig(node_count=16, e=(1.0, 0.3))

@@ -38,12 +38,20 @@ The sections, in the order they run:
 
 - runs: `run` on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to
   30000, and on the seeded r = 2, 8 and 32 families, lr and mr, at N = 3000
-  and tol=1e-4; at least RUN_MIN_CALLS calls per round.
+  and tol=1e-4; at least RUN_MIN_CALLS calls per round.  A row repeats one
+  solve, so a tree that keeps a finished image plan for the next solve of
+  the same family, N and e (norms._plan) skips every plan build of a grid
+  of at most 4 MiB of stencil from the row's second call on.
 - relax_family: one relax_family pass, the benchmark's 16 corpus families
   turned by the rotations of workload seed PASS_SEED, lr and mr, as run
-  rows.  `relax_family_pass` sums each round's solves into a pass and
-  counts, per tree, the solves whose bracket perfbench/reference.py's proven
-  product bounds contradict (`contradicted`).
+  rows, which repeat one solve as `runs` rows do.  `relax_family_pass`
+  times the whole pass as perfbench runs it (`pass`): the 32 solves in
+  perfbench's order, each family's lr and then its mr, one call a round,
+  the trees alternating, so only mr can take lr's plan.  From the rows it
+  takes, per tree, the faults of a pass (each round's row solves summed),
+  the p50 and p90 solve, and the solves whose bracket
+  perfbench/reference.py's proven product bounds contradict
+  (`contradicted`).
 - oracle: for each depth n, the time depth_sweep takes to yield row n
   (build level n from level n-1, then the bounds and the trace estimate;
   `sweep_row`) and the level build alone (`level_build`), with the product
@@ -59,8 +67,10 @@ The sections, in the order they run:
   at N = 300000).  `mapped` says how many of the r members each step maps:
   the plan maps only the members whose dominance margin the profile's
   spread reaches.  `plan_build` is a build into new arrays; `plan_rebuild`
-  is a second build of the same shape as a solve makes it, into the arrays
-  the build before it released.  `bounds`, `combine_linear` and
+  is a second take of the plan of the same inputs as a solve takes it, after
+  the take before it released its plan: norms._plan, which hands back the
+  kept plan (a tree without it builds and releases a plan, as its solves
+  do).  `bounds`, `combine_linear` and
   `combine_max` are the parts of a step after its node map, on the node
   maxima of the profile lr converges to, each on a fresh copy of them made
   untimed (combine_linear overwrites its input).  Each row is timed on its
@@ -74,12 +84,12 @@ The sections, in the order they run:
   N = 30000 with max_iters=200, a solve that stalls because tol is absolute.
 - fresh_process_faults: after its large solves this process no longer
   faults on fresh arrays, so this counts the faults of a few run() calls and
-  of a first and a second plan build of each seeded family, in a fresh
+  of a first and a second plan take of each seeded family, in a fresh
   process per tree.  The first-call counts depend on the path the tree is
   imported from, not only on its code: with byte-identical code, r = 32 at
   N = 3000 read a first run of 325, 311 and 369 faults from three paths.
-  So only the within-tree check, `plan_rebuild` <= `plan_build`, is
-  evidence; a first-call difference between two trees is not.
+  So each tree is imported from a package copy in its own temporary
+  directory, whose paths have one length.
 
 A run row records its status, its iterations (the N-node grid's), its grid
 levels (the node count and the steps of every grid the solve stepped on,
@@ -98,6 +108,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -106,9 +117,11 @@ import math
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
@@ -200,9 +213,9 @@ def summary(seconds: list[float], faults: list[int]) -> dict:
             "minflt": statistics.median_low(faults)}
 
 
-def calls_per_round(seconds: float, least: int = 1) -> int:
+def calls_per_round(seconds: float, least: int = 1, most: int = MAX_CALLS_PER_ROUND) -> int:
     """Timed calls per round of a key whose first run took seconds."""
-    return max(least, min(MAX_CALLS_PER_ROUND, math.ceil(ROUND_SECONDS / max(seconds, 1e-9))))
+    return max(least, min(most, math.ceil(ROUND_SECONDS / max(seconds, 1e-9))))
 
 
 def agree(outputs: list) -> bool:
@@ -225,10 +238,11 @@ def round_ratio(change: list[float], parent: list[float]) -> float:
     return statistics.median(c / p for c, p in zip(change, parent))
 
 
-def measure(rows: list[tuple[dict, dict]], repeats: int, least: int = 1) -> list[dict]:
+def measure(rows: list[tuple[dict, dict]], repeats: int, least: int = 1,
+            most: int = MAX_CALLS_PER_ROUND) -> list[dict]:
     """Time every call of rows on every tree, as the module docstring says,
-    at least `least` calls per round, and write each timed key's summary
-    and its calls per round into its row.
+    at least `least` and at most `most` calls per round, and write each
+    timed key's summary and its calls per round into its row.
 
     rows holds (row, calls) pairs, where calls maps each timed key to
     {tag: Call}, with the same tags in the same order throughout.  Returns,
@@ -241,7 +255,8 @@ def measure(rows: list[tuple[dict, dict]], repeats: int, least: int = 1) -> list
             first = {tag: timed(call) for tag, call in by_tree.items()}
             samples[key] = {tag: Sample(by_tree[tag].output(returned), [], [])
                             for tag, (_, _, returned) in first.items()}
-            count[key] = calls_per_round(max(seconds for seconds, _, _ in first.values()), least)
+            count[key] = calls_per_round(max(seconds for seconds, _, _ in first.values()),
+                                         least, most)
         got.append(samples)
         counts.append(count)
     for k in range(repeats):
@@ -337,32 +352,44 @@ def perfbench_module(name: str):
     return importlib.import_module(name)
 
 
+def pass_call(tree, mats: list[np.ndarray], nodes: int, tol: float) -> Call:
+    """The relax_family pass as perfbench runs it: each family's lr and then
+    its mr, on one MatrixSet."""
+    solves = []
+    for m in mats:
+        s = tree.MatrixSet(tuple(m))
+        solves += [(s, tree.RelaxConfig(algorithm=algorithm, node_count=nodes, tol=tol))
+                   for algorithm in ("lr", "mr")]
+    return Call(lambda: [tree.run(s, cfg) for s, cfg in solves],
+                lambda results: [outcome(res) for res in results])
+
+
 def family_pass(trees: dict, repeats: int) -> tuple[list[dict], dict]:
-    """The relax_family rows, a solve each, and the pass they make per tree:
-    its time per round, its faults, the p50 and p90 solve, and how many of
-    its brackets the proven product bounds contradict."""
+    """The relax_family rows, a solve each, and the pass per tree: timed
+    whole (`pass`), and from its rows, its faults, the p50 and p90 solve and
+    how many of its brackets the proven product bounds contradict."""
     workloads, reference = perfbench_module("workloads"), perfbench_module("reference")
     families = workloads.corpus()
     angles = np.random.default_rng(PASS_SEED).uniform(0.0, 2.0 * np.pi, size=len(families))
     mats = [workloads.rotated(base, angle) for base, angle in zip(families, angles)]
-    rows, got = timed_runs(trees, [(i, m, workloads.FAMILY_NODES, workloads.FAMILY_TOL, {})
-                                   for i, m in enumerate(mats)], repeats)
+    nodes, tol = workloads.FAMILY_NODES, workloads.FAMILY_TOL
+    rows, got = timed_runs(trees, [(i, m, nodes, tol, {}) for i, m in enumerate(mats)], repeats)
     bounds = [reference.reference_bounds(np.array(m)) for m in mats for _ in ("lr", "mr")]
-    family, passes = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}, {}
+    family = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}
     for tag in trees:
         solves = [by_tree[tag] for by_tree in got]
         family["contradicted"][tag] = sum(
             bool(reference.contradicts(s.output["rho_lo"], s.output["rho_hi"], ref))
             for s, ref in zip(solves, bounds))
-        passes[tag] = [sum(round_) for round_ in zip(*(s.seconds for s in solves))]
         faults = [sum(round_) for round_ in zip(*(s.faults for s in solves))]
         seconds = [x for s in solves for x in s.seconds]
-        family[tag] = {**summary(passes[tag], faults),
+        family[tag] = {"minflt": statistics.median_low(faults),
                        "solve_p50_ms": 1e3 * statistics.median(seconds),
                        "solve_p90_ms": 1e3 * statistics.quantiles(seconds, n=10)[-1]}
+    measure([(family, per_tree(trees, lambda t: {"pass": pass_call(t, mats, nodes, tol)}))],
+            repeats, most=1)
     if len(trees) > 1:
-        family["change_over_parent"] = round_ratio(passes["change"], passes["parent"])
-        family["same_output"] = all(row["same_output"] for row in rows)
+        family["same_output"] = family["same_output"] and all(row["same_output"] for row in rows)
     return rows, family
 
 
@@ -452,12 +479,13 @@ def step_calls(tree, mats: np.ndarray, n: int) -> dict:
     e = (1.0, 0.0)
     plan = tree.norms._ImagePlan(s, n, e)
     start = tree.relax._initial(tree.RelaxConfig(node_count=n))
+    take = getattr(tree.norms, "_plan", tree.norms._ImagePlan)
     calls = {
-        # never released, so the untimed call drains the slot and the timed one allocates
+        # never released, so every timed call allocates
         "plan_build": Call(lambda: tree.norms._ImagePlan(s, n, e),
                            lambda fresh: digest(fresh.node_image_max(start))),
-        # as a solve builds its plan: into the arrays the untimed call released
-        "plan_rebuild": Call(lambda: tree.norms._ImagePlan(s, n, e).release()),
+        # as a solve takes its plan, after the untimed call released one
+        "plan_rebuild": Call(lambda: take(s, n, e).release()),
     }
     converged = {}
     for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
@@ -499,8 +527,9 @@ def step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
 # Run in a fresh process by fresh_faults: the minor page faults of each of
 # RUN_SERIES run() calls of one family, after one run of the same family on
 # two nodes more (so the process has imported and warmed up everything, and
-# its kept plan arrays have another shape), and of a first and a second plan
-# build made and released as a solve makes and releases it.
+# its kept plan is of other inputs), and of a first and a second plan take
+# made and released as a solve makes and releases it (a build and release on
+# a tree without norms._plan).
 _FAULTS = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -514,7 +543,8 @@ def faults(call):
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
 row = {"runs": [faults(lambda: run(s, RelaxConfig(node_count=n, tol=tol))) for _ in range(series)]}
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
-build = lambda: norms._ImagePlan(s, n, (1.0, 0.0)).release()
+take = getattr(norms, "_plan", norms._ImagePlan)
+build = lambda: take(s, n, (1.0, 0.0)).release()
 row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
 print(json.dumps(row))
 """
@@ -535,15 +565,24 @@ def fault_rows(trees: dict[str, Path], nodes: list[int]) -> list[dict]:
 
     Freeing memory in the bench's own process moves the allocator's
     thresholds, so that after its large solves a fresh array no longer
-    faults; a fresh process shows what a process of small solves pays.
+    faults; a fresh process shows what a process of small solves pays.  Each
+    tree's package is copied into a temporary directory of its own, and
+    imported from there: the first-call counts depend on the length of the
+    import path, and these paths have one length.
     """
-    rows = []
-    for r, _ in RELAX_FAMILIES:
-        for n in (n for n in nodes if n <= RUN_MAX_NODES):
-            row = {"r": r, "nodes": n, "tol": FAMILY_TOL}
-            row.update((tag, fresh_faults(src, seeded_mats(r), n, FAMILY_TOL))
-                       for tag, src in trees.items())
-            rows.append(row)
+    with contextlib.ExitStack() as stack:
+        copies = {}
+        for tag, src in trees.items():
+            copies[tag] = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            shutil.copytree(src / "jsrelax", copies[tag] / "jsrelax",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        rows = []
+        for r, _ in RELAX_FAMILIES:
+            for n in (n for n in nodes if n <= RUN_MAX_NODES):
+                row = {"r": r, "nodes": n, "tol": FAMILY_TOL}
+                row.update((tag, fresh_faults(src, seeded_mats(r), n, FAMILY_TOL))
+                           for tag, src in copies.items())
+                rows.append(row)
     return rows
 
 
@@ -652,10 +691,13 @@ def main(argv=None) -> int:
     fam = result["relax_family_pass"]
     for tag in trees:
         got = fam[tag]
-        print(f"{tag} relax_family pass (seed {fam['seed']}): {got['median_ms']:.1f} ms median, "
-              f"solve p50 {got['solve_p50_ms']:.2f} ms, p90 {got['solve_p90_ms']:.2f} ms, "
-              f"{got['minflt']} faults, {fam['contradicted'][tag]}/{fam['solves']} brackets "
+        print(f"{tag} relax_family pass (seed {fam['seed']}): {fam['pass'][tag]['median_ms']:.1f} "
+              f"ms median; its rows: solve p50 {got['solve_p50_ms']:.2f} ms, "
+              f"p90 {got['solve_p90_ms']:.2f} ms, {got['minflt']} faults, "
+              f"{fam['contradicted'][tag]}/{fam['solves']} brackets "
               "contradicting the proven bounds")
+    if "change_over_parent" in fam["pass"]:
+        print(f"relax_family pass change/parent {fam['pass']['change_over_parent']:.3f}")
     for row in result["fresh_process_faults"]:
         print(f"r={row['r']} N={row['nodes']} fresh-process faults: "
               + "; ".join(f"{tag} runs {row[tag]['runs']}, plan build {row[tag]['plan_build']} "
