@@ -9,6 +9,7 @@ node value would leave the double range.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first call of the process and
+    shared by every later one: parse_args keeps no state between calls."""
     parser = _Parser(
         prog="jsrelax",
         description="Joint spectral radius of a 2x2 matrix family via norm relaxation.",

@@ -216,6 +216,18 @@ def read_trace(text: str) -> tuple[dict[str, str], tuple[IterationRecord, ...]]:
     return meta, tuple(rows)
 
 
+# The decimal cells of the last node count's angle column written, under
+# _ANGLES_KEY as (node count, per block of rows its lower and upper half's
+# cells).  Angles depend on the node count alone, so a write of the same
+# count formats only the values.  The cells take 48 bytes per node and are
+# kept only while they total at most _ANGLES_MAX_BYTES: 1.44 MB at N = 30000,
+# and up to N = 87380; a larger write formats its angles every time.  One
+# .get reads the slot and one assignment fills it; the cells are read-only.
+_ANGLES_KEY = "cells"
+_ANGLES_MAX_BYTES = 4 << 20
+_angle_cells: dict = {}
+
+
 def write_norm(nm: AngularNorm, sink: BinaryIO) -> None:
     """Write the radial profile as 'phi,h' CSV, angles ascending from -pi, as
     ASCII bytes to a binary sink (a file opened "wb", or io.BytesIO).
@@ -223,23 +235,44 @@ def write_norm(nm: AngularNorm, sink: BinaryIO) -> None:
     The numbers are format(x, ".17g") of each angle and value, written by the
     decimal kernel in blocks of at most _decimal.BLOCK rows.  Each block of
     the lower half goes to the sink as it is made; the upper half's rows,
-    made from the same value cells, wait for the lower half to end.
+    made from the same value cells, wait for the lower half to end.  The
+    angles' cells of the last node count written are kept for the next
+    write of that count (see _angle_cells).
     """
     # imported here, not with the package: building its tables costs about
     # 1 MB of RSS, which a process that writes no norm or SVG need not pay
     from . import _decimal
 
+    n = nm.node_count
+    half = n // 2
     angles = nm.node_angles()
-    half = nm.node_count // 2
     upper = nm.values[half:]  # bit-equal to the lower half, so formatted once for both
+    kept = _angle_cells.get(_ANGLES_KEY)
+    cached = kept[1] if kept is not None and kept[0] == n else None
+    made, size = [], 0  # the new angle cells, while they fit
     sink.write(f"{_NORM_HEADER}\n".encode())
     later = []
-    for rows in _decimal.blocks(half):
+    for k, rows in enumerate(_decimal.blocks(half)):
         h = _decimal.cells(upper[rows], "%.17g", b"\n")
-        sink.write(_decimal.text(_decimal.cells(angles[:half][rows], "%.17g", b","), h))
-        later.append(_decimal.text(_decimal.cells(angles[half:][rows], "%.17g", b","), h))
+        if cached is not None:
+            lo, hi = cached[k]
+        else:
+            lo, hi = (_decimal.cells(phi[rows], "%.17g", b",")
+                      for phi in (angles[:half], angles[half:]))
+            size += lo.nbytes + hi.nbytes
+            if made is not None and size <= _ANGLES_MAX_BYTES:
+                made.append((lo, hi))
+            else:
+                made = None
+        sink.write(_decimal.text(lo, h))
+        later.append(_decimal.text(hi, h))
     for part in later:
         sink.write(part)
+    if cached is None and made is not None:
+        for pair in made:
+            for c in pair:
+                c.flags.writeable = False
+        _angle_cells[_ANGLES_KEY] = (n, made)
 
 
 def read_norm(text: str) -> AngularNorm:

@@ -21,8 +21,9 @@ node image maxima, and each step allocates only that profile.  A step maps
 only the family members that can attain those maxima: a member whose
 image weight sums a + b stay below the largest image's by more than the
 profile's spread max h / min h (its dominance margin) is skipped, which
-changes no output bit (see _ImagePlan; _plan keeps a finished plan whole
-for the next solve of the same family, N and e, such as mr after lr).
+changes no output bit (see _ImagePlan; _Plans keeps the finished plans of a
+solve's grids whole for the next solve of the same family, grids and e,
+such as mr after lr).
 """
 
 from __future__ import annotations
@@ -287,12 +288,14 @@ def _margins(a: np.ndarray, b: np.ndarray, top: np.ndarray) -> np.ndarray:
     return margin
 
 
-# The slot of the last plan released, under _KEPT_KEY (see _plan).  One
-# dict.pop takes the plan and one assignment puts it, so two threads never
-# share it.  A plan over _KEPT_MAX_BYTES is not kept: the benchmark corpus's
-# largest (32 matrices on 3000 nodes) is 1.41 MB, and one of a 300000-node
-# solve would pin tens of MB.
-_KEPT_KEY = "plan"
+# The slot of the plans the last solve released, under _KEPT_KEY: a dict of
+# them by key, one per grid of that solve (see _Plans).  One dict.pop takes
+# them and one assignment puts them, so two threads never share a plan.  The
+# kept plans total at most _KEPT_MAX_BYTES: the benchmark corpus's largest
+# plan (32 matrices on 3000 nodes) is 1.41 MB, the three plans of a continued
+# 30000-node solve of 2 matrices 1.3 MB, and one plan of a 300000-node solve
+# would pin tens of MB.
+_KEPT_KEY = "plans"
 _KEPT_MAX_BYTES = 4 << 20
 _kept: dict = {}
 
@@ -302,13 +305,45 @@ def _key(s: MatrixSet, n: int, e) -> tuple:
     return _entries(s.arrays()).tobytes(), n, _checked_vector(e)
 
 
-def _plan(s: MatrixSet, n: int, e) -> _ImagePlan:
-    """The kept plan if its key is equal, else a new build, made once the kept plan is freed."""
-    kept = _kept.pop(_KEPT_KEY, None)
-    if kept is not None and kept.key == _key(s, n, e):
-        return kept
-    del kept
-    return _ImagePlan(s, n, e)
+class _Plans:
+    """The image plans of one solve, a context manager around its grids.
+
+    Entering takes the slot's plans and holds those of the solve's grids,
+    (node count, e) pairs; the rest are freed there, before any build.
+    take(n, e) hands out the held plan of that grid, else a new build.
+    release(plan), once per take, keeps a plan whose grid has ended while
+    the kept plans total at most _KEPT_MAX_BYTES, coarsest first, and drops
+    it otherwise.  Leaving releases the held plans never taken, and puts
+    the kept plans in the slot, however the solve ends; so a continued
+    solve holds its finest plan and the coarser ones it keeps, about 1.3
+    times the finest.
+    """
+
+    def __init__(self, s: MatrixSet, grids: list[tuple[int, tuple]]):
+        self._s = s
+        entries = _entries(s.arrays()).tobytes()
+        self._keys = {(n, e): (entries, n, _checked_vector(e)) for n, e in grids}  # as _key
+
+    def __enter__(self) -> _Plans:
+        kept = _kept.pop(_KEPT_KEY, {})
+        self._held = {key: kept[key] for key in self._keys.values() if key in kept}
+        self._done, self._bytes = {}, 0
+        return self
+
+    def take(self, n: int, e: tuple) -> _ImagePlan:
+        return self._held.pop(self._keys[n, e], None) or _ImagePlan(self._s, n, e)
+
+    def release(self, plan: _ImagePlan) -> None:
+        if self._bytes + plan.nbytes <= _KEPT_MAX_BYTES:
+            self._done[plan.key] = plan
+            self._bytes += plan.nbytes
+
+    def __exit__(self, *exc) -> None:
+        for plan in self._held.values():  # never taken: a solve closed before their grids
+            self.release(plan)
+        self._held = None
+        if self._done:
+            _kept[_KEPT_KEY] = self._done
 
 
 class _ImagePlan:
@@ -352,7 +387,7 @@ class _ImagePlan:
     `best` itself, and its next call overwrites it; so one plan serves one
     thread, and a caller that keeps the maxima past the next call copies
     them.  Each plan allocates its own arrays, and `key` holds its inputs:
-    a solve takes its plan from _plan and hands it back with release().
+    a solve takes its plans from _Plans and hands them back to it.
 
     The reference vector.  e lies along a grid node, and the plan keeps its
     upper-half node k = `node` and its scale c = `scale` from _node_of, as
@@ -417,11 +452,10 @@ class _ImagePlan:
                 "length; rescale e"
             )
 
-    def release(self) -> None:
-        """Keep the plan in the slot for the next solve of its key, if its stencil
-        and block buffers are at most _KEPT_MAX_BYTES; once per take."""
-        if sum(x.nbytes for x in (self.i0, self.a, self.b, self._buf)) <= _KEPT_MAX_BYTES:
-            _kept[_KEPT_KEY] = self
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the stencil and the block buffers, which _Plans counts."""
+        return sum(x.nbytes for x in (self.i0, self.a, self.b, self._buf))
 
     def _views(self, rows: int) -> list[tuple]:
         """Per block of the leading rows: its stencil views, two scratch views

@@ -43,7 +43,7 @@ and tol = 1e-6, 14 of the 16 families of the relax_family benchmark's
 corpus, unrotated or turned by its seed-1 rotations, have an mr step whose
 rho_plus rises or rho_minus falls, by at most 4.6e-16 relative.
 
-A solve takes the image plan of the family once per grid (norms._plan),
+A solve takes the image plan of the family once per grid (norms._Plans),
 and each step is lr_step or mr_step on that plan: it maps its profile once,
 takes that profile's bracket from bounds and the next profile from
 combine_linear or combine_max, all on that single map.  e lies along a grid
@@ -55,8 +55,9 @@ The plan is also the solve's workspace: a step maps the grid into the
 plan's buffers, and the only array it allocates is the next profile, whose
 upper half it computes in place and checks with one min and one max.  A
 plan serves one solve at a time, so one thread: it is taken when the grid's
-steps start and released when they end, however they end, and kept whole
-for the next solve of the same family, N and e, such as mr after lr.
+steps start and released when they end, however they end.  The plans of
+every grid of a solve, within 4 MiB, are then kept whole for the next solve
+of the same family, grids and e, such as mr after lr.
 
 One profile, one bracket.  A step's record is the bracket of its input, so
 the solve yields each profile with that record, and a result's norm, the
@@ -95,7 +96,7 @@ from .norms import (
     _grid,
     _ImagePlan,
     _node_of,
-    _plan,
+    _Plans,
     _rescaled,
     _ZeroValue,
     combine_linear,
@@ -373,29 +374,32 @@ def _solve(
     after max_iters, or, yielding nothing for it, at a step whose next
     profile is undefined.  It starts from the last profile the grid before
     yielded, refined, else from _initial.  Each plan is released once, however
-    its grid ends, even when the caller closes the generator.
+    its grid ends, and the kept plans go to the slot when the solve ends,
+    even when the caller closes the generator.
     """
     step = lr_step if cfg.algorithm == ALGORITHM_LR else mr_step
+    grids = _grids(cfg)
     last = None
-    for grid in _grids(cfg):
-        n_nodes = grid.node_count
-        nm = _initial(grid, None if last is None else _refined(last, n_nodes))
-        last = None
-        plan = _plan(s, n_nodes, grid.e)
-        try:
-            for n in range(grid.max_iters):
-                try:
-                    nxt, rec = step(nm, plan, grid, n)
-                except _DegenerateImage:
-                    break
-                yield n_nodes, nm, rec
-                last = nm
-                if _converged(rec, grid):
-                    break
-                nm = nxt
-        finally:
-            plan.release()
-            plan = None  # leave the slot the only reference, which _plan frees before a build
+    with _Plans(s, [(grid.node_count, grid.e) for grid in grids]) as plans:
+        for grid in grids:
+            n_nodes = grid.node_count
+            nm = _initial(grid, None if last is None else _refined(last, n_nodes))
+            last = None
+            plan = plans.take(n_nodes, grid.e)
+            try:
+                for n in range(grid.max_iters):
+                    try:
+                        nxt, rec = step(nm, plan, grid, n)
+                    except _DegenerateImage:
+                        break
+                    yield n_nodes, nm, rec
+                    last = nm
+                    if _converged(rec, grid):
+                        break
+                    nm = nxt
+            finally:
+                plans.release(plan)
+                plan = None  # a plan over the cap is freed before the next grid's build
 
 
 def iterate(

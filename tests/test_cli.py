@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jsrelax import MatrixSet, RelaxConfig, read_trace, run, write_trace
+from jsrelax import MatrixSet, RelaxConfig, cli, norms, read_trace, run, write_trace
+from jsrelax import io as jio
 from jsrelax.cli import cli_main
 
 
@@ -219,6 +220,56 @@ class TestRunCommand:
     def test_usage_error(self, capsys):
         assert cli_main(["run"]) == 1
         assert cli_main(["frobnicate"]) == 1
+
+
+class TestProcessCaches:
+    """The parser, the norm CSV's angle cells and the kept plans live for the
+    process; no output byte may depend on them."""
+
+    @staticmethod
+    def run_outputs(path, tmp_path, algorithm, nodes):
+        outputs = [tmp_path / name for name in ("trace.csv", "norm.csv", "sphere.svg")]
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            code = cli_main([
+                "run", path, "--algorithm", algorithm, "--nodes", str(nodes), "--tol", "1e-6",
+                "--trace", str(outputs[0]), "--norm-out", str(outputs[1]),
+                "--svg", str(outputs[2]),
+            ])
+        return code, text.getvalue(), *(p.read_bytes() for p in outputs)
+
+    @pytest.mark.parametrize("nodes", [3000, 30000, 100000])
+    def test_run_outputs_match_a_run_with_every_cache_emptied(self, problem_file, tmp_path,
+                                                             nodes):
+        # ex1 and ex2, lr and then mr, as cli_fine runs them; N = 100000 is over the
+        # angle cells' cap
+        cold = {}
+        for name, payload in (("ex1", EX1), ("ex2", EX2)):
+            path = problem_file(payload, f"{name}.json")
+            for algorithm in ("lr", "mr"):
+                norms._kept.clear()
+                jio._angle_cells.clear()
+                cli._build_parser.cache_clear()
+                cold[name, algorithm] = self.run_outputs(path, tmp_path, algorithm, nodes)
+        for name, payload in (("ex1", EX1), ("ex2", EX2)):
+            path = problem_file(payload, f"{name}.json")
+            for algorithm in ("lr", "mr"):
+                for _ in range(2):
+                    got = self.run_outputs(path, tmp_path, algorithm, nodes)
+                    assert got == cold[name, algorithm], (name, algorithm)
+        assert cold["ex1", "lr"][0] == 0 and cold["ex1", "lr"] != cold["ex1", "mr"]
+
+    def test_the_parser_is_built_once_and_keeps_no_state(self, problem_file, capsys):
+        cli._build_parser.cache_clear()
+        path = problem_file(EX1)
+        assert cli_main(["check", path]) == 0
+        first = capsys.readouterr()
+        assert cli_main(["run", "--nodes", "x", path]) == 1
+        assert "--nodes" in capsys.readouterr().err
+        assert cli_main(["check", path]) == 0
+        assert capsys.readouterr() == first
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestOracleCommand:

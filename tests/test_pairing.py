@@ -21,12 +21,13 @@ GRIDS = [(3000, 1e-4), (3000, 1e-9), (30000, 1e-6)]
 
 
 def grid_bracket(s: MatrixSet, nm, e) -> tuple[float, float]:
-    plan = norms._ImagePlan(s, nm.node_count, e)
-    try:
-        m = plan.node_image_max(nm)
-        return relax.bounds(nm, m, np.empty_like(m))
-    finally:
-        plan.release()
+    with norms._Plans(s, [(nm.node_count, e)]) as plans:
+        plan = plans.take(nm.node_count, e)
+        try:
+            m = plan.node_image_max(nm)
+            return relax.bounds(nm, m, np.empty_like(m))
+        finally:
+            plans.release(plan)
 
 
 @pytest.mark.parametrize("n, tol", GRIDS, ids=[f"{n}-{tol:g}" for n, tol in GRIDS])

@@ -12,11 +12,14 @@ through its per-number fallback.
 
 import io
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from jsrelax import AngularNorm, MatrixSet, RelaxConfig, run, write_norm
+from jsrelax import io as jio
 from jsrelax.svgplot import render_unit_sphere, unit_sphere_points
 
 
@@ -108,6 +111,83 @@ class TestNormCsv:
     def test_random_profile_bytes(self, seed, n):
         nm = random_profile(seed, n)
         assert mismatch(written_norm(nm), reference_write_norm(nm)) is None
+
+
+def cold_norm(nm: AngularNorm) -> str:
+    """write_norm with the kept angle cells emptied, and restored after."""
+    kept = dict(jio._angle_cells)
+    jio._angle_cells.clear()
+    try:
+        return written_norm(nm)
+    finally:
+        jio._angle_cells.clear()
+        jio._angle_cells.update(kept)
+
+
+def kept_count():
+    """The node count whose angle cells write_norm keeps, or None."""
+    slot = jio._angle_cells.get(jio._ANGLES_KEY)
+    return None if slot is None else slot[0]
+
+
+class TestAngleCells:
+    """write_norm keeps the angle cells of the last node count it wrote, up to 4 MiB."""
+
+    def test_writes_in_turn_match_the_reference_and_a_cold_write(self, converged):
+        # each count's first write follows one of another count, and its second reuses the cells
+        jio._angle_cells.clear()
+        for n in (8, 3000, 30000, 8, 3000):
+            nm = converged(f"ex2-mr-{n}")
+            first = written_norm(nm)
+            assert kept_count() == n
+            again = written_norm(nm)
+            assert first == again == cold_norm(nm)
+            assert mismatch(first, reference_write_norm(nm)) is None
+
+    @pytest.mark.parametrize("n, kept", [(87380, True), (87382, False)])
+    def test_cells_are_kept_only_up_to_4_mib(self, n, kept):
+        jio._angle_cells.clear()
+        small = random_profile(4, 8)
+        written_norm(small)
+        nm = AngularNorm(np.random.default_rng(n).uniform(0.5, 3.0, n))
+        first = written_norm(nm)
+        if kept:
+            n_, cells = jio._angle_cells[jio._ANGLES_KEY]
+            arrays = [c for pair in cells for c in pair]
+            assert n_ == n and sum(c.nbytes for c in arrays) == 48 * n <= jio._ANGLES_MAX_BYTES
+            assert not any(c.flags.writeable for c in arrays)
+        else:
+            assert 48 * n > jio._ANGLES_MAX_BYTES
+            assert kept_count() == 8  # a write over the cap leaves the kept cells as they are
+        assert written_norm(nm) == first == cold_norm(nm)
+        assert mismatch(first, reference_write_norm(nm)) is None
+        assert written_norm(small) == cold_norm(small)
+
+    def test_threads_writing_counts_in_turn_get_the_reference_bytes(self, converged):
+        # more threads than cores, switching often, each replacing the kept
+        # cells with those of its next node count
+        cases = [f"ex1-lr-{n}" for n in (8, 64, 3000, 30000)]
+        want = {case: reference_write_norm(converged(case)) for case in cases}
+        workers, results = 4, {t: [] for t in range(4)}
+
+        def work(t: int):
+            for case in (cases[t:] + cases[:t]) * 3:
+                results[t].append((case, written_norm(converged(case))))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for t in range(workers):
+            assert len(results[t]) == 3 * len(cases)
+            assert all(got == want[case] for case, got in results[t])
 
 
 class TestSvgPath:

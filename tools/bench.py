@@ -39,9 +39,9 @@ The sections, in the order they run:
 - runs: `run` on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to
   30000, and on the seeded r = 2, 8 and 32 families, lr and mr, at N = 3000
   and tol=1e-4; at least RUN_MIN_CALLS calls per round.  A row repeats one
-  solve, so a tree that keeps a finished image plan for the next solve of
-  the same family, N and e (norms._plan) skips every plan build of a grid
-  of at most 4 MiB of stencil from the row's second call on.
+  solve, so a tree that keeps the finished image plans of a solve for the
+  next solve of the same family, grids and e (norms._Plans) skips every
+  plan build that fits its 4 MiB from the row's second call on.
 - relax_family: one relax_family pass, the benchmark's 16 corpus families
   turned by the rotations of workload seed PASS_SEED, lr and mr, as run
   rows, which repeat one solve as `runs` rows do.  `relax_family_pass`
@@ -52,13 +52,27 @@ The sections, in the order they run:
   the p50 and p90 solve, and the solves whose bracket
   perfbench/reference.py's proven product bounds contradict
   (`contradicted`).
+- cli_pass: the cli_fine workload's pass as perfbench runs it at workload
+  seed PASS_SEED: `jsrelax run` through cli.cli_main on examples 1 and 2,
+  lr and mr, at N = 30000 and tol=1e-6, writing the trace, the norm CSV and
+  the SVG, in perfbench's order for that seed; timed whole (`pass`), one
+  call a round, the trees alternating.  `digests` holds each case's exit
+  code and the SHA-256 of its stdout, trace, norm CSV and SVG.  Both trees
+  share this process's allocator, so the ratio is a floor on what separate
+  processes read: keeping the norm CSV's angle cells, every grid's plans
+  and the parser for the process read +15-19% here in a prototype, and
+  0.790 change/parent in BENCH_28.json, against +26-33% cli_fine
+  `solves_per_s` in perfbench's separate processes.
 - oracle: for each depth n, the time depth_sweep takes to yield row n
   (build level n from level n-1, then the bounds and the trace estimate;
   `sweep_row`) and the level build alone (`level_build`), with the product
   count r^n; `oracle_sweeps`: the whole depth_sweep to --max-depth.
 - writers: for each node count N, write_norm and write_trace into memory and
   render_unit_sphere at 512 px, on the norm that `run` (lr, tol=1e-6, as
-  `jsrelax run --tol 1e-6` does) converges to.
+  `jsrelax run --tol 1e-6` does) converges to.  A row repeats one write, so
+  a tree that keeps the angle cells of the last node count written (io.
+  write_norm) formats only the values from the row's second call on;
+  `write_norm_cold` empties those cells before each call, untimed.
 - steps: for seeded random families of r = 2, 8 and 32 matrices and each
   node count N, the image plan build and one `relax.lr_step` and one
   `relax.mr_step` on that plan, from the normalized Euclidean start and from
@@ -67,14 +81,15 @@ The sections, in the order they run:
   at N = 300000).  `mapped` says how many of the r members each step maps:
   the plan maps only the members whose dominance margin the profile's
   spread reaches.  `plan_build` is a build into new arrays; `plan_rebuild`
-  is a second take of the plan of the same inputs as a solve takes it, after
-  the take before it released its plan: norms._plan, which hands back the
-  kept plan (a tree without it builds and releases a plan, as its solves
-  do).  `bounds`, `combine_linear` and
-  `combine_max` are the parts of a step after its node map, on the node
-  maxima of the profile lr converges to, each on a fresh copy of them made
-  untimed (combine_linear overwrites its input).  Each row is timed on its
-  own, so that only one row's plans are held at a time.
+  is a second take of the plan of the same inputs as a one-grid solve takes
+  it, after the take before it released its plan: norms._Plans, which hands
+  back the kept plan (a tree with a one-plan slot takes it from norms._plan,
+  and one with none builds and releases a plan, as its solves do).
+  `bounds`, `combine_linear` and `combine_max` are the parts of a step
+  after its node map, on the node maxima of the profile lr converges to,
+  each on a fresh copy of them made untimed (combine_linear overwrites its
+  input).  Each row is timed on its own, so that only one row's plans are
+  held at a time.
 - fine_runs: `run` and the single-level solve, `run` given the Euclidean
   start (`run_single`), whatever --nodes says, on examples 1 and 2, lr and
   mr, at N = 30000 with tol=1e-6 and at N = 300000 with tol=1e-10; on the
@@ -82,6 +97,8 @@ The sections, in the order they run:
   (either side of the node count where grid continuation starts) and
   30000, and for r = 8 at N = 300000; and on example 1 scaled by 1e300 at
   N = 30000 with max_iters=200, a solve that stalls because tol is absolute.
+  `run_cold` is `run` with the plan slot emptied before each call, untimed,
+  so that it builds every grid's plan on every tree.
 - fresh_process_faults: after its large solves this process no longer
   faults on fresh arrays, so this counts the faults of a few run() calls and
   of a first and a second plan take of each seeded family, in a fresh
@@ -95,8 +112,9 @@ A run row records its status, its iterations (the N-node grid's), its grid
 levels (the node count and the steps of every grid the solve stepped on,
 coarsest first) and its bracket.  The outputs compared are a run's status,
 levels, bracket, norm bytes and trace rows; a writer's bytes; the oracle's
-rows, as hex; a step's node maxima and next profile; and a fresh plan's node
-maxima at the Euclidean start.  Byte strings are compared by their SHA-256.
+rows, as hex; a step's node maxima and next profile; a fresh plan's node
+maxima at the Euclidean start; and each `jsrelax run` of the cli pass.
+Byte strings are compared by their SHA-256.
 
 Run from the repository root:
 
@@ -317,18 +335,26 @@ def seeded_mats(r: int) -> np.ndarray:
     return np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))
 
 
-def run_calls(tree, mats, cfg: dict, single: bool) -> dict:
-    """`run` of mats under cfg with tree's classes and, if single,
-    `run_single`: the same solve given the Euclidean start."""
+def emptier(slot: dict | None) -> Callable:
+    """A prepare that empties a module's cache dict; a tree without it has none to empty."""
+    return (lambda: None) if slot is None else slot.clear
+
+
+def run_calls(tree, mats, cfg: dict, variants: bool) -> dict:
+    """`run` of mats under cfg with tree's classes and, with variants,
+    `run_single`, the same solve given the Euclidean start, and `run_cold`,
+    `run` from an empty plan slot."""
     s = tree.MatrixSet(tuple(np.array(mats, dtype=float)))
     c = tree.RelaxConfig(**cfg)
     calls = {"run": solve(tree, s, c)}
-    if single:
+    if variants:
         calls["run_single"] = solve(tree, s, replace(c, initial_norm=tree.euclidean(c.node_count)))
+        calls["run_cold"] = Call(lambda _: tree.run(s, c), outcome,
+                                 emptier(getattr(tree.norms, "_kept", None)))
     return calls
 
 
-def timed_runs(trees: dict, cases: list[tuple], repeats: int, single: bool = False,
+def timed_runs(trees: dict, cases: list[tuple], repeats: int, variants: bool = False,
                least: int = 1) -> tuple[list[dict], list[dict]]:
     """A run row per case (name, matrices, N, tol, extra config) and
     algorithm, timed, with its fields from the change tree's run; and per
@@ -338,7 +364,7 @@ def timed_runs(trees: dict, cases: list[tuple], repeats: int, single: bool = Fal
         for algorithm in ("lr", "mr"):
             cfg = {"algorithm": algorithm, "node_count": n, "tol": tol, **extra}
             row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": tol}
-            rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg, single))))
+            rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg, variants))))
     got = [samples["run"] for samples in measure(rows, repeats, least)]
     for (row, _), by_tree in zip(rows, got):
         row.update((field, by_tree["change"].output[field]) for field in RUN_FIELDS)
@@ -393,6 +419,58 @@ def family_pass(trees: dict, repeats: int) -> tuple[list[dict], dict]:
     return rows, family
 
 
+def cli_call(tree, argvs: list[tuple[str, list, list[Path]]]) -> Call:
+    """`jsrelax run` of each (case, argv, output files) in turn through tree's
+    cli.cli_main, with stdout and stderr captured; the output is each case's
+    exit code and the digests of its stdout and its files."""
+    cli = importlib.import_module(f"{tree.__name__}.cli")
+
+    def run():
+        got = []
+        for name, argv, files in argvs:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+                code = cli.cli_main(argv)
+            got.append((name, code, text.getvalue()))
+        return got
+
+    def output(got):
+        files = {name: files for name, _, files in argvs}
+        return [(name, code, digest(text.encode()), *(digest(f.read_bytes()) for f in files[name]))
+                for name, code, text in got]
+
+    return Call(run, output)
+
+
+def cli_pass(trees: dict, repeats: int) -> list[dict]:
+    """The cli_fine pass at workload seed PASS_SEED, timed whole on each tree,
+    as one row; each tree writes its outputs into a directory of its own."""
+    workloads = perfbench_module("workloads")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        order = [case.name for case in workloads.build("cli_fine", PASS_SEED, work)]
+
+        def calls(tree):
+            out = work / tree.__name__
+            out.mkdir()
+            argvs = []
+            for name in order:
+                family, algorithm = name.split("-")
+                files = [out / f"{name}.{ext}" for ext in ("trace.csv", "norm.csv", "svg")]
+                argvs.append((name, [
+                    "run", str(work / f"{family}.json"), "--algorithm", algorithm,
+                    "--nodes", str(workloads.CLI_NODES), "--tol", repr(workloads.CLI_TOL),
+                    "--trace", str(files[0]), "--norm-out", str(files[1]), "--svg", str(files[2]),
+                ], files))
+            return {"pass": cli_call(tree, argvs)}
+
+        row = {"seed": PASS_SEED, "nodes": workloads.CLI_NODES, "tol": workloads.CLI_TOL,
+               "cases": order}
+        (samples,) = measure([(row, per_tree(trees, calls))], repeats, most=1)
+    row["digests"] = {name: list(rest) for name, *rest in samples["pass"]["change"].output}
+    return [row]
+
+
 def sweep_outcome(rows) -> list[tuple]:
     """Every float of depth_sweep's rows, as hex."""
     return [(b.depth, b.lower.hex(), b.upper.hex(), t.hex()) for b, t in rows]
@@ -443,6 +521,9 @@ def writer_calls(tree, result) -> dict:
     return {
         "write_norm": Call(lambda: into(tree.write_norm, result.norm, io.BytesIO()),
                            lambda out: digest(out.getvalue())),
+        "write_norm_cold": Call(lambda _: into(tree.write_norm, result.norm, io.BytesIO()),
+                                lambda out: digest(out.getvalue()),
+                                emptier(getattr(tree.io, "_angle_cells", None))),
         "render_unit_sphere": Call(lambda: tree.render_unit_sphere(result.norm, 512),
                                    lambda svg: digest(svg.encode())),
         "write_trace": Call(lambda: into(tree.write_trace, result, io.StringIO()),
@@ -471,6 +552,15 @@ def combined(combine, nm, m: np.ndarray, args: tuple, out: np.ndarray) -> np.nda
     return out
 
 
+def retake(norms, s, n: int, e) -> None:
+    """The plan of one grid taken and released as a one-grid solve of norms's tree does."""
+    if not hasattr(norms, "_Plans"):  # a tree with a one-plan slot, or none
+        getattr(norms, "_plan", norms._ImagePlan)(s, n, e).release()
+        return
+    with norms._Plans(s, [(n, e)]) as plans:
+        plans.release(plans.take(n, e))
+
+
 def step_calls(tree, mats: np.ndarray, n: int) -> dict:
     """A `steps` row's calls on tree: the plan build and rebuild, the four
     steps on one plan, which the calls hold, and the bounds and combines on
@@ -479,13 +569,12 @@ def step_calls(tree, mats: np.ndarray, n: int) -> dict:
     e = (1.0, 0.0)
     plan = tree.norms._ImagePlan(s, n, e)
     start = tree.relax._initial(tree.RelaxConfig(node_count=n))
-    take = getattr(tree.norms, "_plan", tree.norms._ImagePlan)
     calls = {
         # never released, so every timed call allocates
         "plan_build": Call(lambda: tree.norms._ImagePlan(s, n, e),
                            lambda fresh: digest(fresh.node_image_max(start))),
         # as a solve takes its plan, after the untimed call released one
-        "plan_rebuild": Call(lambda: take(s, n, e).release()),
+        "plan_rebuild": Call(lambda: retake(tree.norms, s, n, e)),
     }
     converged = {}
     for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
@@ -528,8 +617,7 @@ def step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
 # RUN_SERIES run() calls of one family, after one run of the same family on
 # two nodes more (so the process has imported and warmed up everything, and
 # its kept plan is of other inputs), and of a first and a second plan take
-# made and released as a solve makes and releases it (a build and release on
-# a tree without norms._plan).
+# made and released as a one-grid solve makes and releases it (see retake).
 _FAULTS = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -543,8 +631,11 @@ def faults(call):
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
 row = {"runs": [faults(lambda: run(s, RelaxConfig(node_count=n, tol=tol))) for _ in range(series)]}
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
-take = getattr(norms, "_plan", norms._ImagePlan)
-build = lambda: take(s, n, (1.0, 0.0)).release()
+def build():
+    if not hasattr(norms, "_Plans"):
+        return getattr(norms, "_plan", norms._ImagePlan)(s, n, (1.0, 0.0)).release()
+    with norms._Plans(s, [(n, (1.0, 0.0))]) as plans:
+        plans.release(plans.take(n, (1.0, 0.0)))
 row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
 print(json.dumps(row))
 """
@@ -604,7 +695,8 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     the runs and the pass go first, before the large solves of the others
     move the allocator's thresholds (see fault_rows)."""
     result = {
-        "benchmark": "run, relax_family, oracle by depth, writers, plan and steps, fine runs",
+        "benchmark": "run, relax_family, cli pass, oracle by depth, writers, plan and steps, "
+                     "fine runs",
         "max_depth": max_depth,
         "repeats": repeats,
         "trees": list(trees),
@@ -620,6 +712,7 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     runs += [(f"r{r}", seeded_mats(r), n, FAMILY_TOL, {}) for r, n in FAMILY_RUNS]
     result["runs"], _ = timed_runs(trees, runs, repeats, least=RUN_MIN_CALLS)
     result["relax_family"], result["relax_family_pass"] = family_pass(trees, repeats)
+    result["cli_pass"] = cli_pass(trees, repeats)
     depths = [({"family": name, "depth": d, "products": len(mats) ** d},
                per_tree(trees, lambda t: depth_calls(t, mats, d)))
               for name, mats in FAMILIES.items() for d in range(1, max_depth + 1)]
@@ -637,11 +730,12 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     fine += [(f"r{r}", seeded_mats(r), n, FINE_FAMILY_TOL, {}) for r, n in FINE_FAMILY_RUNS]
     fine.append(("ex1x1e300", np.array(FAMILIES["ex1"]) * 1e300, 30000, FINE_FAMILY_TOL,
                  {"max_iters": STALLED_MAX_ITERS}))
-    result["fine_runs"], _ = timed_runs(trees, fine, repeats, single=True)
+    result["fine_runs"], _ = timed_runs(trees, fine, repeats, variants=True)
     return result
 
 
-SECTIONS = ("runs", "relax_family", "oracle", "oracle_sweeps", "writers", "steps", "fine_runs")
+SECTIONS = ("runs", "relax_family", "cli_pass", "oracle", "oracle_sweeps", "writers", "steps",
+            "fine_runs")
 
 
 def line(section: str, row: dict, tags: list[str]) -> str:
