@@ -321,8 +321,7 @@ class _Plans:
 
     def __init__(self, s: MatrixSet, grids: list[tuple[int, tuple]]):
         self._s = s
-        entries = _entries(s.arrays()).tobytes()
-        self._keys = {(n, e): (entries, n, _checked_vector(e)) for n, e in grids}  # as _key
+        self._keys = {(n, e): _key(s, n, e) for n, e in grids}
 
     def __enter__(self) -> _Plans:
         kept = _kept.pop(_KEPT_KEY, {})

@@ -1,6 +1,7 @@
 """The timing loop of tools/bench.py, driven with fake trees of plain callables."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +161,66 @@ def test_odd_node_count_is_refused(bench, tmp_path, capsys):
     assert exit_.value.code == 2
     assert "even --nodes" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+@pytest.fixture
+def fake_parent(tmp_path):
+    """A checkout at tmp_path whose jsrelax has only the modules and caches
+    written into it; the package's modules are unloaded afterwards."""
+
+    def write(files: dict) -> Path:
+        package = tmp_path / "src" / "jsrelax"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from . import io, norms\n")
+        for name, text in files.items():
+            (package / name).write_text(text)
+        return tmp_path
+
+    yield write
+    for name in [name for name in sys.modules if name.split(".")[0] == "jsrelax_parent"]:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("files", [
+    {"norms.py": "", "io.py": "_angle_cells = {}\n"},
+    {"norms.py": "_kept = {}\n", "io.py": ""},
+], ids=["no plan slot", "no angle cells"])
+def test_a_parent_without_the_emptied_caches_is_refused_before_any_timing(
+        bench, fake_parent, files, monkeypatch, tmp_path, capsys):
+    def timing(*args):
+        raise AssertionError("timing started")
+
+    monkeypatch.setattr(bench, "bench", timing)
+    root = fake_parent(files)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--parent", str(root), "--out", str(tmp_path / "bench.json")])
+    assert exit_.value.code == 2
+    assert "no norms._kept or io._angle_cells" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_every_timed_solve_builds_its_plans(bench, monkeypatch):
+    # each call empties the plan slot untimed, so three calls build three plans
+    # where a solve of a family's kept plans would build one
+    jsrelax = bench.jsrelax
+    built = []
+    init = jsrelax.norms._ImagePlan.__init__
+
+    def spy(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(jsrelax.norms._ImagePlan, "__init__", spy)
+    s = jsrelax.MatrixSet(tuple(bench.seeded_mats(8)))
+    call = bench.solve(jsrelax, s, jsrelax.RelaxConfig(node_count=3000, tol=1e-4))
+    outputs = [call.output(bench.timed(call)[2]) for _ in range(3)]
+    assert built == [3000] * 3
+    assert outputs[1:] == outputs[:1] * 2
+
+
+def test_run_single_is_timed_only_where_the_solve_is_continued(bench):
+    # grid continuation starts at 16384 nodes; below it both keys would time one solve
+    jsrelax = bench.jsrelax
+    for nodes, keys in ((16382, ["run"]), (16384, ["run", "run_single"])):
+        calls = bench.run_calls(jsrelax, bench.seeded_mats(2), {"node_count": nodes, "tol": 1e-6})
+        assert list(calls) == keys

@@ -11,12 +11,11 @@ state.  With two trees each timed key also holds `change_over_parent`, the
 median over the rounds of the ratio of the trees' fastest calls in the
 round, and each row says whether the trees gave the same output
 (`same_output`) and, in `same`, which outputs held: a verdict per timed key,
-and for a run's outcome one per field, its status, levels, bracket, trace
-and norm.  A round times both trees back to back, so the ratio
-cancels a host speed state that lasts longer than the round: in three
-runs over the oracle rows to depth 12 and the writer rows of identical
-trees, the ratio of the trees' medians read 0.69-1.44 where the median of
-the round ratios read 0.92-1.07.
+and for a run's outcome one per field (SAME_FIELDS).  A round times both
+trees back to back, so the ratio cancels a host speed state that lasts
+longer than the round: in three runs over the oracle rows to depth 12 and
+the writer rows of identical trees, the ratio of the trees' medians read
+0.69-1.44 where the median of the round ratios read 0.92-1.07.
 
 One loop, `measure`, times every section but the last.  It first runs each
 call once, untimed, on every tree and compares the outputs.  That first run
@@ -38,20 +37,18 @@ The sections, in the order they run:
 
 - runs: `run` on examples 1 and 2, lr and mr, at tol=1e-9 for each N up to
   30000, and on the seeded r = 2, 8 and 32 families, lr and mr, at N = 3000
-  and tol=1e-4; at least RUN_MIN_CALLS calls per round.  A row repeats one
-  solve, so a tree that keeps the finished image plans of a solve for the
-  next solve of the same family, grids and e (norms._Plans) skips every
-  plan build that fits its 4 MiB from the row's second call on.
-- relax_family: one relax_family pass, the benchmark's 16 corpus families
-  turned by the rotations of workload seed PASS_SEED, lr and mr, as run
-  rows, which repeat one solve as `runs` rows do.  `relax_family_pass`
-  times the whole pass as perfbench runs it (`pass`): the 32 solves in
-  perfbench's order, each family's lr and then its mr, one call a round,
-  the trees alternating, so only mr can take lr's plan.  From the rows it
-  takes, per tree, the faults of a pass (each round's row solves summed),
-  the p50 and p90 solve, and the solves whose bracket
-  perfbench/reference.py's proven product bounds contradict
-  (`contradicted`).
+  and tol=1e-4; at least RUN_MIN_CALLS calls per round.  Every timed solve
+  here and in fine_runs starts from an empty plan slot (see `solve`), so it
+  builds every grid's plan as a family's first solve does.
+- relax_family_pass: the tool's relax_family measure, `pass`: the
+  benchmark's 16 corpus families turned by the rotations of workload seed
+  PASS_SEED, timed whole as perfbench runs them, each family's lr and then
+  its mr (which takes lr's plans), one call a round, the trees alternating.
+  Its output is the 32 solves' outcomes by field, so `same` has a verdict
+  per field; the row records each solve (`solves`) and, per tree, the
+  solves whose bracket perfbench/reference.py's proven product bounds
+  contradict (`contradicted`).  perfbench's solve_ms_p50 and solve_ms_p90
+  are the per-solve figures of record.
 - cli_pass: the cli_fine workload's pass as perfbench runs it at workload
   seed PASS_SEED: `jsrelax run` through cli.cli_main on examples 1 and 2,
   lr and mr, at N = 30000 and tol=1e-6, writing the trace, the norm CSV and
@@ -59,10 +56,9 @@ The sections, in the order they run:
   call a round, the trees alternating.  `digests` holds each case's exit
   code and the SHA-256 of its stdout, trace, norm CSV and SVG.  Both trees
   share this process's allocator, so the ratio is a floor on what separate
-  processes read: keeping the norm CSV's angle cells, every grid's plans
-  and the parser for the process read +15-19% here in a prototype, and
-  0.790 change/parent in BENCH_28.json, against +26-33% cli_fine
-  `solves_per_s` in perfbench's separate processes.
+  processes read: the per-process caches of dd81404 read 0.790
+  change/parent here (BENCH_28.json), +26-33% cli_fine `solves_per_s` in
+  perfbench.
 - oracle: for each depth n, the time depth_sweep takes to yield row n
   (build level n from level n-1, then the bounds and the trace estimate;
   `sweep_row`) and the level build alone (`level_build`), with the product
@@ -70,9 +66,8 @@ The sections, in the order they run:
 - writers: for each node count N, write_norm and write_trace into memory and
   render_unit_sphere at 512 px, on the norm that `run` (lr, tol=1e-6, as
   `jsrelax run --tol 1e-6` does) converges to.  A row repeats one write, so
-  a tree that keeps the angle cells of the last node count written (io.
-  write_norm) formats only the values from the row's second call on;
-  `write_norm_cold` empties those cells before each call, untimed.
+  `write_norm` keeps the angle cells of its node count (io._angle_cells)
+  from the row's second call on; `write_norm_cold` empties them untimed.
 - steps: for seeded random families of r = 2, 8 and 32 matrices and each
   node count N, the image plan build and one `relax.lr_step` and one
   `relax.mr_step` on that plan, from the normalized Euclidean start and from
@@ -80,41 +75,36 @@ The sections, in the order they run:
   (r = 32 only up to N = 30000: its plan holds 24 bytes per entry, 115 MB
   at N = 300000).  `mapped` says how many of the r members each step maps:
   the plan maps only the members whose dominance margin the profile's
-  spread reaches.  `plan_build` is a build into new arrays; `plan_rebuild`
-  is a second take of the plan of the same inputs as a one-grid solve takes
-  it, after the take before it released its plan: norms._Plans, which hands
-  back the kept plan (a tree with a one-plan slot takes it from norms._plan,
-  and one with none builds and releases a plan, as its solves do).
+  spread reaches.  `plan_build` is a direct build into new arrays.
   `bounds`, `combine_linear` and `combine_max` are the parts of a step
   after its node map, on the node maxima of the profile lr converges to,
   each on a fresh copy of them made untimed (combine_linear overwrites its
   input).  Each row is timed on its own, so that only one row's plans are
   held at a time.
-- fine_runs: `run` and the single-level solve, `run` given the Euclidean
-  start (`run_single`), whatever --nodes says, on examples 1 and 2, lr and
-  mr, at N = 30000 with tol=1e-6 and at N = 300000 with tol=1e-10; on the
+- fine_runs: `run`, whatever --nodes says, on examples 1 and 2, lr and mr,
+  at N = 30000 with tol=1e-6 and at N = 300000 with tol=1e-10; on the
   seeded r = 2, 8 and 32 families at tol=1e-6 and N = 16382 and 16384
   (either side of the node count where grid continuation starts) and
   30000, and for r = 8 at N = 300000; and on example 1 scaled by 1e300 at
   N = 30000 with max_iters=200, a solve that stalls because tol is absolute.
-  `run_cold` is `run` with the plan slot emptied before each call, untimed,
-  so that it builds every grid's plan on every tree.
+  Where the solve is continued, `run_single` is the single-level solve of
+  the same problem, `run` given the Euclidean start.
 - fresh_process_faults: after its large solves this process no longer
-  faults on fresh arrays, so this counts the faults of a few run() calls and
-  of a first and a second plan take of each seeded family, in a fresh
-  process per tree.  The first-call counts depend on the path the tree is
-  imported from, not only on its code: with byte-identical code, r = 32 at
-  N = 3000 read a first run of 325, 311 and 369 faults from three paths.
-  So each tree is imported from a package copy in its own temporary
-  directory, whose paths have one length.
+  faults on fresh arrays, so this counts the faults of a few run() calls
+  and of a direct plan build of each seeded family, in a fresh process per
+  tree.  The first-call counts depend on the path the tree is imported
+  from, not only on its code: with byte-identical code, r = 32 at N = 3000
+  read a first run of 325, 311 and 369 faults from three paths.  So each
+  tree is imported from a package copy in its own temporary directory,
+  whose paths have one length.
 
-A run row records its status, its iterations (the N-node grid's), its grid
-levels (the node count and the steps of every grid the solve stepped on,
-coarsest first) and its bracket.  The outputs compared are a run's status,
-levels, bracket, norm bytes and trace rows; a writer's bytes; the oracle's
-rows, as hex; a step's node maxima and next profile; a fresh plan's node
-maxima at the Euclidean start; and each `jsrelax run` of the cli pass.
-Byte strings are compared by their SHA-256.
+A run row, and each solve of the pass, records its status, its iterations
+(the N-node grid's), its grid levels (the node count and the steps of every
+grid the solve stepped on, coarsest first) and its bracket.  The outputs
+compared are a run's status, levels, bracket, norm bytes and trace rows; a
+writer's bytes; the oracle's rows, as hex; a step's node maxima and next
+profile; a fresh plan's node maxima at the Euclidean start; and each
+`jsrelax run` of the cli pass.  Byte strings are compared by their SHA-256.
 
 Run from the repository root:
 
@@ -322,7 +312,8 @@ def outcome(result) -> dict:
 
 
 def solve(tree, s, cfg) -> Call:
-    return Call(lambda: tree.run(s, cfg), outcome)
+    """`run` of s under cfg, each call from an empty plan slot (emptied untimed)."""
+    return Call(lambda _: tree.run(s, cfg), outcome, tree.norms._kept.clear)
 
 
 def per_tree(trees: dict, make) -> dict:
@@ -335,40 +326,29 @@ def seeded_mats(r: int) -> np.ndarray:
     return np.random.default_rng(2008 + r).uniform(-2.0, 2.0, size=(r, 2, 2))
 
 
-def emptier(slot: dict | None) -> Callable:
-    """A prepare that empties a module's cache dict; a tree without it has none to empty."""
-    return (lambda: None) if slot is None else slot.clear
-
-
-def run_calls(tree, mats, cfg: dict, variants: bool) -> dict:
-    """`run` of mats under cfg with tree's classes and, with variants,
-    `run_single`, the same solve given the Euclidean start, and `run_cold`,
-    `run` from an empty plan slot."""
+def run_calls(tree, mats, cfg: dict) -> dict:
+    """`run` of mats under cfg with tree's classes and, where the solve is
+    continued, `run_single`, the same solve given the Euclidean start."""
     s = tree.MatrixSet(tuple(np.array(mats, dtype=float)))
     c = tree.RelaxConfig(**cfg)
     calls = {"run": solve(tree, s, c)}
-    if variants:
+    if len(tree.relax._grids(c)) > 1:
         calls["run_single"] = solve(tree, s, replace(c, initial_norm=tree.euclidean(c.node_count)))
-        calls["run_cold"] = Call(lambda _: tree.run(s, c), outcome,
-                                 emptier(getattr(tree.norms, "_kept", None)))
     return calls
 
 
-def timed_runs(trees: dict, cases: list[tuple], repeats: int, variants: bool = False,
-               least: int = 1) -> tuple[list[dict], list[dict]]:
+def timed_runs(trees: dict, cases: list[tuple], repeats: int, least: int = 1) -> list[dict]:
     """A run row per case (name, matrices, N, tol, extra config) and
-    algorithm, timed, with its fields from the change tree's run; and per
-    row, the `run` samples by tree."""
+    algorithm, timed, with its fields from the change tree's run."""
     rows = []
     for name, mats, n, tol, extra in cases:
         for algorithm in ("lr", "mr"):
             cfg = {"algorithm": algorithm, "node_count": n, "tol": tol, **extra}
             row = {"family": name, "algorithm": algorithm, "nodes": n, "tol": tol}
-            rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg, variants))))
-    got = [samples["run"] for samples in measure(rows, repeats, least)]
-    for (row, _), by_tree in zip(rows, got):
-        row.update((field, by_tree["change"].output[field]) for field in RUN_FIELDS)
-    return [row for row, _ in rows], got
+            rows.append((row, per_tree(trees, lambda t: run_calls(t, mats, cfg))))
+    for (row, _), samples in zip(rows, measure(rows, repeats, least)):
+        row.update((field, samples["run"]["change"].output[field]) for field in RUN_FIELDS)
+    return [row for row, _ in rows]
 
 
 def perfbench_module(name: str):
@@ -378,45 +358,46 @@ def perfbench_module(name: str):
     return importlib.import_module(name)
 
 
+def by_field(results) -> dict:
+    """The outcomes of results, grouped by field: {field: [value per result]}."""
+    outcomes = [outcome(res) for res in results]
+    return {field: [out[field] for out in outcomes] for field in outcomes[0]}
+
+
 def pass_call(tree, mats: list[np.ndarray], nodes: int, tol: float) -> Call:
     """The relax_family pass as perfbench runs it: each family's lr and then
-    its mr, on one MatrixSet."""
+    its mr, on one MatrixSet; its output is their outcomes by field."""
     solves = []
     for m in mats:
         s = tree.MatrixSet(tuple(m))
         solves += [(s, tree.RelaxConfig(algorithm=algorithm, node_count=nodes, tol=tol))
                    for algorithm in ("lr", "mr")]
-    return Call(lambda: [tree.run(s, cfg) for s, cfg in solves],
-                lambda results: [outcome(res) for res in results])
+    return Call(lambda: [tree.run(s, cfg) for s, cfg in solves], by_field)
 
 
-def family_pass(trees: dict, repeats: int) -> tuple[list[dict], dict]:
-    """The relax_family rows, a solve each, and the pass per tree: timed
-    whole (`pass`), and from its rows, its faults, the p50 and p90 solve and
-    how many of its brackets the proven product bounds contradict."""
+def family_pass(trees: dict, repeats: int) -> dict:
+    """The relax_family pass, timed whole on each tree (`pass`), with each
+    solve's fields from the change tree's pass and, per tree, how many of
+    its brackets the proven product bounds contradict."""
     workloads, reference = perfbench_module("workloads"), perfbench_module("reference")
     families = workloads.corpus()
     angles = np.random.default_rng(PASS_SEED).uniform(0.0, 2.0 * np.pi, size=len(families))
     mats = [workloads.rotated(base, angle) for base, angle in zip(families, angles)]
     nodes, tol = workloads.FAMILY_NODES, workloads.FAMILY_TOL
-    rows, got = timed_runs(trees, [(i, m, nodes, tol, {}) for i, m in enumerate(mats)], repeats)
+    family = {"seed": PASS_SEED}
+    calls = per_tree(trees, lambda t: {"pass": pass_call(t, mats, nodes, tol)})
+    (samples,) = measure([(family, calls)], repeats, most=1)
+    got = {tag: sample.output for tag, sample in samples["pass"].items()}
     bounds = [reference.reference_bounds(np.array(m)) for m in mats for _ in ("lr", "mr")]
-    family = {"seed": PASS_SEED, "solves": len(rows), "contradicted": {}}
-    for tag in trees:
-        solves = [by_tree[tag] for by_tree in got]
-        family["contradicted"][tag] = sum(
-            bool(reference.contradicts(s.output["rho_lo"], s.output["rho_hi"], ref))
-            for s, ref in zip(solves, bounds))
-        faults = [sum(round_) for round_ in zip(*(s.faults for s in solves))]
-        seconds = [x for s in solves for x in s.seconds]
-        family[tag] = {"minflt": statistics.median_low(faults),
-                       "solve_p50_ms": 1e3 * statistics.median(seconds),
-                       "solve_p90_ms": 1e3 * statistics.quantiles(seconds, n=10)[-1]}
-    measure([(family, per_tree(trees, lambda t: {"pass": pass_call(t, mats, nodes, tol)}))],
-            repeats, most=1)
-    if len(trees) > 1:
-        family["same_output"] = family["same_output"] and all(row["same_output"] for row in rows)
-    return rows, family
+    family["contradicted"] = {
+        tag: sum(bool(reference.contradicts(lo, hi, ref))
+                 for lo, hi, ref in zip(out["rho_lo"], out["rho_hi"], bounds))
+        for tag, out in got.items()}
+    cases = [(i, algorithm) for i in range(len(mats)) for algorithm in ("lr", "mr")]
+    family["solves"] = [{"family": i, "algorithm": algorithm, "nodes": nodes, "tol": tol,
+                         **{field: got["change"][field][k] for field in RUN_FIELDS}}
+                        for k, (i, algorithm) in enumerate(cases)]
+    return family
 
 
 def cli_call(tree, argvs: list[tuple[str, list, list[Path]]]) -> Call:
@@ -518,12 +499,11 @@ def into(write, obj, sink):
 
 def writer_calls(tree, result) -> dict:
     """The three writers on the norm and trace of result, by tree."""
+    write_norm = Call(lambda *_: into(tree.write_norm, result.norm, io.BytesIO()),
+                      lambda out: digest(out.getvalue()))
     return {
-        "write_norm": Call(lambda: into(tree.write_norm, result.norm, io.BytesIO()),
-                           lambda out: digest(out.getvalue())),
-        "write_norm_cold": Call(lambda _: into(tree.write_norm, result.norm, io.BytesIO()),
-                                lambda out: digest(out.getvalue()),
-                                emptier(getattr(tree.io, "_angle_cells", None))),
+        "write_norm": write_norm,
+        "write_norm_cold": write_norm._replace(prepare=tree.io._angle_cells.clear),
         "render_unit_sphere": Call(lambda: tree.render_unit_sphere(result.norm, 512),
                                    lambda svg: digest(svg.encode())),
         "write_trace": Call(lambda: into(tree.write_trace, result, io.StringIO()),
@@ -552,30 +532,17 @@ def combined(combine, nm, m: np.ndarray, args: tuple, out: np.ndarray) -> np.nda
     return out
 
 
-def retake(norms, s, n: int, e) -> None:
-    """The plan of one grid taken and released as a one-grid solve of norms's tree does."""
-    if not hasattr(norms, "_Plans"):  # a tree with a one-plan slot, or none
-        getattr(norms, "_plan", norms._ImagePlan)(s, n, e).release()
-        return
-    with norms._Plans(s, [(n, e)]) as plans:
-        plans.release(plans.take(n, e))
-
-
 def step_calls(tree, mats: np.ndarray, n: int) -> dict:
-    """A `steps` row's calls on tree: the plan build and rebuild, the four
-    steps on one plan, which the calls hold, and the bounds and combines on
-    the node maxima of the lr-converged profile."""
+    """A `steps` row's calls on tree: the plan build, the four steps on one
+    plan, which the calls hold, and the bounds and combines on the node
+    maxima of the lr-converged profile."""
     s = tree.MatrixSet(tuple(mats))
     e = (1.0, 0.0)
     plan = tree.norms._ImagePlan(s, n, e)
     start = tree.relax._initial(tree.RelaxConfig(node_count=n))
-    calls = {
-        # never released, so every timed call allocates
-        "plan_build": Call(lambda: tree.norms._ImagePlan(s, n, e),
-                           lambda fresh: digest(fresh.node_image_max(start))),
-        # as a solve takes its plan, after the untimed call released one
-        "plan_rebuild": Call(lambda: retake(tree.norms, s, n, e)),
-    }
+    # a direct build never comes from the plan slot, so every timed call allocates
+    calls = {"plan_build": Call(lambda: tree.norms._ImagePlan(s, n, e),
+                                lambda fresh: digest(fresh.node_image_max(start)))}
     converged = {}
     for algorithm, step in (("lr", tree.relax.lr_step), ("mr", tree.relax.mr_step)):
         cfg = tree.RelaxConfig(algorithm=algorithm, node_count=n)
@@ -616,8 +583,7 @@ def step_rows(trees: dict, nodes: list[int], repeats: int) -> list[dict]:
 # Run in a fresh process by fresh_faults: the minor page faults of each of
 # RUN_SERIES run() calls of one family, after one run of the same family on
 # two nodes more (so the process has imported and warmed up everything, and
-# its kept plan is of other inputs), and of a first and a second plan take
-# made and released as a one-grid solve makes and releases it (see retake).
+# its kept plan is of other inputs), and of one direct plan build.
 _FAULTS = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -630,13 +596,7 @@ def faults(call):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 run(s, RelaxConfig(node_count=n + 2, tol=tol))
 row = {"runs": [faults(lambda: run(s, RelaxConfig(node_count=n, tol=tol))) for _ in range(series)]}
-run(s, RelaxConfig(node_count=n + 2, tol=tol))
-def build():
-    if not hasattr(norms, "_Plans"):
-        return getattr(norms, "_plan", norms._ImagePlan)(s, n, (1.0, 0.0)).release()
-    with norms._Plans(s, [(n, (1.0, 0.0))]) as plans:
-        plans.release(plans.take(n, (1.0, 0.0)))
-row["plan_build"], row["plan_rebuild"] = faults(build), faults(build)
+row["plan_build"] = faults(lambda: norms._ImagePlan(s, n, (1.0, 0.0)))
 print(json.dumps(row))
 """
 RUN_SERIES = 4
@@ -652,15 +612,9 @@ def fresh_faults(src: Path, mats: np.ndarray, n: int, tol: float) -> dict:
 
 
 def fault_rows(trees: dict[str, Path], nodes: list[int]) -> list[dict]:
-    """fresh_faults of each seeded relax family at each node count up to 30000, per tree.
-
-    Freeing memory in the bench's own process moves the allocator's
-    thresholds, so that after its large solves a fresh array no longer
-    faults; a fresh process shows what a process of small solves pays.  Each
-    tree's package is copied into a temporary directory of its own, and
-    imported from there: the first-call counts depend on the length of the
-    import path, and these paths have one length.
-    """
+    """fresh_faults of each seeded relax family at each node count up to
+    30000, per tree, each imported from a package copy in a temporary
+    directory of its own (see fresh_process_faults in the module docstring)."""
     with contextlib.ExitStack() as stack:
         copies = {}
         for tag, src in trees.items():
@@ -693,10 +647,10 @@ def load_tree(root: Path, name: str):
 def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     """Every section, timed on trees, in the order of the module docstring;
     the runs and the pass go first, before the large solves of the others
-    move the allocator's thresholds (see fault_rows)."""
+    move the allocator's thresholds (see fresh_process_faults)."""
     result = {
-        "benchmark": "run, relax_family, cli pass, oracle by depth, writers, plan and steps, "
-                     "fine runs",
+        "benchmark": "run, relax_family pass, cli pass, oracle by depth, writers, plan and "
+                     "steps, fine runs",
         "max_depth": max_depth,
         "repeats": repeats,
         "trees": list(trees),
@@ -710,8 +664,8 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     runs = [(name, mats, n, RUN_TOL, {}) for name, mats in FAMILIES.items()
             for n in nodes if n <= RUN_MAX_NODES]
     runs += [(f"r{r}", seeded_mats(r), n, FAMILY_TOL, {}) for r, n in FAMILY_RUNS]
-    result["runs"], _ = timed_runs(trees, runs, repeats, least=RUN_MIN_CALLS)
-    result["relax_family"], result["relax_family_pass"] = family_pass(trees, repeats)
+    result["runs"] = timed_runs(trees, runs, repeats, least=RUN_MIN_CALLS)
+    result["relax_family_pass"] = family_pass(trees, repeats)
     result["cli_pass"] = cli_pass(trees, repeats)
     depths = [({"family": name, "depth": d, "products": len(mats) ** d},
                per_tree(trees, lambda t: depth_calls(t, mats, d)))
@@ -730,12 +684,11 @@ def bench(trees: dict, max_depth: int, nodes: list[int], repeats: int) -> dict:
     fine += [(f"r{r}", seeded_mats(r), n, FINE_FAMILY_TOL, {}) for r, n in FINE_FAMILY_RUNS]
     fine.append(("ex1x1e300", np.array(FAMILIES["ex1"]) * 1e300, 30000, FINE_FAMILY_TOL,
                  {"max_iters": STALLED_MAX_ITERS}))
-    result["fine_runs"], _ = timed_runs(trees, fine, repeats, variants=True)
+    result["fine_runs"] = timed_runs(trees, fine, repeats)
     return result
 
 
-SECTIONS = ("runs", "relax_family", "cli_pass", "oracle", "oracle_sweeps", "writers", "steps",
-            "fine_runs")
+SECTIONS = ("runs", "cli_pass", "oracle", "oracle_sweeps", "writers", "steps", "fine_runs")
 
 
 def line(section: str, row: dict, tags: list[str]) -> str:
@@ -743,9 +696,10 @@ def line(section: str, row: dict, tags: list[str]) -> str:
     labels = " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in row.items()
                       if isinstance(v, (str, int, float))
                       and k != "same_output")
+    timings = {key: row[key] for key in row["calls_per_round"]}
     calls = [f"{key} " + " vs ".join(f"{got[t]['median_ms']:.3f}" for t in tags) + " ms"
              + (f" (x{got['change_over_parent']:.3f})" if "change_over_parent" in got else "")
-             for key, got in row.items() if isinstance(got, dict) and "change" in got]
+             for key, got in timings.items()]
     if "same_output" not in row:
         return f"{section} {labels}: " + ", ".join(calls)
     differ = []
@@ -773,7 +727,10 @@ def main(argv=None) -> int:
         parser.error("need --max-depth >= 2, --repeats >= 1 and even --nodes >= 8")
     trees, sources = {"change": jsrelax}, {"change": ROOT / "src"}
     if args.parent is not None:
-        trees = {"parent": load_tree(args.parent, "jsrelax_parent"), **trees}
+        parent = load_tree(args.parent, "jsrelax_parent")
+        if not (hasattr(parent.norms, "_kept") and hasattr(parent.io, "_angle_cells")):
+            parser.error(f"--parent {args.parent}: jsrelax has no norms._kept or io._angle_cells")
+        trees = {"parent": parent, **trees}
         sources = {"parent": args.parent / "src", **sources}
     result = bench(trees, args.max_depth, args.nodes, args.repeats)
     result["fresh_process_faults"] = fault_rows(sources, args.nodes)
@@ -783,19 +740,12 @@ def main(argv=None) -> int:
         for row in result[section]:
             print(line(section, row, list(trees)))
     fam = result["relax_family_pass"]
-    for tag in trees:
-        got = fam[tag]
-        print(f"{tag} relax_family pass (seed {fam['seed']}): {fam['pass'][tag]['median_ms']:.1f} "
-              f"ms median; its rows: solve p50 {got['solve_p50_ms']:.2f} ms, "
-              f"p90 {got['solve_p90_ms']:.2f} ms, {got['minflt']} faults, "
-              f"{fam['contradicted'][tag]}/{fam['solves']} brackets "
-              "contradicting the proven bounds")
-    if "change_over_parent" in fam["pass"]:
-        print(f"relax_family pass change/parent {fam['pass']['change_over_parent']:.3f}")
+    print(line("relax_family_pass", fam, list(trees)) + "; brackets contradicting the proven "
+          "bounds: " + ", ".join(f"{tag} {n}/{len(fam['solves'])}"
+                                  for tag, n in fam["contradicted"].items()))
     for row in result["fresh_process_faults"]:
         print(f"r={row['r']} N={row['nodes']} fresh-process faults: "
-              + "; ".join(f"{tag} runs {row[tag]['runs']}, plan build {row[tag]['plan_build']} "
-                          f"then {row[tag]['plan_rebuild']}" for tag in trees))
+              + "; ".join(f"{tag} {row[tag]}" for tag in trees))
     return 0
 
 
